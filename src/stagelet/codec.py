@@ -50,17 +50,12 @@ class BuildContext:
 
 
 class CodeValue:
-    """Deterministic map from a location to (denotation, virtual bindings).
+    """Deterministic map from a location to (denotation, virtual bindings)."""
 
-    `ty` is an informational note about the generated expression's type; it
-    carries no behavior.
-    """
+    __slots__ = ("_build",)
 
-    __slots__ = ("_build", "ty")
-
-    def __init__(self, build, ty=None):
+    def __init__(self, build):
         self._build = build
-        self.ty = ty
 
     def __call__(self, ctx: BuildContext, loc):
         return self._build(ctx, loc)
@@ -90,7 +85,7 @@ class CodeValue:
         return capp(self, _lift(other))
 
     def __repr__(self):
-        return f"CodeValue(ty={self.ty!r})"
+        return "CodeValue(...)"
 
 
 def _lift(x):
@@ -104,52 +99,52 @@ def _lift(x):
 
 
 def cint(i: int) -> CodeValue:
-    return CodeValue(lambda ctx, loc: (ctx.sem.mk_int(i), EMPTY_BINDINGS), ty="int")
+    return CodeValue(lambda ctx, loc: (ctx.sem.mk_int(i), EMPTY_BINDINGS))
 
 
 def cbool(b: bool) -> CodeValue:
-    return CodeValue(lambda ctx, loc: (ctx.sem.mk_bool(b), EMPTY_BINDINGS), ty="bool")
+    return CodeValue(lambda ctx, loc: (ctx.sem.mk_bool(b), EMPTY_BINDINGS))
 
 
-def _unary(pick, a, ty=None):
+def _unary(pick, a):
     def build(ctx, loc):
         d, v = a(ctx, loc + (1,))
         return pick(ctx.sem)(d), v
 
-    return CodeValue(build, ty=ty)
+    return CodeValue(build)
 
 
-def _binary(pick, a, b, ty=None):
+def _binary(pick, a, b):
     def build(ctx, loc):
         d1, v1 = a(ctx, loc + (1,))
         d2, v2 = b(ctx, loc + (2,))
         return pick(ctx.sem)(d1, d2), merge(v1, v2)
 
-    return CodeValue(build, ty=ty)
+    return CodeValue(build)
 
 
 def csucc(a: CodeValue) -> CodeValue:
-    return _unary(lambda s: s.mk_succ, a, ty="int")
+    return _unary(lambda s: s.mk_succ, a)
 
 
 def cadd(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_add, a, b, ty="int")
+    return _binary(lambda s: s.mk_add, a, b)
 
 
 def csub(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_sub, a, b, ty="int")
+    return _binary(lambda s: s.mk_sub, a, b)
 
 
 def cmul(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_mul, a, b, ty="int")
+    return _binary(lambda s: s.mk_mul, a, b)
 
 
 def cdiv(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_div, a, b, ty="int")
+    return _binary(lambda s: s.mk_div, a, b)
 
 
 def ceq(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_eq, a, b, ty="bool")
+    return _binary(lambda s: s.mk_eq, a, b)
 
 
 def capp(f: CodeValue, a: CodeValue) -> CodeValue:
@@ -242,9 +237,7 @@ def with_locus_rec(f) -> CodeValue:
     def build(ctx, loc):
         d, v = f(Locus(loc))(ctx, loc + (1,))
         v = canon(v, loc, ctx.canon_limit)
-        store = v.at(loc)
-        classes = [store.classes[k] for k in store.insertion_seq]
-        return bind_letrec(classes, d, ctx.sem), v.without(loc)
+        return bind_letrec(ordered(v.at(loc)), d, ctx.sem), v.without(loc)
 
     return CodeValue(build)
 
@@ -257,9 +250,12 @@ def _complete(bindings: VirtualBindings):
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
     """Build the syntax tree a complete generator produces."""
     ctx = BuildContext(ShowSemantics(), canon_limit)
-    d, v = code(ctx, ROOT)
-    _complete(v)
-    return d(EMPTY_ENV)
+    try:
+        d, v = code(ctx, ROOT)
+        _complete(v)
+        return d(EMPTY_ENV)
+    except RecursionError:
+        raise StepLimitExceeded("show recursed past the host stack") from None
 
 
 def run(
@@ -269,9 +265,9 @@ def run(
 ) -> Value:
     """Evaluate a complete generator to the value its code means."""
     ctx = BuildContext(RunSemantics(step_limit), canon_limit)
-    d, v = code(ctx, ROOT)
-    _complete(v)
     try:
+        d, v = code(ctx, ROOT)
+        _complete(v)
         return d(EMPTY_ENV)
     except RecursionError:
-        raise StepLimitExceeded("evaluation recursed past the host stack") from None
+        raise StepLimitExceeded("run recursed past the host stack") from None

@@ -83,13 +83,30 @@ class BindingClass:
 
 @dataclass(frozen=True)
 class PerLocus:
-    """Bindings destined for one locus: a preorder over memo keys (kept
-    reflexively and transitively closed), the classes by key, and the keys
-    in first-insertion order (the deterministic tie-break)."""
+    """Bindings destined for one locus: the classes by memo key, in
+    first-insertion order.
 
-    order: frozenset = frozenset()
+    A new key only ever enters above every key already present, so this
+    order is the whole binding preorder: the bindings a right-hand side
+    requested were inserted before its own key. Equality is order-sensitive.
+    """
+
     classes: dict = field(default_factory=dict)
-    insertion_seq: tuple = ()
+
+    @property
+    def insertion_seq(self):
+        return tuple(self.classes)
+
+    @property
+    def order(self):
+        """The preorder as pairs (a, b), a no later than b."""
+        seq = self.insertion_seq
+        return frozenset((a, b) for i, a in enumerate(seq) for b in seq[i:])
+
+    def __eq__(self, other):
+        if not isinstance(other, PerLocus):
+            return NotImplemented
+        return list(self.classes.items()) == list(other.classes.items())
 
     def is_empty(self):
         return not self.classes
@@ -98,24 +115,20 @@ class PerLocus:
 EMPTY_PER_LOCUS = PerLocus()
 
 
-def _add_class(store: PerLocus, key, cls: BindingClass) -> PerLocus:
-    existing = store.classes.get(key)
-    if existing is not None:
-        aliases = (existing.aliases | cls.aliases | {cls.name}) - {existing.name}
-        if isinstance(existing.rhs, Canonical):
-            rhs = existing.rhs
-        elif isinstance(cls.rhs, Canonical):
-            rhs = cls.rhs
-        else:
-            rhs = existing.rhs
-        classes = dict(store.classes)
-        classes[key] = BindingClass(existing.name, rhs, frozenset(aliases))
-        return PerLocus(store.order, classes, store.insertion_seq)
-    # new key: it becomes the latest element of the preorder
-    pairs = {(key, key)} | {(k, key) for k in store.insertion_seq}
-    classes = dict(store.classes)
-    classes[key] = cls
-    return PerLocus(store.order | pairs, classes, store.insertion_seq + (key,))
+def _fold(classes: dict, key, cls: BindingClass):
+    """Fold `cls` into `classes` under `key`, in place. A new key goes last;
+    an existing class keeps its name, absorbs the incoming names as aliases,
+    and keeps its right-hand side unless only the incoming one is canonical."""
+    existing = classes.get(key)
+    if existing is None:
+        classes[key] = cls
+        return
+    aliases = (existing.aliases | cls.aliases | {cls.name}) - {existing.name}
+    if isinstance(cls.rhs, Canonical) and not isinstance(existing.rhs, Canonical):
+        rhs = cls.rhs
+    else:
+        rhs = existing.rhs
+    classes[key] = BindingClass(existing.name, rhs, frozenset(aliases))
 
 
 def addb(key, name, rhs, store: PerLocus) -> PerLocus:
@@ -124,7 +137,9 @@ def addb(key, name, rhs, store: PerLocus) -> PerLocus:
     An existing class for the key absorbs the name as an alias and keeps its
     own right-hand side; a new key enters greater than everything present.
     """
-    return _add_class(store, key, BindingClass(name, rhs))
+    classes = dict(store.classes)
+    _fold(classes, key, BindingClass(name, rhs))
+    return PerLocus(classes)
 
 
 @dataclass(frozen=True)
@@ -176,54 +191,26 @@ def merge(v1: VirtualBindings, v2: VirtualBindings) -> VirtualBindings:
         return v1
     if v1.is_empty():
         return v2
-    result = v1
-    for loc in v2.loci():
-        incoming = v2.at(loc)
-        store = result.at(loc)
-        for key in _ordered_keys(incoming):
-            store = _add_class(store, key, incoming.classes[key])
-        result = result.set(loc, store)
-    return result
-
-
-def _ordered_keys(store: PerLocus):
-    keys = list(store.insertion_seq)
-    strict = {
-        (a, b) for (a, b) in store.order if a != b and (b, a) not in store.order
-    }
-    placed = []
-    placed_set = set()
-    while len(placed) < len(keys):
-        k = next(
-            k
-            for k in keys
-            if k not in placed_set
-            and all(a in placed_set for (a, b) in strict if b == k)
-        )
-        placed.append(k)
-        placed_set.add(k)
-    return placed
+    stores = dict(v1.stores)
+    for loc, incoming in v2.stores.items():
+        classes = dict(v1.at(loc).classes)
+        for key, cls in incoming.classes.items():
+            _fold(classes, key, cls)
+        stores[loc] = PerLocus(classes)
+    return VirtualBindings(stores)
 
 
 def ordered(store: PerLocus):
-    """The classes as a sequence consistent with the preorder: strictly
-    smaller keys come first, ties resolved by first-insertion order."""
-    return [store.classes[k] for k in _ordered_keys(store)]
+    """The classes in binding order, outermost first: a class's right-hand
+    side mentions only classes before it."""
+    return list(store.classes.values())
 
 
 def subst(representative, aliases, denotation):
     """A denotation equal to `denotation` except every alias resolves to the
     representative's binding."""
-    aliases = tuple(sorted(aliases, key=lambda n: n.render()))
-    if not aliases:
-        return denotation
-
-    def den(env):
-        for a in aliases:
-            env = env.redirect(a, representative)
-        return denotation(env)
-
-    return den
+    aliases = sorted(aliases, key=lambda n: n.render())
+    return _redirect_all(tuple((a, representative) for a in aliases), denotation)
 
 
 def _redirect_all(pairs, denotation):
@@ -288,7 +275,7 @@ def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):
     while True:
         store = current.at(loc)
         pending_keys = [
-            k for k in store.insertion_seq if isinstance(store.classes[k].rhs, Pending)
+            k for k, cls in store.classes.items() if isinstance(cls.rhs, Pending)
         ]
         if not pending_keys:
             return current
@@ -300,7 +287,7 @@ def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):
         classes = dict(store.classes)
         classes[key] = BindingClass(cls.name, Canonical(den), cls.aliases)
         current = merge(
-            current.set(loc, PerLocus(store.order, classes, store.insertion_seq)),
+            current.set(loc, PerLocus(classes)),
             produced,
         )
         rounds += 1

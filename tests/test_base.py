@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import stagelet
 from stagelet import (
     Add,
     App,
@@ -279,3 +280,19 @@ class TestEval:
         assert render_value(VBool(True)) == "true"
         assert render_value(VBool(False)) == "false"
         assert render_value(eval_ast(Lam(x, Var(x)), {})) == "<fun>"
+
+
+class TestExports:
+    def test_every_syntax_node_is_exported(self):
+        nodes = {
+            name
+            for name, obj in vars(stagelet.base).items()
+            if isinstance(obj, type) and issubclass(obj, stagelet.base.BaseAst)
+        }
+        assert "Sub" in nodes
+        assert nodes <= set(stagelet.__all__)
+
+    def test_every_export_resolves(self):
+        namespace = {}
+        exec("from stagelet import *", namespace)
+        assert set(stagelet.__all__) <= set(namespace)

@@ -12,6 +12,7 @@ from stagelet import (
     Mul,
     ShowSemantics,
     Source,
+    StepLimitExceeded,
     TypeMismatch,
     VInt,
     Var,
@@ -186,6 +187,22 @@ class TestRunErrors:
     def test_over_application(self):
         with pytest.raises(TypeMismatch):
             apply_ints(run(cint(3)), [1])
+
+    def test_deep_show_is_a_staging_error(self):
+        code = cint(0)
+        for i in range(400):
+            code = cadd(code, cint(i))
+        with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
+            show(code)
+
+    def test_long_let_chain_run_is_a_staging_error(self):
+        def chain(n):
+            if n == 0:
+                return cint(0)
+            return clet(cint(n), lambda v: cadd(v, chain(n - 1)))
+
+        with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
+            run(chain(400))
 
     def test_free_output_is_still_showable(self):
         tree = show(lookup("clgib5-extruded").builder())

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -194,6 +195,42 @@ class TestStoreInvariants:
             for cls in store.classes.values():
                 assert cls.name not in cls.aliases
 
+    def test_one_stored_field(self):
+        assert [f.name for f in dataclasses.fields(PerLocus)] == ["classes"]
+
+    def test_equality_is_order_sensitive(self):
+        can = canonical_int(0)
+        a = BindingClass(Fresh((1,)), can)
+        b = BindingClass(Fresh((2,)), can)
+        assert PerLocus({1: a, 2: b}) == PerLocus({1: a, 2: b})
+        assert PerLocus({1: a, 2: b}) != PerLocus({2: b, 1: a})
+
+    def test_thousand_keys_keep_first_request_order(self):
+        # 8 stores of 250 random requests each, merged at one locus
+        rng = random.Random(41)
+        can = canonical_int(0)
+        first, others = {}, {}
+        merged = EMPTY_BINDINGS
+        for part in range(8):
+            store = EMPTY_PER_LOCUS
+            for i in range(250):
+                key, name = rng.randrange(1200), Fresh((part, i))
+                store = addb(key, name, can, store)
+                if key in first:
+                    others[key].add(name)
+                else:
+                    first[key], others[key] = name, set()
+            merged = merge(merged, singleton((), store))
+        store = merged.at(())
+        seq = tuple(first)
+        assert len(seq) > 900
+        assert [c.name for c in ordered(store)] == [first[k] for k in seq]
+        assert all(store.classes[k].aliases == others[k] for k in seq)
+        assert store.insertion_seq == seq
+        assert store.order == {
+            (a, b) for i, a in enumerate(seq) for b in seq[i:]
+        }
+
     def test_absent_locus_reads_empty(self):
         assert EMPTY_BINDINGS.at((1, 2)) is EMPTY_PER_LOCUS
 
@@ -216,7 +253,7 @@ class TestOrdered:
     def test_tie_break_by_insertion_seq(self):
         c1 = BindingClass(Fresh((1,)), canonical_int(0))
         c2 = BindingClass(Fresh((2,)), canonical_int(0))
-        store = PerLocus(frozenset({(1, 1), (2, 2)}), {1: c1, 2: c2}, (2, 1))
+        store = PerLocus({2: c2, 1: c1})
         assert ordered(store) == [c2, c1]
 
     def test_consistent_with_preorder_bruteforce(self):
