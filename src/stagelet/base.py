@@ -75,17 +75,21 @@ class Fresh(Name):
     same binding site stay interchangeable.
     """
 
-    __slots__ = ("path", "hint")
+    __slots__ = ("path", "hint", "_hash")
 
     def __init__(self, path, hint=None):
         self.path = tuple(path)
         self.hint = hint
+        self._hash = None
 
     def __eq__(self, other):
         return isinstance(other, Fresh) and self.path == other.path
 
     def __hash__(self):
-        return hash(("fresh", self.path))
+        # a path can run to hundreds of elements: hash it once, on first use
+        if self._hash is None:
+            self._hash = hash(("fresh", self.path))
+        return self._hash
 
     def render(self) -> str:
         joined = "_".join(str(i) for i in self.path)
@@ -244,6 +248,13 @@ def render_value(v: Value) -> str:
 
 def pretty(ast: BaseAst) -> str:
     """Deterministic fully-parenthesized rendering."""
+    try:
+        return _pretty(ast)
+    except RecursionError:
+        raise StepLimitExceeded("pretty recursed past the host stack") from None
+
+
+def _pretty(ast):
     match ast:
         case IntLit(i):
             return str(i)
@@ -252,33 +263,40 @@ def pretty(ast: BaseAst) -> str:
         case Var(n):
             return n.render()
         case Succ(a):
-            return f"(succ {pretty(a)})"
+            return f"(succ {_pretty(a)})"
         case Add(a, b):
-            return f"({pretty(a)} + {pretty(b)})"
+            return f"({_pretty(a)} + {_pretty(b)})"
         case Sub(a, b):
-            return f"({pretty(a)} - {pretty(b)})"
+            return f"({_pretty(a)} - {_pretty(b)})"
         case Mul(a, b):
-            return f"({pretty(a)} * {pretty(b)})"
+            return f"({_pretty(a)} * {_pretty(b)})"
         case Div(a, b):
-            return f"({pretty(a)} / {pretty(b)})"
+            return f"({_pretty(a)} / {_pretty(b)})"
         case Eq(a, b):
-            return f"({pretty(a)} = {pretty(b)})"
+            return f"({_pretty(a)} = {_pretty(b)})"
         case If(c, t, e):
-            return f"(if {pretty(c)} then {pretty(t)} else {pretty(e)})"
+            return f"(if {_pretty(c)} then {_pretty(t)} else {_pretty(e)})"
         case Lam(n, b):
-            return f"(fun {n.render()} -> {pretty(b)})"
+            return f"(fun {n.render()} -> {_pretty(b)})"
         case App(f, a):
-            return f"({pretty(f)} {pretty(a)})"
+            return f"({_pretty(f)} {_pretty(a)})"
         case Let(n, r, b):
-            return f"(let {n.render()} = {pretty(r)} in {pretty(b)})"
+            return f"(let {n.render()} = {_pretty(r)} in {_pretty(b)})"
         case LetRec(clauses, b):
-            decls = " and ".join(f"{n.render()} = {pretty(r)}" for n, r in clauses)
-            return f"(let rec {decls} in {pretty(b)})"
+            decls = " and ".join(f"{n.render()} = {_pretty(r)}" for n, r in clauses)
+            return f"(let rec {decls} in {_pretty(b)})"
     raise TypeMismatch(f"not a syntax tree: {ast!r}")
 
 
 def to_sexp(ast: BaseAst) -> str:
     """Canonical machine-readable prefix form; single-space separated."""
+    try:
+        return _to_sexp(ast)
+    except RecursionError:
+        raise StepLimitExceeded("to_sexp recursed past the host stack") from None
+
+
+def _to_sexp(ast):
     match ast:
         case IntLit(i):
             return f"(int {i})"
@@ -287,28 +305,28 @@ def to_sexp(ast: BaseAst) -> str:
         case Var(n):
             return f"(var {n.render()})"
         case Succ(a):
-            return f"(succ {to_sexp(a)})"
+            return f"(succ {_to_sexp(a)})"
         case Add(a, b):
-            return f"(add {to_sexp(a)} {to_sexp(b)})"
+            return f"(add {_to_sexp(a)} {_to_sexp(b)})"
         case Sub(a, b):
-            return f"(sub {to_sexp(a)} {to_sexp(b)})"
+            return f"(sub {_to_sexp(a)} {_to_sexp(b)})"
         case Mul(a, b):
-            return f"(mul {to_sexp(a)} {to_sexp(b)})"
+            return f"(mul {_to_sexp(a)} {_to_sexp(b)})"
         case Div(a, b):
-            return f"(div {to_sexp(a)} {to_sexp(b)})"
+            return f"(div {_to_sexp(a)} {_to_sexp(b)})"
         case Eq(a, b):
-            return f"(eq {to_sexp(a)} {to_sexp(b)})"
+            return f"(eq {_to_sexp(a)} {_to_sexp(b)})"
         case If(c, t, e):
-            return f"(if {to_sexp(c)} {to_sexp(t)} {to_sexp(e)})"
+            return f"(if {_to_sexp(c)} {_to_sexp(t)} {_to_sexp(e)})"
         case Lam(n, b):
-            return f"(lam {n.render()} {to_sexp(b)})"
+            return f"(lam {n.render()} {_to_sexp(b)})"
         case App(f, a):
-            return f"(app {to_sexp(f)} {to_sexp(a)})"
+            return f"(app {_to_sexp(f)} {_to_sexp(a)})"
         case Let(n, r, b):
-            return f"(let {n.render()} {to_sexp(r)} {to_sexp(b)})"
+            return f"(let {n.render()} {_to_sexp(r)} {_to_sexp(b)})"
         case LetRec(clauses, b):
-            decls = " ".join(f"({n.render()} {to_sexp(r)})" for n, r in clauses)
-            return f"(letrec ({decls}) {to_sexp(b)})"
+            decls = " ".join(f"({n.render()} {_to_sexp(r)})" for n, r in clauses)
+            return f"(letrec ({decls}) {_to_sexp(b)})"
     raise TypeMismatch(f"not a syntax tree: {ast!r}")
 
 
@@ -318,33 +336,43 @@ def to_sexp(ast: BaseAst) -> str:
 
 def free_vars(ast: BaseAst) -> set:
     """Names with a free occurrence; binders scope lexically."""
+    try:
+        return _free_vars(ast)
+    except RecursionError:
+        raise StepLimitExceeded("free_vars recursed past the host stack") from None
+
+
+def _free_vars(ast):
     match ast:
         case IntLit() | BoolLit():
             return set()
         case Var(n):
             return {n}
         case Succ(a):
-            return free_vars(a)
+            return _free_vars(a)
         case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Eq(a, b) | App(a, b):
-            return free_vars(a) | free_vars(b)
+            return _free_vars(a) | _free_vars(b)
         case If(c, t, e):
-            return free_vars(c) | free_vars(t) | free_vars(e)
+            return _free_vars(c) | _free_vars(t) | _free_vars(e)
         case Lam(n, b):
-            return free_vars(b) - {n}
+            return _free_vars(b) - {n}
         case Let(n, r, b):
-            return free_vars(r) | (free_vars(b) - {n})
+            return _free_vars(r) | (_free_vars(b) - {n})
         case LetRec(clauses, b):
             bound = {n for n, _ in clauses}
-            acc = free_vars(b)
+            acc = _free_vars(b)
             for _, rhs in clauses:
-                acc |= free_vars(rhs)
+                acc |= _free_vars(rhs)
             return acc - bound
     raise TypeMismatch(f"not a syntax tree: {ast!r}")
 
 
 def alpha_eq(a: BaseAst, b: BaseAst) -> bool:
     """Equality up to consistent renaming of bound names."""
-    return _alpha(a, b, {}, {})
+    try:
+        return _alpha(a, b, {}, {})
+    except RecursionError:
+        raise StepLimitExceeded("alpha_eq recursed past the host stack") from None
 
 
 def _alpha(a, b, ab, ba):

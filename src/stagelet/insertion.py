@@ -208,8 +208,8 @@ def ordered(store: PerLocus):
 
 def subst(representative, aliases, denotation):
     """A denotation equal to `denotation` except every alias resolves to the
-    representative's binding."""
-    aliases = sorted(aliases, key=lambda n: n.render())
+    representative's binding. The redirects may go in any order: the alias
+    sets at one locus are pairwise disjoint and hold no representative."""
     return _redirect_all(tuple((a, representative) for a in aliases), denotation)
 
 
@@ -250,11 +250,7 @@ def bind_letrec(classes, body, sem):
     classes = list(classes)
     if not classes:
         return body
-    pairs = tuple(
-        (alias, cls.name)
-        for cls in classes
-        for alias in sorted(cls.aliases, key=lambda n: n.render())
-    )
+    pairs = tuple((alias, cls.name) for cls in classes for alias in cls.aliases)
     clauses = [
         (cls.name, _redirect_all(pairs, _require_canonical(cls))) for cls in classes
     ]

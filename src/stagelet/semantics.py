@@ -9,8 +9,6 @@ depend on that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base import (
     LetRec,
     Lam,
@@ -40,36 +38,80 @@ from .base import (
 MISSING = object()
 
 
-@dataclass(frozen=True)
 class _Redirect:
     """Alias entry: lookups of the alias resolve to the target name."""
 
-    target: object
+    __slots__ = ("target",)
+
+    def __init__(self, target):
+        self.target = target
+
+    def __eq__(self, other):
+        return isinstance(other, _Redirect) and self.target == other.target
+
+    def __repr__(self):
+        return f"_Redirect({self.target!r})"
 
 
 class Env:
     """Immutable finite map from names to semantic values.
 
     Extension and redirection return new maps; the original is unchanged.
+    `extend` copies the map once. `redirect` copies nothing: it returns a
+    lazy node holding one entry over its parent, and the first operation
+    that reads the node flattens its whole run of lazy ancestors into one
+    dict, cached on the node. So n redirects followed by a read cost one
+    copy, and lookups stay one dict probe per hop.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_parent", "_key", "_value")
 
     def __init__(self, entries=None):
         self._entries = dict(entries) if entries else {}
+        self._parent = self._key = self._value = None
+
+    @classmethod
+    def _of(cls, entries):
+        """An env over `entries`, which the caller hands over uncopied."""
+        env = object.__new__(cls)
+        env._entries = entries
+        env._parent = env._key = env._value = None
+        return env
+
+    def _flat(self):
+        """This env's entries as one dict, flattened and cached on first use."""
+        entries = self._entries
+        if entries is not None:
+            return entries
+        run = []
+        node = self
+        while node._entries is None:
+            run.append(node)
+            node = node._parent
+        entries = dict(node._entries)
+        for lazy in reversed(run):
+            entries[lazy._key] = lazy._value
+        self._entries = entries
+        self._parent = self._key = self._value = None
+        return entries
 
     def extend(self, name, value) -> "Env":
-        new = dict(self._entries)
+        new = dict(self._flat())
         new[name] = value
-        return Env(new)
+        return Env._of(new)
 
     def redirect(self, alias, representative) -> "Env":
-        return self.extend(alias, _Redirect(representative))
+        env = object.__new__(Env)
+        env._entries = None
+        env._parent = self
+        env._key = alias
+        env._value = _Redirect(representative)
+        return env
 
     def without(self, name) -> "Env":
-        new = dict(self._entries)
+        new = dict(self._flat())
         new.pop(name, None)
-        return Env(new)
+        return Env._of(new)
 
     def lookup(self, name):
         """Resolve a name through redirects; returns (final name, value).
@@ -77,8 +119,11 @@ class Env:
         The value is MISSING when the (resolved) name is unbound. Delayed
         letrec bindings are forced here, invisibly to callers.
         """
+        entries = self._entries
+        if entries is None:
+            entries = self._flat()
         while True:
-            v = self._entries.get(name, MISSING)
+            v = entries.get(name, MISSING)
             if isinstance(v, _Redirect):
                 name = v.target
                 continue
@@ -87,13 +132,13 @@ class Env:
             return name, v
 
     def __contains__(self, name):
-        return name in self._entries
+        return name in self._flat()
 
     def __eq__(self, other):
-        return isinstance(other, Env) and self._entries == other._entries
+        return isinstance(other, Env) and self._flat() == other._flat()
 
     def __repr__(self):
-        return f"Env({self._entries!r})"
+        return f"Env({self._flat()!r})"
 
 
 EMPTY_ENV = Env()

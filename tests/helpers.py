@@ -30,7 +30,9 @@ from stagelet import (
     csub,
     csucc,
     genlet,
+    genletrec,
     with_locus,
+    with_locus_rec,
 )
 from stagelet.codec import CodeValue
 from stagelet.insertion import EMPTY_BINDINGS, merge
@@ -55,6 +57,49 @@ def gib(n, x, y):
     if n == 1:
         return y
     return gib(n - 1, x, y) + gib(n - 2, x, y)
+
+
+# ---------------------------------------------------------------------------
+# Scaling generators
+
+
+def clgib(n):
+    """Shared Fibonacci of depth n under one let locus: every request site
+    builds its own subtree, and the memo key folds equal ones into aliases."""
+
+    def shared(l, x, y, k):
+        if k < 2:
+            return (x, y)[k]
+        return cadd(
+            genlet(l, k - 1, shared(l, x, y, k - 1)),
+            genlet(l, k - 2, shared(l, x, y, k - 2)),
+        )
+
+    return clam(lambda x: clam(lambda y: with_locus(lambda l: shared(l, x, y, n))))
+
+
+def cack(depth):
+    """Ackermann specialised to its first argument: one mutually recursive
+    clause per level under one letrec locus."""
+
+    def gen(l):
+        def ack(m):
+            if m == 0:
+                return clam(lambda n: cadd(n, cint(1)))
+            return clam(
+                lambda n: cif(
+                    ceq(n, cint(0)),
+                    capp(genletrec(l, m - 1, ack(m - 1)), cint(1)),
+                    capp(
+                        genletrec(l, m - 1, ack(m - 1)),
+                        capp(genletrec(l, m, ack(m)), csub(n, cint(1))),
+                    ),
+                )
+            )
+
+        return genletrec(l, depth, ack(depth))
+
+    return with_locus_rec(gen)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,9 @@ class TestNames:
         assert hash(Fresh((1, 2))) == hash(Fresh((1, 2)))
 
     def test_hint_does_not_affect_equality(self):
-        assert Fresh((1, 2), hint="acc") == Fresh((1, 2))
+        name = Fresh((1, 2), hint="acc")
+        assert name == Fresh((1, 2))
+        assert hash(name) == hash(name) == hash(Fresh((1, 2)))
 
     def test_rendering(self):
         assert Fresh((1, 2)).render() == "v1_2"
@@ -280,6 +282,20 @@ class TestEval:
         assert render_value(VBool(True)) == "true"
         assert render_value(VBool(False)) == "false"
         assert render_value(eval_ast(Lam(x, Var(x)), {})) == "<fun>"
+
+
+class TestHostStack:
+    @pytest.mark.parametrize(
+        "fn",
+        [pretty, to_sexp, free_vars, lambda t: alpha_eq(t, t)],
+        ids=["pretty", "to_sexp", "free_vars", "alpha_eq"],
+    )
+    def test_deep_tree_is_a_staging_error(self, fn):
+        tree = IntLit(0)
+        for i in range(2000):
+            tree = Add(tree, IntLit(i))
+        with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
+            fn(tree)
 
 
 class TestExports:

@@ -51,9 +51,21 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
+from stagelet import codec
+from stagelet.examples import ExampleKind, registry
 from stagelet.insertion import EMPTY_BINDINGS, EMPTY_PER_LOCUS, singleton
 
-from helpers import binders, count_lets
+from helpers import (
+    LEFT_FIRST,
+    ackermann,
+    binders,
+    build_code,
+    cack,
+    clgib,
+    count_lets,
+    gib,
+    random_plan,
+)
 
 S = ShowSemantics
 R = RunSemantics
@@ -536,3 +548,65 @@ class TestEndToEnd:
         assert pretty(tree).count("fun") == 3
         bound = binders(tree)
         assert len(bound) == len(set(bound))
+
+
+class TestAliasClasses:
+    """subst and bind_letrec redirect aliases in no particular order. That is
+    sound because at every bind the alias sets are pairwise disjoint and no
+    alias is a representative, so each alias has exactly one target and no
+    target is itself redirected."""
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        seen = []
+        for fname in ("bind_lets", "bind_letrec"):
+
+            def spy(classes, body, sem, original=getattr(codec, fname)):
+                classes = list(classes)
+                seen.append(classes)
+                return original(classes, body, sem)
+
+            monkeypatch.setattr(codec, fname, spy)
+        return seen
+
+    @staticmethod
+    def check(binds):
+        aliases = 0
+        for classes in binds:
+            reps = {cls.name for cls in classes}
+            assert len(reps) == len(classes)
+            taken = set()
+            for cls in classes:
+                assert not cls.aliases & reps
+                assert not cls.aliases & taken
+                taken |= cls.aliases
+            aliases += len(taken)
+        return aliases
+
+    def test_registry_generators(self, binds):
+        for entry in registry():
+            if entry.kind is not ExampleKind.BASE_PROGRAM:
+                show(entry.builder())
+                run(entry.builder())
+        assert self.check(binds) > 0
+
+    def test_clgib(self, binds):
+        for n in range(1, 15):
+            gen = clgib(n)
+            show(gen)
+            value = run(gen)
+            assert value.fn(VInt(2)).fn(VInt(3)) == VInt(gib(n, 2, 3))
+        assert self.check(binds) > 1000
+
+    def test_cack(self, binds):
+        for depth in range(1, 49):
+            show(cack(depth))
+        assert run(cack(2)).fn(VInt(3)) == VInt(ackermann(2, 3))
+        assert self.check(binds) > 1000
+
+    def test_random_plans(self, binds):
+        rng = random.Random(4141)
+        for _ in range(200):
+            body = random_plan(rng, rng.randrange(2, 6), in_locus=True, allow_locus=True)
+            show(build_code(("locus", body), LEFT_FIRST))
+        assert self.check(binds) > 0

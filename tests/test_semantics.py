@@ -24,6 +24,7 @@ from stagelet import (
     free_vars,
     pretty,
 )
+from stagelet.semantics import MISSING
 
 from helpers import ackermann, build_den, gib, random_plan
 
@@ -52,6 +53,94 @@ class TestEnv:
 
     def test_equal_envs(self):
         assert EMPTY_ENV.extend(x, VInt(1)) == Env({x: VInt(1)})
+
+
+def _model_lookup(model, name):
+    """Env.lookup on a plain dict whose redirects are ("to", target) pairs."""
+    while True:
+        v = model.get(name)
+        if isinstance(v, tuple):
+            name = v[1]
+            continue
+        return name, v
+
+
+class TestEnvModel:
+    """Env against an eager dict model. Names are Source("n0").."n19"; an
+    alias only ever redirects to a lower-numbered name, so chains end."""
+
+    NAMES = [Source(f"n{i}") for i in range(20)]
+
+    def agrees(self, env, model):
+        for name in self.NAMES:
+            want_name, want = _model_lookup(model, name)
+            got_name, got = env.lookup(name)
+            assert got_name == want_name
+            assert got == (want if want is not None else MISSING)
+            assert (name in env) == (name in model)
+
+    def test_random_operations(self):
+        rng = random.Random(2718)
+        pool = [(EMPTY_ENV, {})]
+        for step in range(3000):
+            env, model = rng.choice(pool[-30:] if rng.random() < 0.8 else pool)
+            op = rng.random()
+            if op < 0.35:
+                i = rng.randrange(1, 20)
+                alias, target = self.NAMES[i], self.NAMES[rng.randrange(i)]
+                pool.append((env.redirect(alias, target), {**model, alias: ("to", target)}))
+            elif op < 0.6:
+                name, value = rng.choice(self.NAMES), VInt(step)
+                pool.append((env.extend(name, value), {**model, name: value}))
+            elif op < 0.65:
+                name = rng.choice(self.NAMES)
+                pool.append((env.without(name), {k: v for k, v in model.items() if k != name}))
+            else:
+                name = rng.choice(self.NAMES)
+                want_name, want = _model_lookup(model, name)
+                assert env.lookup(name) == (want_name, want if want is not None else MISSING)
+        # every env still reads as its model, children checked before parents
+        for env, model in reversed(pool):
+            self.agrees(env, model)
+
+    def test_long_redirect_run(self):
+        rep = Source("rep")
+        env = EMPTY_ENV.extend(rep, VInt(1))
+        middle = None
+        for i in range(10_000):
+            env = env.redirect(Source(f"a{i}"), rep)
+            if i == 4_999:
+                middle = env
+        assert env.lookup(Source("a9999")) == (rep, VInt(1))
+        assert env.lookup(Source("a0")) == (rep, VInt(1))
+        assert middle.lookup(Source("a4999")) == (rep, VInt(1))
+        assert middle.lookup(Source("a5000")) == (Source("a5000"), MISSING)
+
+    def test_runs_branching_off_one_base(self):
+        n0, n1, n2, n3 = self.NAMES[:4]
+        base = EMPTY_ENV.extend(n0, VInt(0)).redirect(n1, n0)
+        left = base.redirect(n2, n1).redirect(n3, n0)
+        right = base.redirect(n2, n0).extend(n3, VInt(3))
+        self.agrees(left, {n0: VInt(0), n1: ("to", n0), n2: ("to", n1), n3: ("to", n0)})
+        self.agrees(right, {n0: VInt(0), n1: ("to", n0), n2: ("to", n0), n3: VInt(3)})
+        self.agrees(base, {n0: VInt(0), n1: ("to", n0)})
+
+    def test_extend_after_redirect(self):
+        n0, n1 = self.NAMES[:2]
+        env = EMPTY_ENV.extend(n0, VInt(0)).redirect(n1, n0).extend(n1, VInt(1))
+        self.agrees(env, {n0: VInt(0), n1: VInt(1)})
+        assert env == Env({n0: VInt(0), n1: VInt(1)})
+
+    def test_parent_unchanged_after_children_materialize(self):
+        n0, n1, n2 = self.NAMES[:3]
+        parent = EMPTY_ENV.extend(n0, VInt(0)).redirect(n1, n0)
+        children = [parent.redirect(n2, n1), parent.extend(n1, VInt(5)), parent.without(n1)]
+        for child in children:
+            child.lookup(n2)
+        self.agrees(parent, {n0: VInt(0), n1: ("to", n0)})
+        self.agrees(children[0], {n0: VInt(0), n1: ("to", n0), n2: ("to", n1)})
+        self.agrees(children[1], {n0: VInt(0), n1: VInt(5)})
+        self.agrees(children[2], {n0: VInt(0)})
 
 
 class TestMkVar:
