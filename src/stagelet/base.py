@@ -6,6 +6,7 @@ denotation builders in `semantics` so the two can cross-check each other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 DEFAULT_STEP_LIMIT = 1_000_000
@@ -25,6 +26,24 @@ class TypeMismatch(StagingError):
 
 class StepLimitExceeded(StagingError):
     pass
+
+
+class _HostStack:
+    """Context manager: host-stack overflow inside the block becomes
+    StepLimitExceeded, so deep trees fail as staging errors."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what):
+        self.what = what
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, RecursionError):
+            raise StepLimitExceeded(f"{self.what} recursed past the host stack") from None
+        return False
 
 
 class _Budget:
@@ -130,35 +149,39 @@ class Succ(BaseAst):
 
 
 @dataclass(frozen=True)
-class Add(BaseAst):
+class BinOp(BaseAst):
+    """A binary operator; each subclass names its infix `symbol` and its
+    s-expression `tag`."""
+
     left: BaseAst
     right: BaseAst
 
 
 @dataclass(frozen=True)
-class Sub(BaseAst):
-    left: BaseAst
-    right: BaseAst
+class Add(BinOp):
+    symbol, tag = "+", "add"
 
 
 @dataclass(frozen=True)
-class Mul(BaseAst):
-    left: BaseAst
-    right: BaseAst
+class Sub(BinOp):
+    symbol, tag = "-", "sub"
 
 
 @dataclass(frozen=True)
-class Div(BaseAst):
+class Mul(BinOp):
+    symbol, tag = "*", "mul"
+
+
+@dataclass(frozen=True)
+class Div(BinOp):
     """Integer division, truncating toward zero."""
 
-    left: BaseAst
-    right: BaseAst
+    symbol, tag = "/", "div"
 
 
 @dataclass(frozen=True)
-class Eq(BaseAst):
-    left: BaseAst
-    right: BaseAst
+class Eq(BinOp):
+    symbol, tag = "=", "eq"
 
 
 @dataclass(frozen=True)
@@ -248,10 +271,8 @@ def render_value(v: Value) -> str:
 
 def pretty(ast: BaseAst) -> str:
     """Deterministic fully-parenthesized rendering."""
-    try:
+    with _HostStack("pretty"):
         return _pretty(ast)
-    except RecursionError:
-        raise StepLimitExceeded("pretty recursed past the host stack") from None
 
 
 def _pretty(ast):
@@ -264,16 +285,8 @@ def _pretty(ast):
             return n.render()
         case Succ(a):
             return f"(succ {_pretty(a)})"
-        case Add(a, b):
-            return f"({_pretty(a)} + {_pretty(b)})"
-        case Sub(a, b):
-            return f"({_pretty(a)} - {_pretty(b)})"
-        case Mul(a, b):
-            return f"({_pretty(a)} * {_pretty(b)})"
-        case Div(a, b):
-            return f"({_pretty(a)} / {_pretty(b)})"
-        case Eq(a, b):
-            return f"({_pretty(a)} = {_pretty(b)})"
+        case BinOp(a, b):
+            return f"({_pretty(a)} {ast.symbol} {_pretty(b)})"
         case If(c, t, e):
             return f"(if {_pretty(c)} then {_pretty(t)} else {_pretty(e)})"
         case Lam(n, b):
@@ -290,10 +303,8 @@ def _pretty(ast):
 
 def to_sexp(ast: BaseAst) -> str:
     """Canonical machine-readable prefix form; single-space separated."""
-    try:
+    with _HostStack("to_sexp"):
         return _to_sexp(ast)
-    except RecursionError:
-        raise StepLimitExceeded("to_sexp recursed past the host stack") from None
 
 
 def _to_sexp(ast):
@@ -306,16 +317,8 @@ def _to_sexp(ast):
             return f"(var {n.render()})"
         case Succ(a):
             return f"(succ {_to_sexp(a)})"
-        case Add(a, b):
-            return f"(add {_to_sexp(a)} {_to_sexp(b)})"
-        case Sub(a, b):
-            return f"(sub {_to_sexp(a)} {_to_sexp(b)})"
-        case Mul(a, b):
-            return f"(mul {_to_sexp(a)} {_to_sexp(b)})"
-        case Div(a, b):
-            return f"(div {_to_sexp(a)} {_to_sexp(b)})"
-        case Eq(a, b):
-            return f"(eq {_to_sexp(a)} {_to_sexp(b)})"
+        case BinOp(a, b):
+            return f"({ast.tag} {_to_sexp(a)} {_to_sexp(b)})"
         case If(c, t, e):
             return f"(if {_to_sexp(c)} {_to_sexp(t)} {_to_sexp(e)})"
         case Lam(n, b):
@@ -336,10 +339,8 @@ def _to_sexp(ast):
 
 def free_vars(ast: BaseAst) -> set:
     """Names with a free occurrence; binders scope lexically."""
-    try:
+    with _HostStack("free_vars"):
         return _free_vars(ast)
-    except RecursionError:
-        raise StepLimitExceeded("free_vars recursed past the host stack") from None
 
 
 def _free_vars(ast):
@@ -350,7 +351,7 @@ def _free_vars(ast):
             return {n}
         case Succ(a):
             return _free_vars(a)
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Eq(a, b) | App(a, b):
+        case BinOp(a, b) | App(a, b):
             return _free_vars(a) | _free_vars(b)
         case If(c, t, e):
             return _free_vars(c) | _free_vars(t) | _free_vars(e)
@@ -369,10 +370,8 @@ def _free_vars(ast):
 
 def alpha_eq(a: BaseAst, b: BaseAst) -> bool:
     """Equality up to consistent renaming of bound names."""
-    try:
+    with _HostStack("alpha_eq"):
         return _alpha(a, b, {}, {})
-    except RecursionError:
-        raise StepLimitExceeded("alpha_eq recursed past the host stack") from None
 
 
 def _alpha(a, b, ab, ba):
@@ -385,15 +384,12 @@ def _alpha(a, b, ab, ba):
             return n == m
         case (Succ(x), Succ(y)):
             return _alpha(x, y, ab, ba)
-        case (
-            (Add(x1, x2), Add(y1, y2))
-            | (Sub(x1, x2), Sub(y1, y2))
-            | (Mul(x1, x2), Mul(y1, y2))
-            | (Div(x1, x2), Div(y1, y2))
-            | (Eq(x1, x2), Eq(y1, y2))
-            | (App(x1, x2), App(y1, y2))
-        ):
-            return _alpha(x1, y1, ab, ba) and _alpha(x2, y2, ab, ba)
+        case (BinOp(x1, x2), BinOp(y1, y2)) | (App(x1, x2), App(y1, y2)):
+            return (
+                type(a) is type(b)
+                and _alpha(x1, y1, ab, ba)
+                and _alpha(x2, y2, ab, ba)
+            )
         case (If(c1, t1, e1), If(c2, t2, e2)):
             return (
                 _alpha(c1, c2, ab, ba)
@@ -423,30 +419,36 @@ def _alpha(a, b, ab, ba):
 # Reference interpreter
 
 
-class _Clause:
-    """Delayed letrec binding; forcing while busy means sure divergence."""
+class _RecCell:
+    """Delayed letrec binding, shared by `eval_ast` and the run semantics.
 
-    __slots__ = ("name", "rhs", "env", "busy", "done", "value")
+    `rhs` maps the letrec environment (set in `env` once every clause has
+    its cell) to the clause's value. Forcing while busy means sure
+    divergence.
+    """
 
-    def __init__(self, name, rhs):
+    __slots__ = ("name", "rhs", "env", "budget", "busy", "done", "value")
+
+    def __init__(self, name, rhs, budget):
         self.name = name
         self.rhs = rhs
         self.env = None
+        self.budget = budget
         self.busy = False
         self.done = False
         self.value = None
 
-    def force(self, budget):
+    def force(self):
         if self.done:
             return self.value
         if self.busy:
             raise StepLimitExceeded(
                 f"recursive binding {self.name.render()} demands its own value"
             )
-        budget.tick()
+        self.budget.tick()
         self.busy = True
         try:
-            self.value = _eval(self.rhs, self.env, budget)
+            self.value = self.rhs(self.env)
         finally:
             self.busy = False
         self.done = True
@@ -459,10 +461,8 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     `env` maps Name to Value. Free names not in `env` raise UnboundVariable.
     """
     budget = _Budget(step_limit)
-    try:
+    with _HostStack("evaluation"):
         return _eval(ast, dict(env) if env else {}, budget)
-    except RecursionError:
-        raise StepLimitExceeded("evaluation recursed past the host stack") from None
 
 
 def _as_int(v):
@@ -480,6 +480,9 @@ def _trunc_div(a, b):
     return q
 
 
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _trunc_div}
+
+
 def _eval(ast, env, budget):
     match ast:
         case IntLit(i):
@@ -490,21 +493,14 @@ def _eval(ast, env, budget):
             if n not in env:
                 raise UnboundVariable(f"unbound variable {n.render()}")
             v = env[n]
-            return v.force(budget) if isinstance(v, _Clause) else v
+            return v.force() if isinstance(v, _RecCell) else v
         case Succ(a):
             return VInt(_as_int(_eval(a, env, budget)) + 1)
-        case Add(a, b):
-            return VInt(_as_int(_eval(a, env, budget)) + _as_int(_eval(b, env, budget)))
-        case Sub(a, b):
-            return VInt(_as_int(_eval(a, env, budget)) - _as_int(_eval(b, env, budget)))
-        case Mul(a, b):
-            return VInt(_as_int(_eval(a, env, budget)) * _as_int(_eval(b, env, budget)))
-        case Div(a, b):
-            return VInt(
-                _trunc_div(_as_int(_eval(a, env, budget)), _as_int(_eval(b, env, budget)))
-            )
         case Eq(a, b):
             return VBool(_as_int(_eval(a, env, budget)) == _as_int(_eval(b, env, budget)))
+        case BinOp(a, b):
+            op = _ARITH[type(ast)]
+            return VInt(op(_as_int(_eval(a, env, budget)), _as_int(_eval(b, env, budget))))
         case If(c, t, e):
             cond = _eval(c, env, budget)
             if not isinstance(cond, VBool):
@@ -529,7 +525,7 @@ def _eval(ast, env, budget):
             env2 = dict(env)
             cells = []
             for n, rhs in clauses:
-                cell = _Clause(n, rhs)
+                cell = _RecCell(n, lambda e, r=rhs: _eval(r, e, budget), budget)
                 env2[n] = cell
                 cells.append(cell)
             for cell in cells:

@@ -15,8 +15,8 @@ from .base import (
     BaseAst,
     DEFAULT_STEP_LIMIT,
     Fresh,
-    StepLimitExceeded,
     Value,
+    _HostStack,
 )
 from .insertion import (
     Canonical,
@@ -250,12 +250,10 @@ def _complete(bindings: VirtualBindings):
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
     """Build the syntax tree a complete generator produces."""
     ctx = BuildContext(ShowSemantics(), canon_limit)
-    try:
+    with _HostStack("show"):
         d, v = code(ctx, ROOT)
         _complete(v)
         return d(EMPTY_ENV)
-    except RecursionError:
-        raise StepLimitExceeded("show recursed past the host stack") from None
 
 
 def run(
@@ -265,9 +263,7 @@ def run(
 ) -> Value:
     """Evaluate a complete generator to the value its code means."""
     ctx = BuildContext(RunSemantics(step_limit), canon_limit)
-    try:
+    with _HostStack("run"):
         d, v = code(ctx, ROOT)
         _complete(v)
         return d(EMPTY_ENV)
-    except RecursionError:
-        raise StepLimitExceeded("run recursed past the host stack") from None

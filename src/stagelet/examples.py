@@ -19,13 +19,13 @@ from .base import (
     LetRec,
     Mul,
     Source,
-    StepLimitExceeded,
     Sub,
     TypeMismatch,
     Value,
     VFun,
     VInt,
     Var,
+    _HostStack,
 )
 from .codec import (
     cadd,
@@ -233,11 +233,9 @@ def lookup(name: str):
 def apply_ints(value: Value, args) -> Value:
     """Fold integer arguments into a (curried) function value."""
     result = value
-    try:
+    with _HostStack("evaluation"):
         for a in args:
             if not isinstance(result, VFun):
                 raise TypeMismatch(f"cannot apply an argument to {result!r}")
             result = result.fn(VInt(a))
-    except RecursionError:
-        raise StepLimitExceeded("evaluation recursed past the host stack") from None
     return result

@@ -27,10 +27,10 @@ from .base import (
     VBool,
     VFun,
     VInt,
-    StepLimitExceeded,
     TypeMismatch,
     UnboundVariable,
     _Budget,
+    _RecCell,
     _as_int,
     _trunc_div,
 )
@@ -45,9 +45,6 @@ class _Redirect:
 
     def __init__(self, target):
         self.target = target
-
-    def __eq__(self, other):
-        return isinstance(other, _Redirect) and self.target == other.target
 
     def __repr__(self):
         return f"_Redirect({self.target!r})"
@@ -66,8 +63,8 @@ class Env:
 
     __slots__ = ("_entries", "_parent", "_key", "_value")
 
-    def __init__(self, entries=None):
-        self._entries = dict(entries) if entries else {}
+    def __init__(self):
+        self._entries = {}
         self._parent = self._key = self._value = None
 
     @classmethod
@@ -108,11 +105,6 @@ class Env:
         env._value = _Redirect(representative)
         return env
 
-    def without(self, name) -> "Env":
-        new = dict(self._flat())
-        new.pop(name, None)
-        return Env._of(new)
-
     def lookup(self, name):
         """Resolve a name through redirects; returns (final name, value).
 
@@ -131,48 +123,11 @@ class Env:
                 return name, v.force()
             return name, v
 
-    def __contains__(self, name):
-        return name in self._flat()
-
-    def __eq__(self, other):
-        return isinstance(other, Env) and self._flat() == other._flat()
-
     def __repr__(self):
         return f"Env({self._flat()!r})"
 
 
 EMPTY_ENV = Env()
-
-
-class _RecCell:
-    """Delayed mutually-recursive binding for the run semantics."""
-
-    __slots__ = ("name", "rhs", "env", "budget", "busy", "done", "value")
-
-    def __init__(self, name, rhs, budget):
-        self.name = name
-        self.rhs = rhs
-        self.env = None
-        self.budget = budget
-        self.busy = False
-        self.done = False
-        self.value = None
-
-    def force(self):
-        if self.done:
-            return self.value
-        if self.busy:
-            raise StepLimitExceeded(
-                f"recursive binding {self.name.render()} demands its own value"
-            )
-        self.budget.tick()
-        self.busy = True
-        try:
-            self.value = self.rhs(self.env)
-        finally:
-            self.busy = False
-        self.done = True
-        return self.value
 
 
 class RunSemantics:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -282,6 +283,43 @@ class TestEval:
         assert render_value(VBool(True)) == "true"
         assert render_value(VBool(False)) == "false"
         assert render_value(eval_ast(Lam(x, Var(x)), {})) == "<fun>"
+
+
+TWO_OPERAND_KINDS = [Add, Sub, Mul, Div, Eq, App]
+
+
+class TestBinaryKinds:
+    """The six two-operand node kinds share one shape and must stay apart."""
+
+    @pytest.mark.parametrize(
+        "k1,k2", itertools.permutations(TWO_OPERAND_KINDS, 2), ids=lambda k: k.__name__
+    )
+    def test_distinct_kinds_are_told_apart(self, k1, k2):
+        a, b = k1(IntLit(7), IntLit(2)), k2(IntLit(7), IntLit(2))
+        assert not alpha_eq(a, b)
+        assert not alpha_eq(Lam(x, k1(Var(x), Var(x))), Lam(y, k2(Var(y), Var(y))))
+        assert pretty(a) != pretty(b)
+        assert to_sexp(a) != to_sexp(b)
+
+    @pytest.mark.parametrize("kind", TWO_OPERAND_KINDS, ids=lambda k: k.__name__)
+    def test_same_kind_is_alpha_equal_up_to_renaming(self, kind):
+        assert alpha_eq(Lam(x, kind(Var(x), Var(x))), Lam(y, kind(Var(y), Var(y))))
+        assert not alpha_eq(kind(Var(x), Var(x)), kind(Var(y), Var(y)))
+
+    @pytest.mark.parametrize(
+        "kind,left,right,want",
+        [
+            (Add, 7, 2, VInt(9)),
+            (Sub, 7, 2, VInt(5)),
+            (Mul, 7, -2, VInt(-14)),
+            (Div, -7, 2, VInt(-3)),
+            (Eq, 7, 2, VBool(False)),
+            (Eq, 7, 7, VBool(True)),
+        ],
+        ids=["add", "sub", "mul", "div", "eq-false", "eq-true"],
+    )
+    def test_arithmetic_kinds_evaluate(self, kind, left, right, want):
+        assert eval_ast(kind(IntLit(left), IntLit(right)), {}) == want
 
 
 class TestHostStack:
