@@ -266,71 +266,134 @@ def render_value(v: Value) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Dispatch
+
+
+class _Walk(dict):
+    """One tree walk's handlers, keyed by node class, so picking a case is
+    one dict probe on `type(ast)`. A handler reaches a child through the
+    table itself (`_P[type(c)](c)`), which keeps one host frame per tree
+    level.
+
+    A node subclass gets the handler of its nearest registered base, looked
+    up through the MRO once and then cached; any other class gets
+    `_not_a_tree`.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, cls):
+        for base in cls.__mro__[1:]:
+            if base in self:
+                handler = self[cls] = self[base]
+                return handler
+        return _not_a_tree
+
+
+def _not_a_tree(ast, *_):
+    raise TypeMismatch(f"not a syntax tree: {ast!r}")
+
+
+_BINOPS = (Add, Sub, Mul, Div, Eq)
+
+# ---------------------------------------------------------------------------
 # Rendering
 
 
 def pretty(ast: BaseAst) -> str:
     """Deterministic fully-parenthesized rendering."""
     with _HostStack("pretty"):
-        return _pretty(ast)
+        return _P[type(ast)](ast)
 
 
-def _pretty(ast):
-    match ast:
-        case IntLit(i):
-            return str(i)
-        case BoolLit(b):
-            return "true" if b else "false"
-        case Var(n):
-            return n.render()
-        case Succ(a):
-            return f"(succ {_pretty(a)})"
-        case BinOp(a, b):
-            return f"({_pretty(a)} {ast.symbol} {_pretty(b)})"
-        case If(c, t, e):
-            return f"(if {_pretty(c)} then {_pretty(t)} else {_pretty(e)})"
-        case Lam(n, b):
-            return f"(fun {n.render()} -> {_pretty(b)})"
-        case App(f, a):
-            return f"({_pretty(f)} {_pretty(a)})"
-        case Let(n, r, b):
-            return f"(let {n.render()} = {_pretty(r)} in {_pretty(b)})"
-        case LetRec(clauses, b):
-            decls = " and ".join(f"{n.render()} = {_pretty(r)}" for n, r in clauses)
-            return f"(let rec {decls} in {_pretty(b)})"
-    raise TypeMismatch(f"not a syntax tree: {ast!r}")
+def _pretty_binop(t):
+    a, b = t.left, t.right
+    return f"({_P[type(a)](a)} {t.symbol} {_P[type(b)](b)})"
+
+
+def _pretty_if(t):
+    c, a, b = t.cond, t.then, t.orelse
+    return f"(if {_P[type(c)](c)} then {_P[type(a)](a)} else {_P[type(b)](b)})"
+
+
+def _pretty_app(t):
+    f, a = t.fun, t.arg
+    return f"({_P[type(f)](f)} {_P[type(a)](a)})"
+
+
+def _pretty_let(t):
+    r, b = t.rhs, t.body
+    return f"(let {t.name.render()} = {_P[type(r)](r)} in {_P[type(b)](b)})"
+
+
+def _pretty_letrec(t):
+    decls = " and ".join(f"{n.render()} = {_P[type(r)](r)}" for n, r in t.clauses)
+    b = t.body
+    return f"(let rec {decls} in {_P[type(b)](b)})"
+
+
+_P = _Walk(
+    {
+        IntLit: lambda t: str(t.value),
+        BoolLit: lambda t: "true" if t.value else "false",
+        Var: lambda t: t.name.render(),
+        Succ: lambda t: f"(succ {_P[type(t.arg)](t.arg)})",
+        **dict.fromkeys(_BINOPS, _pretty_binop),
+        If: _pretty_if,
+        Lam: lambda t: f"(fun {t.param.render()} -> {_P[type(t.body)](t.body)})",
+        App: _pretty_app,
+        Let: _pretty_let,
+        LetRec: _pretty_letrec,
+    }
+)
 
 
 def to_sexp(ast: BaseAst) -> str:
     """Canonical machine-readable prefix form; single-space separated."""
     with _HostStack("to_sexp"):
-        return _to_sexp(ast)
+        return _S[type(ast)](ast)
 
 
-def _to_sexp(ast):
-    match ast:
-        case IntLit(i):
-            return f"(int {i})"
-        case BoolLit(b):
-            return f"(bool {'true' if b else 'false'})"
-        case Var(n):
-            return f"(var {n.render()})"
-        case Succ(a):
-            return f"(succ {_to_sexp(a)})"
-        case BinOp(a, b):
-            return f"({ast.tag} {_to_sexp(a)} {_to_sexp(b)})"
-        case If(c, t, e):
-            return f"(if {_to_sexp(c)} {_to_sexp(t)} {_to_sexp(e)})"
-        case Lam(n, b):
-            return f"(lam {n.render()} {_to_sexp(b)})"
-        case App(f, a):
-            return f"(app {_to_sexp(f)} {_to_sexp(a)})"
-        case Let(n, r, b):
-            return f"(let {n.render()} {_to_sexp(r)} {_to_sexp(b)})"
-        case LetRec(clauses, b):
-            decls = " ".join(f"({n.render()} {_to_sexp(r)})" for n, r in clauses)
-            return f"(letrec ({decls}) {_to_sexp(b)})"
-    raise TypeMismatch(f"not a syntax tree: {ast!r}")
+def _sexp_binop(t):
+    a, b = t.left, t.right
+    return f"({t.tag} {_S[type(a)](a)} {_S[type(b)](b)})"
+
+
+def _sexp_if(t):
+    c, a, b = t.cond, t.then, t.orelse
+    return f"(if {_S[type(c)](c)} {_S[type(a)](a)} {_S[type(b)](b)})"
+
+
+def _sexp_app(t):
+    f, a = t.fun, t.arg
+    return f"(app {_S[type(f)](f)} {_S[type(a)](a)})"
+
+
+def _sexp_let(t):
+    r, b = t.rhs, t.body
+    return f"(let {t.name.render()} {_S[type(r)](r)} {_S[type(b)](b)})"
+
+
+def _sexp_letrec(t):
+    decls = " ".join(f"({n.render()} {_S[type(r)](r)})" for n, r in t.clauses)
+    b = t.body
+    return f"(letrec ({decls}) {_S[type(b)](b)})"
+
+
+_S = _Walk(
+    {
+        IntLit: lambda t: f"(int {t.value})",
+        BoolLit: lambda t: f"(bool {'true' if t.value else 'false'})",
+        Var: lambda t: f"(var {t.name.render()})",
+        Succ: lambda t: f"(succ {_S[type(t.arg)](t.arg)})",
+        **dict.fromkeys(_BINOPS, _sexp_binop),
+        If: _sexp_if,
+        Lam: lambda t: f"(lam {t.param.render()} {_S[type(t.body)](t.body)})",
+        App: _sexp_app,
+        Let: _sexp_let,
+        LetRec: _sexp_letrec,
+    }
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +403,44 @@ def _to_sexp(ast):
 def free_vars(ast: BaseAst) -> set:
     """Names with a free occurrence; binders scope lexically."""
     with _HostStack("free_vars"):
-        return _free_vars(ast)
+        return _F[type(ast)](ast)
 
 
-def _free_vars(ast):
-    match ast:
-        case IntLit() | BoolLit():
-            return set()
-        case Var(n):
-            return {n}
-        case Succ(a):
-            return _free_vars(a)
-        case BinOp(a, b) | App(a, b):
-            return _free_vars(a) | _free_vars(b)
-        case If(c, t, e):
-            return _free_vars(c) | _free_vars(t) | _free_vars(e)
-        case Lam(n, b):
-            return _free_vars(b) - {n}
-        case Let(n, r, b):
-            return _free_vars(r) | (_free_vars(b) - {n})
-        case LetRec(clauses, b):
-            bound = {n for n, _ in clauses}
-            acc = _free_vars(b)
-            for _, rhs in clauses:
-                acc |= _free_vars(rhs)
-            return acc - bound
-    raise TypeMismatch(f"not a syntax tree: {ast!r}")
+def _fv_if(t):
+    c, a, b = t.cond, t.then, t.orelse
+    return _F[type(c)](c) | _F[type(a)](a) | _F[type(b)](b)
+
+
+def _fv_let(t):
+    r, b = t.rhs, t.body
+    return _F[type(r)](r) | (_F[type(b)](b) - {t.name})
+
+
+def _fv_letrec(t):
+    bound = {n for n, _ in t.clauses}
+    b = t.body
+    acc = _F[type(b)](b)
+    for _, rhs in t.clauses:
+        acc |= _F[type(rhs)](rhs)
+    return acc - bound
+
+
+_F = _Walk(
+    {
+        IntLit: lambda t: set(),
+        BoolLit: lambda t: set(),
+        Var: lambda t: {t.name},
+        Succ: lambda t: _F[type(t.arg)](t.arg),
+        **dict.fromkeys(
+            _BINOPS, lambda t: _F[type(t.left)](t.left) | _F[type(t.right)](t.right)
+        ),
+        If: _fv_if,
+        Lam: lambda t: _F[type(t.body)](t.body) - {t.param},
+        App: lambda t: _F[type(t.fun)](t.fun) | _F[type(t.arg)](t.arg),
+        Let: _fv_let,
+        LetRec: _fv_letrec,
+    }
+)
 
 
 def alpha_eq(a: BaseAst, b: BaseAst) -> bool:
@@ -462,7 +537,7 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     """
     budget = _Budget(step_limit)
     with _HostStack("evaluation"):
-        return _eval(ast, dict(env) if env else {}, budget)
+        return _E[type(ast)](ast, dict(env) if env else {}, budget)
 
 
 def _as_int(v):
@@ -480,55 +555,92 @@ def _trunc_div(a, b):
     return q
 
 
-_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _trunc_div}
+def _eval_var(t, env, budget):
+    try:
+        v = env[t.name]
+    except KeyError:
+        raise UnboundVariable(f"unbound variable {t.name.render()}") from None
+    return v.force() if isinstance(v, _RecCell) else v
 
 
-def _eval(ast, env, budget):
-    match ast:
-        case IntLit(i):
-            return VInt(i)
-        case BoolLit(b):
-            return VBool(b)
-        case Var(n):
-            if n not in env:
-                raise UnboundVariable(f"unbound variable {n.render()}")
-            v = env[n]
-            return v.force() if isinstance(v, _RecCell) else v
-        case Succ(a):
-            return VInt(_as_int(_eval(a, env, budget)) + 1)
-        case Eq(a, b):
-            return VBool(_as_int(_eval(a, env, budget)) == _as_int(_eval(b, env, budget)))
-        case BinOp(a, b):
-            op = _ARITH[type(ast)]
-            return VInt(op(_as_int(_eval(a, env, budget)), _as_int(_eval(b, env, budget))))
-        case If(c, t, e):
-            cond = _eval(c, env, budget)
-            if not isinstance(cond, VBool):
-                raise TypeMismatch(f"if condition must be a boolean, got {cond!r}")
-            return _eval(t if cond.value else e, env, budget)
-        case Lam(n, b):
+def _eval_succ(t, env, budget):
+    a = t.arg
+    return VInt(_as_int(_E[type(a)](a, env, budget)) + 1)
 
-            def call(arg, _env=env, _n=n, _b=b):
-                budget.tick()
-                return _eval(_b, {**_env, _n: arg}, budget)
 
-            return VFun(call)
-        case App(f, a):
-            fv = _eval(f, env, budget)
-            av = _eval(a, env, budget)
-            if not isinstance(fv, VFun):
-                raise TypeMismatch(f"cannot apply non-function {fv!r}")
-            return fv.fn(av)
-        case Let(n, r, b):
-            return _eval(b, {**env, n: _eval(r, env, budget)}, budget)
-        case LetRec(clauses, b):
-            env2 = dict(env)
-            cells = []
-            for n, rhs in clauses:
-                cell = _RecCell(n, lambda e, r=rhs: _eval(r, e, budget), budget)
-                env2[n] = cell
-                cells.append(cell)
-            for cell in cells:
-                cell.env = env2
-            return _eval(b, env2, budget)
-    raise TypeMismatch(f"not a syntax tree: {ast!r}")
+def _binary(op, box):
+    """The handler of an operator on two integers; `op` is fixed here, so a
+    subclass of the node class evaluates like the class itself."""
+
+    def handler(t, env, budget):
+        a, b = t.left, t.right
+        x = _as_int(_E[type(a)](a, env, budget))
+        return box(op(x, _as_int(_E[type(b)](b, env, budget))))
+
+    return handler
+
+
+def _eval_if(t, env, budget):
+    c = t.cond
+    cond = _E[type(c)](c, env, budget)
+    if not isinstance(cond, VBool):
+        raise TypeMismatch(f"if condition must be a boolean, got {cond!r}")
+    b = t.then if cond.value else t.orelse
+    return _E[type(b)](b, env, budget)
+
+
+def _eval_lam(t, env, budget):
+    n, b = t.param, t.body
+
+    def call(arg):
+        budget.tick()
+        return _E[type(b)](b, {**env, n: arg}, budget)
+
+    return VFun(call)
+
+
+def _eval_app(t, env, budget):
+    f, a = t.fun, t.arg
+    fv = _E[type(f)](f, env, budget)
+    av = _E[type(a)](a, env, budget)
+    if not isinstance(fv, VFun):
+        raise TypeMismatch(f"cannot apply non-function {fv!r}")
+    return fv.fn(av)
+
+
+def _eval_let(t, env, budget):
+    r, b = t.rhs, t.body
+    return _E[type(b)](b, {**env, t.name: _E[type(r)](r, env, budget)}, budget)
+
+
+def _eval_letrec(t, env, budget):
+    env2 = dict(env)
+    cells = []
+    for n, rhs in t.clauses:
+        cell = _RecCell(n, lambda e, r=rhs: _E[type(r)](r, e, budget), budget)
+        env2[n] = cell
+        cells.append(cell)
+    for cell in cells:
+        cell.env = env2
+    b = t.body
+    return _E[type(b)](b, env2, budget)
+
+
+_E = _Walk(
+    {
+        IntLit: lambda t, env, budget: VInt(t.value),
+        BoolLit: lambda t, env, budget: VBool(t.value),
+        Var: _eval_var,
+        Succ: _eval_succ,
+        Add: _binary(operator.add, VInt),
+        Sub: _binary(operator.sub, VInt),
+        Mul: _binary(operator.mul, VInt),
+        Div: _binary(_trunc_div, VInt),
+        Eq: _binary(operator.eq, VBool),
+        If: _eval_if,
+        Lam: _eval_lam,
+        App: _eval_app,
+        Let: _eval_let,
+        LetRec: _eval_letrec,
+    }
+)

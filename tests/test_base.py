@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,8 @@ import stagelet
 from stagelet import (
     Add,
     App,
+    BaseAst,
+    BinOp,
     BoolLit,
     Div,
     Eq,
@@ -30,11 +33,13 @@ from stagelet import (
     alpha_eq,
     eval_ast,
     free_vars,
+    lookup,
     pretty,
+    show,
     to_sexp,
 )
 
-from helpers import bruteforce_free, gib, random_term, rename_bound
+from helpers import bruteforce_free, cack, gib, random_term, rename_bound
 
 x, y, z = Source("x"), Source("y"), Source("z")
 
@@ -334,6 +339,136 @@ class TestHostStack:
             tree = Add(tree, IntLit(i))
         with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
             fn(tree)
+
+    # Under pytest every walk handles chains of about 950; a walk that spends
+    # two host frames per tree level stops near 500.
+    @pytest.mark.parametrize(
+        "fn",
+        [pretty, to_sexp, free_vars, lambda t: alpha_eq(t, t), lambda t: eval_ast(t, {})],
+        ids=["pretty", "to_sexp", "free_vars", "alpha_eq", "eval_ast"],
+    )
+    @pytest.mark.parametrize("chain", ["add", "let"])
+    def test_depth_floor(self, fn, chain):
+        fn(add_chain(900) if chain == "add" else let_chain(900))
+
+    def test_depth_floor_values(self):
+        assert eval_ast(add_chain(900), {}) == VInt(sum(range(900)))
+        assert eval_ast(let_chain(900), {}) == VInt(2 * 899)
+
+
+def add_chain(n):
+    """((0 + 1) + 2) ... + (n - 1), n - 1 levels deep."""
+    tree = IntLit(0)
+    for i in range(1, n):
+        tree = Add(tree, IntLit(i))
+    return tree
+
+
+def let_chain(n, step=lambda prev: Add(prev, IntLit(2))):
+    """let v0 = 0 in let v1 = step(v0) in ... in v(n-1), n levels deep."""
+    names = [Source(f"v{i}") for i in range(n)]
+    tree = Var(names[-1])
+    for i in reversed(range(1, n)):
+        tree = Let(names[i], step(Var(names[i - 1])), tree)
+    return Let(names[0], IntLit(0), tree)
+
+
+def concrete_node_classes():
+    """Every BaseAst subclass defined by the library that has no subclass of
+    its own there; `BinOp` is abstract by this test."""
+    found, todo = set(), [BaseAst]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("stagelet") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return {
+        c for c in found if not any(s in found for s in c.__subclasses__())
+    }
+
+
+SAMPLES = {
+    IntLit: IntLit(4),
+    BoolLit: BoolLit(False),
+    Var: Var(x),
+    Succ: Succ(Var(x)),
+    Add: Add(Var(x), IntLit(2)),
+    Sub: Sub(Var(x), IntLit(2)),
+    Mul: Mul(Var(x), IntLit(2)),
+    Div: Div(Var(x), IntLit(2)),
+    Eq: Eq(Var(x), IntLit(2)),
+    If: If(BoolLit(False), IntLit(1), Var(x)),
+    Lam: Lam(y, Add(Var(x), Var(y))),
+    App: App(Lam(y, Var(y)), Var(x)),
+    Let: Let(y, Var(x), Mul(Var(y), Var(y))),
+    LetRec: LetRec(((y, Lam(z, Var(x))),), App(Var(y), IntLit(0))),
+}
+
+WALKS = {
+    "pretty": pretty,
+    "to_sexp": to_sexp,
+    "free_vars": free_vars,
+    "eval_ast": lambda t: eval_ast(t, {x: VInt(5)}),
+}
+
+
+class MyAdd(Add):
+    """A user's subclass: every walk treats it as its base class."""
+
+
+class TestDispatch:
+    def test_samples_cover_every_concrete_node(self):
+        assert concrete_node_classes() == set(SAMPLES)
+
+    @pytest.mark.parametrize("walk", WALKS, ids=str)
+    @pytest.mark.parametrize("cls", SAMPLES, ids=lambda c: c.__name__)
+    def test_every_walk_handles_every_node(self, walk, cls):
+        WALKS[walk](SAMPLES[cls])
+        WALKS[walk](Let(z, SAMPLES[cls], IntLit(0)))  # and as a child
+
+    @pytest.mark.parametrize("walk", WALKS, ids=str)
+    @pytest.mark.parametrize(
+        "junk",
+        [42, None, VInt(1), BinOp(IntLit(1), IntLit(2))],
+        ids=["int", "None", "VInt", "BinOp"],
+    )
+    def test_non_node_is_a_type_mismatch(self, walk, junk):
+        message = f"not a syntax tree: {junk!r}"
+        with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+            WALKS[walk](junk)
+        with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+            WALKS[walk](Succ(junk))
+
+    @pytest.mark.parametrize("walk", WALKS, ids=str)
+    def test_subclass_of_add_acts_as_add(self, walk):
+        fn = WALKS[walk]
+        assert fn(MyAdd(Var(x), IntLit(2))) == fn(Add(Var(x), IntLit(2)))
+        inside = Let(y, MyAdd(Var(x), IntLit(1)), MyAdd(Var(y), Var(y)))
+        assert fn(inside) == fn(Let(y, Add(Var(x), IntLit(1)), Add(Var(y), Var(y))))
+
+
+def eval_with_least_budget(tree, limit):
+    """Assert that `limit` is the least step budget `eval_ast` finishes in."""
+    with pytest.raises(StepLimitExceeded):
+        eval_ast(tree, {}, step_limit=limit - 1)
+    return eval_ast(tree, {}, step_limit=limit)
+
+
+class TestStepBudget:
+    """Pinned least budgets: a rewrite that drops or doubles a tick moves one."""
+
+    def test_gib5_applied(self):
+        tree = App(App(lookup("gib5").builder(), IntLit(2)), IntLit(3))
+        assert eval_with_least_budget(tree, 18) == VInt(gib(5, 2, 3))
+
+    def test_cack3_applied(self):
+        tree = App(show(cack(3)), IntLit(3))
+        assert eval_with_least_budget(tree, 2436) == VInt(61)
+
+    def test_let_chain(self):
+        a = Source("a")
+        tree = let_chain(200, lambda prev: App(Lam(a, Add(Var(a), IntLit(1))), prev))
+        assert eval_with_least_budget(tree, 199) == VInt(199)
 
 
 class TestExports:
