@@ -4,6 +4,9 @@ Generators are built from code combinators; bindings requested deep inside a
 generator float upward as virtual bindings until an enclosing locus turns them
 into real let/letrec binders. Everything is effect-free: code values are
 deterministic functions of their tree location.
+
+The package exports the user API; the insertion machinery, the build context,
+the denotation builders and `Env` are imported from their own modules.
 """
 
 from .base import (
@@ -42,8 +45,6 @@ from .base import (
     to_sexp,
 )
 from .codec import (
-    ROOT,
-    BuildContext,
     CodeValue,
     cadd,
     capp,
@@ -65,26 +66,7 @@ from .codec import (
     with_locus_rec,
 )
 from .examples import ExampleEntry, ExampleKind, apply_ints, lookup, registry
-from .insertion import (
-    DEFAULT_CANON_LIMIT,
-    BindingClass,
-    Canonical,
-    CanonLimitExceeded,
-    Locus,
-    Pending,
-    PendingBinding,
-    PerLocus,
-    ResidualBindings,
-    VirtualBindings,
-    addb,
-    bind_letrec,
-    bind_lets,
-    canon,
-    merge,
-    ordered,
-    subst,
-)
-from .semantics import EMPTY_ENV, Env, RunSemantics, ShowSemantics
+from .insertion import CanonLimitExceeded, Locus, PendingBinding, ResidualBindings
 
 __all__ = [
     "Add", "App", "BaseAst", "BinOp", "BoolLit", "Div", "Eq", "Fresh", "If",
@@ -93,14 +75,10 @@ __all__ = [
     "StagingError", "StepLimitExceeded", "TypeMismatch", "UnboundVariable",
     "ResidualBindings", "CanonLimitExceeded", "PendingBinding",
     "alpha_eq", "eval_ast", "free_vars", "pretty", "render_value", "to_sexp",
-    "ROOT", "BuildContext", "CodeValue",
+    "CodeValue",
     "cint", "cbool", "csucc", "cadd", "csub", "cmul", "cdiv", "ceq",
     "cif", "capp", "clam", "clet",
-    "genlet", "with_locus", "genletrec", "with_locus_rec",
+    "genlet", "with_locus", "genletrec", "with_locus_rec", "Locus",
     "run", "show",
-    "Locus", "BindingClass", "Canonical", "Pending", "PerLocus",
-    "VirtualBindings", "DEFAULT_CANON_LIMIT",
-    "addb", "merge", "ordered", "subst", "bind_lets", "bind_letrec", "canon",
-    "Env", "EMPTY_ENV", "RunSemantics", "ShowSemantics",
     "ExampleEntry", "ExampleKind", "apply_ints", "lookup", "registry",
 ]

@@ -121,6 +121,47 @@ class Fresh(Name):
 
 
 # ---------------------------------------------------------------------------
+# Run-time values
+
+
+class Value:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class VInt(Value):
+    value: int
+
+
+@dataclass(frozen=True)
+class VBool(Value):
+    value: bool
+
+
+class VFun(Value):
+    """A function value; `fn` maps Value to Value and must be pure."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __repr__(self):
+        return "<fun>"
+
+
+def render_value(v: Value) -> str:
+    match v:
+        case VInt(i):
+            return str(i)
+        case VBool(b):
+            return "true" if b else "false"
+        case VFun():
+            return "<fun>"
+    raise TypeMismatch(f"not a value: {v!r}")
+
+
+# ---------------------------------------------------------------------------
 # Syntax
 
 
@@ -150,8 +191,9 @@ class Succ(BaseAst):
 
 @dataclass(frozen=True)
 class BinOp(BaseAst):
-    """A binary operator; each subclass names its infix `symbol` and its
-    s-expression `tag`."""
+    """A binary operator on two integers. Each subclass names its infix
+    `symbol`, its s-expression `tag`, the integer function `op` it computes
+    and the value class `box` of its result; every meaning reads them."""
 
     left: BaseAst
     right: BaseAst
@@ -159,29 +201,38 @@ class BinOp(BaseAst):
 
 @dataclass(frozen=True)
 class Add(BinOp):
-    symbol, tag = "+", "add"
+    symbol, tag, op, box = "+", "add", operator.add, VInt
 
 
 @dataclass(frozen=True)
 class Sub(BinOp):
-    symbol, tag = "-", "sub"
+    symbol, tag, op, box = "-", "sub", operator.sub, VInt
 
 
 @dataclass(frozen=True)
 class Mul(BinOp):
-    symbol, tag = "*", "mul"
+    symbol, tag, op, box = "*", "mul", operator.mul, VInt
 
 
 @dataclass(frozen=True)
 class Div(BinOp):
     """Integer division, truncating toward zero."""
 
-    symbol, tag = "/", "div"
+    symbol, tag, box = "/", "div", VInt
+
+    @staticmethod
+    def op(a, b):
+        if b == 0:
+            raise TypeMismatch("division by zero")
+        q = a // b
+        if q < 0 and q * b != a:
+            q += 1
+        return q
 
 
 @dataclass(frozen=True)
 class Eq(BinOp):
-    symbol, tag = "=", "eq"
+    symbol, tag, op, box = "=", "eq", operator.eq, VBool
 
 
 @dataclass(frozen=True)
@@ -222,47 +273,6 @@ class LetRec(BaseAst):
         names = [n for n, _ in self.clauses]
         if len(set(names)) != len(names):
             raise ValueError("letrec clause names must be distinct")
-
-
-# ---------------------------------------------------------------------------
-# Run-time values
-
-
-class Value:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class VInt(Value):
-    value: int
-
-
-@dataclass(frozen=True)
-class VBool(Value):
-    value: bool
-
-
-class VFun(Value):
-    """A function value; `fn` maps Value to Value and must be pure."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __repr__(self):
-        return "<fun>"
-
-
-def render_value(v: Value) -> str:
-    match v:
-        case VInt(i):
-            return str(i)
-        case VBool(b):
-            return "true" if b else "false"
-        case VFun():
-            return "<fun>"
-    raise TypeMismatch(f"not a value: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +469,10 @@ def _alpha(a, b, ab, ba):
             return n == m
         case (Succ(x), Succ(y)):
             return _alpha(x, y, ab, ba)
-        case (BinOp(x1, x2), BinOp(y1, y2)) | (App(x1, x2), App(y1, y2)):
-            return (
-                type(a) is type(b)
-                and _alpha(x1, y1, ab, ba)
-                and _alpha(x2, y2, ab, ba)
-            )
+        case (BinOp(x1, x2), BinOp(y1, y2)) | (App(x1, x2), App(y1, y2)) if (
+            type(a) is type(b) and _P[type(a)] is not _not_a_tree
+        ):
+            return _alpha(x1, y1, ab, ba) and _alpha(x2, y2, ab, ba)
         case (If(c1, t1, e1), If(c2, t2, e2)):
             return (
                 _alpha(c1, c2, ab, ba)
@@ -487,6 +495,10 @@ def _alpha(a, b, ab, ba):
             return all(
                 _alpha(r1, r2, ab2, ba2) for (_, r1), (_, r2) in zip(c1, c2)
             ) and _alpha(b1, b2, ab2, ba2)
+    # different kinds, or a side the walks reject (a bare `BinOp` too)
+    for t in (a, b):
+        if _P[type(t)] is _not_a_tree:
+            _not_a_tree(t)
     return False
 
 
@@ -544,15 +556,6 @@ def _as_int(v):
     if not isinstance(v, VInt):
         raise TypeMismatch(f"expected an integer, got {v!r}")
     return v.value
-
-
-def _trunc_div(a, b):
-    if b == 0:
-        raise TypeMismatch("division by zero")
-    q = a // b
-    if q < 0 and q * b != a:
-        q += 1
-    return q
 
 
 def _eval_var(t, env, budget):
@@ -632,11 +635,7 @@ _E = _Walk(
         BoolLit: lambda t, env, budget: VBool(t.value),
         Var: _eval_var,
         Succ: _eval_succ,
-        Add: _binary(operator.add, VInt),
-        Sub: _binary(operator.sub, VInt),
-        Mul: _binary(operator.mul, VInt),
-        Div: _binary(_trunc_div, VInt),
-        Eq: _binary(operator.eq, VBool),
+        **{cls: _binary(cls.op, cls.box) for cls in _BINOPS},
         If: _eval_if,
         Lam: _eval_lam,
         App: _eval_app,

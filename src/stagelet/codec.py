@@ -12,9 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import (
+    Add,
     BaseAst,
     DEFAULT_STEP_LIMIT,
+    Div,
+    Eq,
     Fresh,
+    Mul,
+    Sub,
     Value,
     _HostStack,
 )
@@ -106,49 +111,52 @@ def cbool(b: bool) -> CodeValue:
     return CodeValue(lambda ctx, loc: (ctx.sem.mk_bool(b), EMPTY_BINDINGS))
 
 
-def _unary(pick, a):
+def csucc(a: CodeValue) -> CodeValue:
     def build(ctx, loc):
         d, v = a(ctx, loc + (1,))
-        return pick(ctx.sem)(d), v
+        return ctx.sem.mk_succ(d), v
 
     return CodeValue(build)
 
 
-def _binary(pick, a, b):
+def _binop(cls, a, b):
+    """Code of binary operator `cls` applied to `a` and `b`."""
+
     def build(ctx, loc):
         d1, v1 = a(ctx, loc + (1,))
         d2, v2 = b(ctx, loc + (2,))
-        return pick(ctx.sem)(d1, d2), merge(v1, v2)
+        return ctx.sem.mk_binop(cls, d1, d2), merge(v1, v2)
 
     return CodeValue(build)
 
 
-def csucc(a: CodeValue) -> CodeValue:
-    return _unary(lambda s: s.mk_succ, a)
-
-
 def cadd(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_add, a, b)
+    return _binop(Add, a, b)
 
 
 def csub(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_sub, a, b)
+    return _binop(Sub, a, b)
 
 
 def cmul(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_mul, a, b)
+    return _binop(Mul, a, b)
 
 
 def cdiv(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_div, a, b)
+    return _binop(Div, a, b)
 
 
 def ceq(a, b) -> CodeValue:
-    return _binary(lambda s: s.mk_eq, a, b)
+    return _binop(Eq, a, b)
 
 
 def capp(f: CodeValue, a: CodeValue) -> CodeValue:
-    return _binary(lambda s: s.mk_app, f, a)
+    def build(ctx, loc):
+        d1, v1 = f(ctx, loc + (1,))
+        d2, v2 = a(ctx, loc + (2,))
+        return ctx.sem.mk_app(d1, d2), merge(v1, v2)
+
+    return CodeValue(build)
 
 
 def cif(c: CodeValue, t: CodeValue, e: CodeValue) -> CodeValue:

@@ -93,16 +93,6 @@ class PerLocus:
 
     classes: dict = field(default_factory=dict)
 
-    @property
-    def insertion_seq(self):
-        return tuple(self.classes)
-
-    @property
-    def order(self):
-        """The preorder as pairs (a, b), a no later than b."""
-        seq = self.insertion_seq
-        return frozenset((a, b) for i, a in enumerate(seq) for b in seq[i:])
-
     def __eq__(self, other):
         if not isinstance(other, PerLocus):
             return NotImplemented

@@ -13,11 +13,6 @@ from .base import (
     LetRec,
     Lam,
     Let,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Eq,
     Succ,
     If,
     App,
@@ -29,10 +24,10 @@ from .base import (
     VInt,
     TypeMismatch,
     UnboundVariable,
+    _BINOPS,
     _Budget,
     _RecCell,
     _as_int,
-    _trunc_div,
 )
 
 MISSING = object()
@@ -130,6 +125,29 @@ class Env:
 EMPTY_ENV = Env()
 
 
+def _run_binop(op, box):
+    """The run maker of one operator. `op` and `box` are fixed here, so a
+    build reads no class attribute; the left operand is checked before the
+    right one is evaluated."""
+
+    def make(d1, d2):
+        def den(env):
+            x = d1(env)
+            if not isinstance(x, VInt):
+                _as_int(x)  # raises; inline checks spare an integer the call
+            y = d2(env)
+            if not isinstance(y, VInt):
+                _as_int(y)
+            return box(op(x.value, y.value))
+
+        return den
+
+    return make
+
+
+_RUN_BINOPS = {cls: _run_binop(cls.op, cls.box) for cls in _BINOPS}
+
+
 class RunSemantics:
     """Denotation builders that evaluate: Env maps names to Values."""
 
@@ -156,20 +174,8 @@ class RunSemantics:
     def mk_succ(self, d):
         return lambda env: VInt(_as_int(d(env)) + 1)
 
-    def mk_add(self, d1, d2):
-        return lambda env: VInt(_as_int(d1(env)) + _as_int(d2(env)))
-
-    def mk_sub(self, d1, d2):
-        return lambda env: VInt(_as_int(d1(env)) - _as_int(d2(env)))
-
-    def mk_mul(self, d1, d2):
-        return lambda env: VInt(_as_int(d1(env)) * _as_int(d2(env)))
-
-    def mk_div(self, d1, d2):
-        return lambda env: VInt(_trunc_div(_as_int(d1(env)), _as_int(d2(env))))
-
-    def mk_eq(self, d1, d2):
-        return lambda env: VBool(_as_int(d1(env)) == _as_int(d2(env)))
+    def mk_binop(self, cls, d1, d2):
+        return _RUN_BINOPS[cls](d1, d2)
 
     def mk_if(self, dc, dt, de):
         def den(env):
@@ -246,20 +252,8 @@ class ShowSemantics:
     def mk_succ(self, d):
         return lambda env: Succ(d(env))
 
-    def mk_add(self, d1, d2):
-        return lambda env: Add(d1(env), d2(env))
-
-    def mk_sub(self, d1, d2):
-        return lambda env: Sub(d1(env), d2(env))
-
-    def mk_mul(self, d1, d2):
-        return lambda env: Mul(d1(env), d2(env))
-
-    def mk_div(self, d1, d2):
-        return lambda env: Div(d1(env), d2(env))
-
-    def mk_eq(self, d1, d2):
-        return lambda env: Eq(d1(env), d2(env))
+    def mk_binop(self, cls, d1, d2):
+        return lambda env: cls(d1(env), d2(env))
 
     def mk_if(self, dc, dt, de):
         return lambda env: If(dc(env), dt(env), de(env))

@@ -371,15 +371,15 @@ def build_den(plan, sem, env=()):
         case ("var", i):
             return sem.mk_var(env[i])
         case ("add", p, q):
-            return sem.mk_add(rec(p), rec(q))
+            return sem.mk_binop(Add, rec(p), rec(q))
         case ("sub", p, q):
-            return sem.mk_sub(rec(p), rec(q))
+            return sem.mk_binop(Sub, rec(p), rec(q))
         case ("mul", p, q):
-            return sem.mk_mul(rec(p), rec(q))
+            return sem.mk_binop(Mul, rec(p), rec(q))
         case ("succ", p):
             return sem.mk_succ(rec(p))
         case ("eqif", p, q, t, e):
-            return sem.mk_if(sem.mk_eq(rec(p), rec(q)), rec(t), rec(e))
+            return sem.mk_if(sem.mk_binop(Eq, rec(p), rec(q)), rec(t), rec(e))
         case ("app", body, arg):
             n = Source(f"p{len(env)}")
             return sem.mk_app(
@@ -400,12 +400,12 @@ def _var_code(name):
     return CodeValue(lambda ctx, loc: (ctx.sem.mk_var(name), EMPTY_BINDINGS))
 
 
-def _mirror_binary(pick):
+def _mirror_binary(make):
     def op(a, b):
         def build(ctx, loc):
             d2, v2 = b(ctx, loc + (2,))
             d1, v1 = a(ctx, loc + (1,))
-            return pick(ctx.sem)(d1, d2), merge(v1, v2)
+            return make(ctx.sem, d1, d2), merge(v1, v2)
 
         return CodeValue(build)
 
@@ -437,11 +437,11 @@ LEFT_FIRST = SimpleNamespace(
 )
 
 RIGHT_FIRST = SimpleNamespace(
-    add=_mirror_binary(lambda s: s.mk_add),
-    sub=_mirror_binary(lambda s: s.mk_sub),
-    mul=_mirror_binary(lambda s: s.mk_mul),
-    eq=_mirror_binary(lambda s: s.mk_eq),
-    app=_mirror_binary(lambda s: s.mk_app),
+    add=_mirror_binary(lambda s, d1, d2: s.mk_binop(Add, d1, d2)),
+    sub=_mirror_binary(lambda s, d1, d2: s.mk_binop(Sub, d1, d2)),
+    mul=_mirror_binary(lambda s, d1, d2: s.mk_binop(Mul, d1, d2)),
+    eq=_mirror_binary(lambda s, d1, d2: s.mk_binop(Eq, d1, d2)),
+    app=_mirror_binary(lambda s, d1, d2: s.mk_app(d1, d2)),
     if_=_mirror_if,
     let_=_mirror_clet,
 )

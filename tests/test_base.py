@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import types
 
 import pytest
 
@@ -409,6 +410,7 @@ WALKS = {
     "to_sexp": to_sexp,
     "free_vars": free_vars,
     "eval_ast": lambda t: eval_ast(t, {x: VInt(5)}),
+    "alpha_eq": lambda t: alpha_eq(t, t),
 }
 
 
@@ -485,3 +487,33 @@ class TestExports:
         namespace = {}
         exec("from stagelet import *", namespace)
         assert set(stagelet.__all__) <= set(namespace)
+
+    def test_exports_are_the_user_api(self):
+        syntax = {
+            "BaseAst", "IntLit", "BoolLit", "Var", "Succ", "BinOp", "Add", "Sub",
+            "Mul", "Div", "Eq", "If", "Lam", "App", "Let", "LetRec",
+            "Name", "Source", "Fresh",
+        }
+        values = {"Value", "VInt", "VBool", "VFun"}
+        errors = {
+            "StagingError", "StepLimitExceeded", "TypeMismatch", "UnboundVariable",
+            "ResidualBindings", "CanonLimitExceeded", "PendingBinding",
+        }
+        renderers = {"pretty", "to_sexp", "render_value", "free_vars", "alpha_eq", "eval_ast"}
+        combinators = {
+            "CodeValue", "cint", "cbool", "csucc", "cadd", "csub", "cmul", "cdiv",
+            "ceq", "cif", "capp", "clam", "clet",
+            "genlet", "with_locus", "genletrec", "with_locus_rec", "Locus",
+            "run", "show",
+        }
+        examples = {"ExampleEntry", "ExampleKind", "apply_ints", "lookup", "registry"}
+        api = syntax | values | errors | renderers | combinators | examples
+        assert len(stagelet.__all__) == len(api)
+        assert set(stagelet.__all__) == api
+        # the top level binds nothing else, submodules aside
+        public = {
+            n
+            for n, obj in vars(stagelet).items()
+            if not n.startswith("_") and not isinstance(obj, types.ModuleType)
+        }
+        assert public == api

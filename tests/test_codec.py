@@ -2,18 +2,20 @@ import random
 
 import pytest
 
+import stagelet
 from stagelet import (
     Add,
-    BuildContext,
+    BinOp,
     Div,
     IntLit,
     Lam,
     Let,
     Mul,
-    ShowSemantics,
     Source,
+    StagingError,
     StepLimitExceeded,
     TypeMismatch,
+    VBool,
     VInt,
     Var,
     alpha_eq,
@@ -37,7 +39,9 @@ from stagelet import (
     show,
     to_sexp,
 )
+from stagelet.codec import BuildContext
 from stagelet.examples import ExampleKind
+from stagelet.semantics import ShowSemantics
 
 from helpers import (
     LEFT_FIRST,
@@ -93,6 +97,86 @@ class TestOperators:
     def test_division_truncates_toward_zero(self):
         assert run(cdiv(cint(7), cint(2))) == VInt(3)
         assert run(cdiv(cint(0) - cint(7), cint(2))) == VInt(-3)
+
+
+def _host_trunc_div(a, b):
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+# host references by infix symbol, independent of `base`
+HOST = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _host_trunc_div,
+    "=": lambda a, b: a == b,
+}
+
+OPERATORS = sorted(
+    (c for c in BinOp.__subclasses__() if c.__module__ == "stagelet.base"),
+    key=lambda c: c.__name__,
+)
+
+
+def _boxed(v):
+    return VBool(v) if isinstance(v, bool) else VInt(v)
+
+
+def _outcome(thunk):
+    """("value", result), or the class and message of the staging error."""
+    try:
+        return "value", thunk()
+    except StagingError as e:
+        return type(e), str(e)
+
+
+def _both_meanings(code):
+    return _outcome(lambda: run(code)), _outcome(lambda: eval_ast(show(code)))
+
+
+class TestEachOperator:
+    """Run and show of every operator `base` defines; its combinator is `c`
+    followed by its s-expression tag."""
+
+    def test_the_five_are_found(self):
+        assert {c.__name__ for c in OPERATORS} >= {"Add", "Sub", "Mul", "Div", "Eq"}
+
+    @pytest.mark.parametrize("cls", OPERATORS, ids=lambda c: c.__name__)
+    def test_meanings_match_host_reference(self, cls):
+        comb = getattr(stagelet, "c" + cls.tag)
+        for a, b in [(7, 2), (-7, 2), (7, -2), (-7, -2), (6, 3), (0, 5), (4, 4)]:
+            code = comb(cint(a), cint(b))
+            assert type(show(code)) is cls
+            want = ("value", _boxed(HOST[cls.symbol](a, b)))
+            assert _both_meanings(code) == (want, want)
+
+    @pytest.mark.parametrize("cls", OPERATORS, ids=lambda c: c.__name__)
+    def test_zero_right_operand(self, cls):
+        comb = getattr(stagelet, "c" + cls.tag)
+        for a in (7, -7, 0):
+            try:
+                want = ("value", _boxed(HOST[cls.symbol](a, 0)))
+            except ZeroDivisionError:
+                want = (TypeMismatch, "division by zero")
+            assert _both_meanings(comb(cint(a), cint(0))) == (want, want)
+
+    @pytest.mark.parametrize("cls", OPERATORS, ids=lambda c: c.__name__)
+    def test_boolean_operand(self, cls):
+        comb = getattr(stagelet, "c" + cls.tag)
+        for code, bad in [
+            (comb(cbool(True), cint(1)), VBool(True)),
+            (comb(cint(1), cbool(False)), VBool(False)),
+        ]:
+            want = (TypeMismatch, f"expected an integer, got {bad!r}")
+            assert _both_meanings(code) == (want, want)
+
+    @pytest.mark.parametrize("cls", OPERATORS, ids=lambda c: c.__name__)
+    def test_left_operand_is_checked_before_right_is_evaluated(self, cls):
+        comb = getattr(stagelet, "c" + cls.tag)
+        code = comb(cbool(True), cdiv(cint(1), cint(0)))
+        want = (TypeMismatch, "expected an integer, got VBool(value=True)")
+        assert _both_meanings(code) == (want, want)
 
 
 class TestBinders:
@@ -190,7 +274,7 @@ class TestRunErrors:
 
     def test_deep_show_is_a_staging_error(self):
         code = cint(0)
-        for i in range(400):
+        for i in range(2000):
             code = cadd(code, cint(i))
         with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
             show(code)

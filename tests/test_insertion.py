@@ -5,12 +5,8 @@ import random
 import pytest
 
 from stagelet import (
-    EMPTY_ENV,
     Add,
     App,
-    BindingClass,
-    BuildContext,
-    Canonical,
     CanonLimitExceeded,
     Fresh,
     IntLit,
@@ -18,21 +14,13 @@ from stagelet import (
     Let,
     LetRec,
     Locus,
-    Pending,
     PendingBinding,
-    PerLocus,
     ResidualBindings,
-    RunSemantics,
-    ShowSemantics,
     Source,
     VInt,
     Var,
-    addb,
     alpha_eq,
-    bind_letrec,
-    bind_lets,
     cadd,
-    canon,
     capp,
     ceq,
     cif,
@@ -42,18 +30,32 @@ from stagelet import (
     free_vars,
     genlet,
     genletrec,
-    merge,
-    ordered,
     pretty,
     run,
     show,
-    subst,
     with_locus,
     with_locus_rec,
 )
 from stagelet import codec
+from stagelet.codec import BuildContext
 from stagelet.examples import ExampleKind, registry
-from stagelet.insertion import EMPTY_BINDINGS, EMPTY_PER_LOCUS, singleton
+from stagelet.insertion import (
+    EMPTY_BINDINGS,
+    EMPTY_PER_LOCUS,
+    BindingClass,
+    Canonical,
+    Pending,
+    PerLocus,
+    addb,
+    bind_letrec,
+    bind_lets,
+    canon,
+    merge,
+    ordered,
+    singleton,
+    subst,
+)
+from stagelet.semantics import EMPTY_ENV, RunSemantics, ShowSemantics
 
 from helpers import (
     LEFT_FIRST,
@@ -80,17 +82,15 @@ class TestAddb:
         name = Fresh((2,))
         rhs = canonical_int(3)
         v2 = addb(1, name, rhs, EMPTY_PER_LOCUS)
-        assert v2.order == {(1, 1)}
+        assert tuple(v2.classes) == (1,)
         assert v2.classes == {1: BindingClass(name, rhs, frozenset())}
-        assert v2.insertion_seq == (1,)
 
     def test_new_key_becomes_latest(self):
         n2, n4 = Fresh((2,)), Fresh((4,))
         v2 = addb(1, n2, canonical_int(3), EMPTY_PER_LOCUS)
         v4 = addb(2, n4, canonical_int(20), v2)
-        assert v4.order == {(2, 2), (1, 1), (1, 2)}
+        assert tuple(v4.classes) == (1, 2)
         assert set(v4.classes) == {1, 2}
-        assert v4.insertion_seq == (1, 2)
 
     def test_existing_key_gains_alias_and_keeps_rhs(self):
         n2, other = Fresh((2,)), Fresh((9,))
@@ -101,8 +101,8 @@ class TestAddb:
         assert cls.name == n2
         assert cls.rhs is rhs  # the later right-hand side is disregarded
         assert cls.aliases == {other}
-        assert v.order == v2.order
-        assert v.insertion_seq == (1,)
+        assert tuple(v.classes) == tuple(v2.classes)
+        assert tuple(v.classes) == (1,)
 
     def test_reinserting_the_representative_is_a_noop_alias(self):
         n = Fresh((2,))
@@ -117,7 +117,7 @@ class TestAddb:
                 names = [Fresh((i + 10,)) for i in range(length)]
                 store = EMPTY_PER_LOCUS
                 # naive replay of the two-case definition
-                order, classes, seen = set(), {}, []
+                classes, seen = {}, []
                 for key, name in zip(seq, names):
                     store = addb(key, name, canonical_int(0), store)
                     if key in classes:
@@ -126,11 +126,9 @@ class TestAddb:
                             aliases = aliases | {name}
                         classes[key] = (rep, aliases)
                     else:
-                        order |= {(key, key)} | {(k, key) for k in seen}
                         classes[key] = (name, frozenset())
                         seen.append(key)
-                assert store.order == order
-                assert store.insertion_seq == tuple(seen)
+                assert tuple(store.classes) == tuple(seen)
                 for key, (rep, aliases) in classes.items():
                     assert store.classes[key].name == rep
                     assert store.classes[key].aliases == aliases
@@ -152,12 +150,11 @@ class TestMerge:
         v6 = addb(3, n6, d6, v2)
         locus = (1,)
         v5 = merge(singleton(locus, v4), singleton(locus, v6)).at(locus)
-        assert v5.order == {(3, 3), (2, 2), (1, 1), (1, 3), (1, 2), (2, 3)}
+        assert tuple(v5.classes) == (1, 2, 3)
         assert set(v5.classes) == {1, 2, 3}
         assert v5.classes[1] == BindingClass(n2, d3, frozenset())
         assert v5.classes[2] == BindingClass(n4, d4, frozenset())
         assert v5.classes[3] == BindingClass(n6, d6, frozenset())
-        assert v5.insertion_seq == (1, 2, 3)
 
     def test_rhs_collision_rules(self):
         rep, inc = Fresh((1,)), Fresh((2,))
@@ -188,22 +185,20 @@ class TestStoreInvariants:
     def test_preorder_stays_reflexive_and_transitive(self):
         rng = random.Random(23)
         can = canonical_int(0)
+        # the preorder is the key order of `classes`, a linear order, so it
+        # is reflexive and transitive; check that it is first-request order
         for _ in range(50):
             store = EMPTY_PER_LOCUS
-            for i in range(rng.randrange(1, 10)):
-                store = addb(rng.randrange(5), Fresh((i,)), can, store)
+            requested = [rng.randrange(5) for _ in range(rng.randrange(1, 10))]
+            for i, k in enumerate(requested):
+                store = addb(k, Fresh((i,)), can, store)
             if rng.random() < 0.5:
-                other = addb(rng.randrange(5), Fresh((99,)), can, EMPTY_PER_LOCUS)
+                requested.append(rng.randrange(5))
+                other = addb(requested[-1], Fresh((99,)), can, EMPTY_PER_LOCUS)
                 store = merge(
                     singleton((), store), singleton((), other)
                 ).at(())
-            for k in store.classes:
-                assert (k, k) in store.order
-            for a, b in store.order:
-                for c, d in store.order:
-                    if b == c:
-                        assert (a, d) in store.order
-            assert sorted(store.insertion_seq) == sorted(store.classes)
+            assert tuple(store.classes) == tuple(dict.fromkeys(requested))
             for cls in store.classes.values():
                 assert cls.name not in cls.aliases
 
@@ -238,10 +233,7 @@ class TestStoreInvariants:
         assert len(seq) > 900
         assert [c.name for c in ordered(store)] == [first[k] for k in seq]
         assert all(store.classes[k].aliases == others[k] for k in seq)
-        assert store.insertion_seq == seq
-        assert store.order == {
-            (a, b) for i, a in enumerate(seq) for b in seq[i:]
-        }
+        assert tuple(store.classes) == seq
 
     def test_absent_locus_reads_empty(self):
         assert EMPTY_BINDINGS.at((1, 2)) is EMPTY_PER_LOCUS
@@ -281,17 +273,7 @@ class TestOrdered:
                 next(k for k, c in store.classes.items() if c is cls)
                 for cls in ordered(store)
             ]
-            strict = {
-                (a, b)
-                for (a, b) in store.order
-                if a != b and (b, a) not in store.order
-            }
-            consistent = [
-                perm
-                for perm in itertools.permutations(store.insertion_seq)
-                if all(perm.index(a) < perm.index(b) for (a, b) in strict)
-            ]
-            assert tuple(keys) in set(consistent)
+            assert tuple(keys) == tuple(store.classes)
 
 
 class TestSubst:
@@ -492,7 +474,7 @@ class TestCanon:
         _, vb = _ack_requests(Locus(()))(ctx, (1,))
         settled = canon(vb, ())
         store = settled.at(())
-        assert store.insertion_seq == (2, 1, 0)
+        assert tuple(store.classes) == (2, 1, 0)
         assert all(
             isinstance(cls.rhs, Canonical) for cls in store.classes.values()
         )
@@ -520,7 +502,7 @@ class TestCanon:
         assert d1(EMPTY_ENV) == d2(EMPTY_ENV)
         assert v1.loci() == v2.loci()
         s1, s2 = v1.at(()), v2.at(())
-        assert s1.insertion_seq == s2.insertion_seq
+        assert tuple(s1.classes) == tuple(s2.classes)
         assert {k: c.name for k, c in s1.classes.items()} == {
             k: c.name for k, c in s2.classes.items()
         }

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from stagelet import (
-    EMPTY_ENV,
     Add,
     App,
+    Eq,
     IntLit,
     Lam,
     Let,
     LetRec,
-    RunSemantics,
-    ShowSemantics,
+    Mul,
     Source,
     StepLimitExceeded,
+    Sub,
     TypeMismatch,
     UnboundVariable,
     VBool,
@@ -23,7 +23,7 @@ from stagelet import (
     free_vars,
     pretty,
 )
-from stagelet.semantics import MISSING
+from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
 from helpers import ackermann, build_den, gib, random_plan
 
@@ -170,9 +170,9 @@ class TestMkConstants:
 
     def test_add(self):
         r = R()
-        assert r.mk_add(r.mk_int(1), r.mk_int(2))(EMPTY_ENV) == VInt(3)
+        assert r.mk_binop(Add, r.mk_int(1), r.mk_int(2))(EMPTY_ENV) == VInt(3)
         s = S()
-        assert s.mk_add(s.mk_int(1), s.mk_int(2))(EMPTY_ENV) == Add(
+        assert s.mk_binop(Add, s.mk_int(1), s.mk_int(2))(EMPTY_ENV) == Add(
             IntLit(1), IntLit(2)
         )
 
@@ -183,7 +183,7 @@ class TestMkConstants:
 
     def test_type_errors_surface_at_application(self):
         r = R()
-        d = r.mk_add(r.mk_bool(True), r.mk_int(1))
+        d = r.mk_binop(Add, r.mk_bool(True), r.mk_int(1))
         with pytest.raises(TypeMismatch):
             d(EMPTY_ENV)
 
@@ -201,7 +201,7 @@ class TestMkLam:
     def test_squaring_application(self):
         r = R()
         d = r.mk_app(
-            r.mk_lam(x, r.mk_mul(r.mk_var(x), r.mk_var(x))), r.mk_int(3)
+            r.mk_lam(x, r.mk_binop(Mul, r.mk_var(x), r.mk_var(x))), r.mk_int(3)
         )
         assert d(EMPTY_ENV) == VInt(9)
 
@@ -209,12 +209,12 @@ class TestMkLam:
 class TestMkLet:
     def test_run(self):
         r = R()
-        d = r.mk_let(x, r.mk_int(3), r.mk_add(r.mk_var(x), r.mk_var(x)))
+        d = r.mk_let(x, r.mk_int(3), r.mk_binop(Add, r.mk_var(x), r.mk_var(x)))
         assert d(EMPTY_ENV) == VInt(6)
 
     def test_show(self):
         s = S()
-        d = s.mk_let(x, s.mk_int(3), s.mk_add(s.mk_var(x), s.mk_var(x)))
+        d = s.mk_let(x, s.mk_int(3), s.mk_binop(Add, s.mk_var(x), s.mk_var(x)))
         tree = d(EMPTY_ENV)
         assert tree == Let(x, IntLit(3), Add(Var(x), Var(x)))
         assert pretty(tree) == "(let x = 3 in (x + x))"
@@ -225,14 +225,15 @@ class TestMkLetrec:
         r = R()
         loop = Source("loop")
         body = r.mk_if(
-            r.mk_eq(r.mk_var(n), r.mk_int(0)),
+            r.mk_binop(Eq, r.mk_var(n), r.mk_int(0)),
             r.mk_var(x),
             r.mk_if(
-                r.mk_eq(r.mk_var(n), r.mk_int(1)),
+                r.mk_binop(Eq, r.mk_var(n), r.mk_int(1)),
                 r.mk_var(y),
-                r.mk_add(
-                    r.mk_app(r.mk_var(loop), r.mk_sub(r.mk_var(n), r.mk_int(1))),
-                    r.mk_app(r.mk_var(loop), r.mk_sub(r.mk_var(n), r.mk_int(2))),
+                r.mk_binop(
+                    Add,
+                    r.mk_app(r.mk_var(loop), r.mk_binop(Sub, r.mk_var(n), r.mk_int(1))),
+                    r.mk_app(r.mk_var(loop), r.mk_binop(Sub, r.mk_var(n), r.mk_int(2))),
                 ),
             ),
         )
@@ -261,12 +262,12 @@ class TestMkLetrec:
             return r.mk_lam(
                 var,
                 r.mk_if(
-                    r.mk_eq(r.mk_var(var), r.mk_int(0)),
+                    r.mk_binop(Eq, r.mk_var(var), r.mk_int(0)),
                     r.mk_app(r.mk_var(next_name), r.mk_int(1)),
                     r.mk_app(
                         r.mk_var(next_name),
                         r.mk_app(
-                            r.mk_var(self_name), r.mk_sub(r.mk_var(var), r.mk_int(1))
+                            r.mk_var(self_name), r.mk_binop(Sub, r.mk_var(var), r.mk_int(1))
                         ),
                     ),
                 ),
@@ -276,7 +277,7 @@ class TestMkLetrec:
             [
                 (a, clause(a, b, u)),
                 (b, clause(b, c, v)),
-                (c, r.mk_lam(w, r.mk_add(r.mk_var(w), r.mk_int(1)))),
+                (c, r.mk_lam(w, r.mk_binop(Add, r.mk_var(w), r.mk_int(1)))),
             ],
             r.mk_var(a),
         )
@@ -323,7 +324,7 @@ class TestPurity:
     def test_binary_applies_each_sub_once_left_first(self):
         r = R()
         log = []
-        d = r.mk_add(_spy(r.mk_int(1), log, "L"), _spy(r.mk_int(2), log, "R"))
+        d = r.mk_binop(Add, _spy(r.mk_int(1), log, "L"), _spy(r.mk_int(2), log, "R"))
         d(EMPTY_ENV)
         assert log == ["L", "R"]
         d(EMPTY_ENV)
