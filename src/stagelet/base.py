@@ -94,7 +94,7 @@ class Fresh(Name):
     same binding site stay interchangeable.
     """
 
-    __slots__ = ("path", "hint", "_hash")
+    __slots__ = ("path", "hint", "_hash", "_text")
 
     def __init__(self, path, hint=None):
         self.path = tuple(path)
@@ -111,10 +111,20 @@ class Fresh(Name):
         return self._hash
 
     def render(self) -> str:
-        joined = "_".join(str(i) for i in self.path)
+        # a name occurs once per use site and its path can run to hundreds
+        # of elements: build the text once, on first render, per object (a
+        # hinted and an unhinted name at one path render differently)
+        try:
+            return self._text
+        except AttributeError:
+            pass
+        joined = "_".join(map(str, self.path))
         if self.hint is None:
-            return "v" + joined
-        return self.hint if not joined else f"{self.hint}_{joined}"
+            text = "v" + joined
+        else:
+            text = self.hint if not joined else f"{self.hint}_{joined}"
+        self._text = text
+        return text
 
     def __repr__(self):
         return f"Fresh({list(self.path)})"

@@ -27,7 +27,9 @@ from .base import (
     _BINOPS,
     _Budget,
     _RecCell,
+    _Walk,
     _as_int,
+    _not_a_tree,
 )
 
 MISSING = object()
@@ -145,7 +147,21 @@ def _run_binop(op, box):
     return make
 
 
-_RUN_BINOPS = {cls: _run_binop(cls.op, cls.box) for cls in _BINOPS}
+class _RunMakers(_Walk):
+    """The run maker of each operator class. A subclass gets its nearest
+    registered base's maker, as in every `base` walk; anything else raises
+    TypeMismatch."""
+
+    __slots__ = ()
+
+    def __missing__(self, cls):
+        make = super().__missing__(cls) if isinstance(cls, type) else _not_a_tree
+        if make is _not_a_tree:
+            raise TypeMismatch(f"not a binary operator: {cls!r}")
+        return make
+
+
+_RUN_BINOPS = _RunMakers({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
 class RunSemantics:

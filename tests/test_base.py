@@ -84,6 +84,23 @@ class TestNames:
         assert Fresh((), hint="acc").render() == "acc"
         assert Source("loop").render() == "loop"
 
+    def test_rendering_twice_gives_equal_text(self):
+        name = Fresh((4, 0, 17), hint="acc")
+        assert name.render() == name.render() == "acc_4_0_17"
+
+    def test_rendered_hint_stays_on_its_own_object(self):
+        hinted, plain = Fresh((1, 2), hint="acc"), Fresh((1, 2))
+        assert (hinted.render(), plain.render()) == ("acc_1_2", "v1_2")
+        assert hinted == plain and hash(hinted) == hash(plain)
+        keys = {hinted: 1, plain: 2}
+        assert keys == {hinted: 2}
+        assert (hinted.render(), plain.render()) == ("acc_1_2", "v1_2")
+
+    def test_sexp_first_then_pretty_reads_as_pretty_alone(self):
+        tree = show(cack(3))
+        to_sexp(tree)
+        assert pretty(tree) == pretty(show(cack(3)))
+
 
 class TestPretty:
     def test_operators(self):

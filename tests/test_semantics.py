@@ -5,6 +5,7 @@ import pytest
 from stagelet import (
     Add,
     App,
+    BinOp,
     Eq,
     IntLit,
     Lam,
@@ -22,7 +23,10 @@ from stagelet import (
     eval_ast,
     free_vars,
     pretty,
+    run,
+    show,
 )
+from stagelet import codec
 from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
 from helpers import ackermann, build_den, gib, random_plan
@@ -31,6 +35,10 @@ R = RunSemantics
 S = ShowSemantics
 
 x, y, f, n = Source("x"), Source("y"), Source("f"), Source("n")
+
+
+class MyAdd(Add):
+    """A user's subclass of an operator, outside the registered five."""
 
 
 class TestEnv:
@@ -186,6 +194,20 @@ class TestMkConstants:
         d = r.mk_binop(Add, r.mk_bool(True), r.mk_int(1))
         with pytest.raises(TypeMismatch):
             d(EMPTY_ENV)
+
+    def test_subclass_of_an_operator_runs_as_its_base(self):
+        gen = codec.capp(
+            codec.clam(lambda v: codec._binop(MyAdd, v, codec.cint(2))), codec.cint(1)
+        )
+        tree = show(gen)
+        assert isinstance(tree.fun.body, MyAdd)
+        assert run(gen) == eval_ast(tree) == VInt(3)
+
+    @pytest.mark.parametrize("cls", [BinOp, Lam, int, "add"], ids=repr)
+    def test_anything_else_is_not_an_operator(self, cls):
+        r = R()
+        with pytest.raises(TypeMismatch, match="not a binary operator"):
+            r.mk_binop(cls, r.mk_int(1), r.mk_int(2))
 
 
 class TestMkLam:
