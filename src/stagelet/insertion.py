@@ -236,19 +236,15 @@ def bind_lets(classes, body, sem):
 def bind_letrec(classes, body, sem):
     """One letrec over all classes; aliases from any class may appear in any
     clause (folding during canonicalization creates them), so every clause and
-    the body see the full alias-to-representative rewrite.
-
-    The rewrite is applied once, to the environment the letrec extends, not
-    once per clause: one redirect per alias each time the letrec is denoted.
-    That is sound because no alias is a clause name, so the letrec's own
-    bindings shadow no redirect and every alias still resolves to its
-    representative's clause."""
+    the body run under the full alias-to-representative rewrite."""
     classes = list(classes)
     if not classes:
         return body
     pairs = tuple((alias, cls.name) for cls in classes for alias in cls.aliases)
-    clauses = [(cls.name, _require_canonical(cls)) for cls in classes]
-    return _redirect_all(pairs, sem.mk_letrec(clauses, body))
+    clauses = [
+        (cls.name, _redirect_all(pairs, _require_canonical(cls))) for cls in classes
+    ]
+    return sem.mk_letrec(clauses, _redirect_all(pairs, body))
 
 
 def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):

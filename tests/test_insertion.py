@@ -56,7 +56,7 @@ from stagelet.insertion import (
     singleton,
     subst,
 )
-from stagelet.semantics import EMPTY_ENV, Env, RunSemantics, ShowSemantics
+from stagelet.semantics import EMPTY_ENV, RunSemantics, ShowSemantics
 
 from helpers import (
     LEFT_FIRST,
@@ -586,22 +586,6 @@ class TestAliasClasses:
             show(cack(depth))
         assert run(cack(2)).fn(VInt(3)) == VInt(ackermann(2, 3))
         assert self.check(binds) > 1000
-
-    def test_cack_rewrites_each_alias_once(self, binds, monkeypatch):
-        """A letrec locus applies its alias rewrite once, to the environment
-        the letrec extends, not once per clause and once more for the body."""
-        redirects = []
-
-        def counted(env, alias, rep, original=Env.redirect):
-            redirects.append(alias)
-            return original(env, alias, rep)
-
-        monkeypatch.setattr(Env, "redirect", counted)
-        for depth in range(1, 49):
-            binds.clear()
-            redirects.clear()
-            show(cack(depth))
-            assert len(redirects) == self.check(binds) == 2 * depth
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_cack_run_agrees_with_its_shown_code(self, depth):
