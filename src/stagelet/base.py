@@ -6,8 +6,8 @@ denotation builders in `semantics` so the two can cross-check each other.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
-from dataclasses import dataclass
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
@@ -63,6 +63,95 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class _Record(type):
+    """Metaclass of the library's records: syntax nodes, values, names written
+    in source, and the insertion and build records.
+
+    A record is a dataclass of its annotated fields (`fields`,
+    `__match_args__`, field-wise `==`, `hash` and `repr`) whose fields live
+    in `__slots__`. It is frozen by its own `__setattr__` and `__delattr__`,
+    which raise `FrozenInstanceError`. Its `__init__` stores each argument
+    through its slot's descriptor, where a frozen dataclass's calls
+    `object.__setattr__` per field. A subclass of a record is a record.
+
+    Slots can only be declared when a class is created. A class decorator
+    gets a class that exists already and must build a second one; the first
+    stays listed among its base's `__subclasses__()` until the garbage
+    collector frees it, if ever.
+    """
+
+    def __new__(mcls, name, bases, ns):
+        fields = ns.get("__annotations__", {})
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        ns = {**_RECORD_METHODS, **ns, "__slots__": tuple(fields)}
+        cls = super().__new__(mcls, name, bases, ns)
+        # not `frozen=True`: that generates two more functions per class,
+        # the largest part of a record's import cost; `unsafe_hash` then
+        # keeps the field-wise hash a frozen dataclass would have
+        dataclasses.dataclass(unsafe_hash=True)(cls)
+        # a slot and a class attribute cannot share a name, so the defaults
+        # were held back from the class body; give them to the fields
+        for f, default in defaults.items():
+            field = cls.__dataclass_fields__[f]
+            if isinstance(default, dataclasses.Field):
+                field.default_factory = default.default_factory
+            else:
+                field.default = default
+        cls.__init__ = _slot_init(cls)
+        return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _rebuild(self):
+    # copy and pickle rebuild a record through `__init__`: the frozen
+    # `__setattr__` refuses their field-by-field restore of slots
+    return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+_RECORD_METHODS = {
+    "__setattr__": _frozen_setattr,
+    "__delattr__": _frozen_delattr,
+    "__reduce__": _rebuild,
+}
+
+
+def _slot_init(cls):
+    """The `__init__` of record class `cls`: each argument, or its default,
+    set through its slot's descriptor, then `__post_init__` if any."""
+    ns = {"MISSING": dataclasses.MISSING}
+    params, body = [], []
+    for f in dataclasses.fields(cls):
+        n = f.name
+        ns[f"set_{n}"] = getattr(cls, n).__set__
+        if f.default is not dataclasses.MISSING:
+            ns[f"default_{n}"] = f.default
+            params.append(f"{n}=default_{n}")
+        elif f.default_factory is not dataclasses.MISSING:
+            ns[f"factory_{n}"] = f.default_factory
+            params.append(f"{n}=MISSING")
+            body.append(f"    if {n} is MISSING: {n} = factory_{n}()")
+        else:
+            params.append(n)
+        body.append(f"    set_{n}(self, {n})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass"), ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+# ---------------------------------------------------------------------------
 # Names
 
 
@@ -75,8 +164,7 @@ class Name:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Source(Name):
+class Source(Name, metaclass=_Record):
     text: str
 
     def render(self) -> str:
@@ -138,13 +226,11 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VInt(Value):
+class VInt(Value, metaclass=_Record):
     value: int
 
 
-@dataclass(frozen=True)
-class VBool(Value):
+class VBool(Value, metaclass=_Record):
     value: bool
 
 
@@ -175,31 +261,26 @@ def render_value(v: Value) -> str:
 # Syntax
 
 
-class BaseAst:
-    __slots__ = ()
+class BaseAst(metaclass=_Record):
+    """Root of the syntax nodes; every node class is a record."""
 
 
-@dataclass(frozen=True)
 class IntLit(BaseAst):
     value: int
 
 
-@dataclass(frozen=True)
 class BoolLit(BaseAst):
     value: bool
 
 
-@dataclass(frozen=True)
 class Var(BaseAst):
     name: Name
 
 
-@dataclass(frozen=True)
 class Succ(BaseAst):
     arg: BaseAst
 
 
-@dataclass(frozen=True)
 class BinOp(BaseAst):
     """A binary operator on two integers. Each subclass names its infix
     `symbol`, its s-expression `tag`, the integer function `op` it computes
@@ -209,22 +290,18 @@ class BinOp(BaseAst):
     right: BaseAst
 
 
-@dataclass(frozen=True)
 class Add(BinOp):
     symbol, tag, op, box = "+", "add", operator.add, VInt
 
 
-@dataclass(frozen=True)
 class Sub(BinOp):
     symbol, tag, op, box = "-", "sub", operator.sub, VInt
 
 
-@dataclass(frozen=True)
 class Mul(BinOp):
     symbol, tag, op, box = "*", "mul", operator.mul, VInt
 
 
-@dataclass(frozen=True)
 class Div(BinOp):
     """Integer division, truncating toward zero."""
 
@@ -240,38 +317,32 @@ class Div(BinOp):
         return q
 
 
-@dataclass(frozen=True)
 class Eq(BinOp):
     symbol, tag, op, box = "=", "eq", operator.eq, VBool
 
 
-@dataclass(frozen=True)
 class If(BaseAst):
     cond: BaseAst
     then: BaseAst
     orelse: BaseAst
 
 
-@dataclass(frozen=True)
 class Lam(BaseAst):
     param: Name
     body: BaseAst
 
 
-@dataclass(frozen=True)
 class App(BaseAst):
     fun: BaseAst
     arg: BaseAst
 
 
-@dataclass(frozen=True)
 class Let(BaseAst):
     name: Name
     rhs: BaseAst
     body: BaseAst
 
 
-@dataclass(frozen=True)
 class LetRec(BaseAst):
     clauses: tuple  # ((Name, BaseAst), ...), nonempty, names distinct
     body: BaseAst

@@ -9,8 +9,6 @@ generator, `show` renders the code it builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base import (
     Add,
     BaseAst,
@@ -22,6 +20,7 @@ from .base import (
     Sub,
     Value,
     _HostStack,
+    _Record,
 )
 from .insertion import (
     Canonical,
@@ -45,8 +44,7 @@ from .semantics import EMPTY_ENV, RunSemantics, ShowSemantics
 ROOT = ()
 
 
-@dataclass(frozen=True)
-class BuildContext:
+class BuildContext(metaclass=_Record):
     """Everything a build needs besides the location: which semantics to
     build denotations in, and the canonicalization budget."""
 
@@ -55,7 +53,12 @@ class BuildContext:
 
 
 class CodeValue:
-    """Deterministic map from a location to (denotation, virtual bindings)."""
+    """Deterministic map from a location to (denotation, virtual bindings).
+
+    Combinators, `show` and `run` call a child's `_build` directly, so a
+    build spends one host frame per level; calling the value is the public
+    entry point.
+    """
 
     __slots__ = ("_build",)
 
@@ -113,7 +116,7 @@ def cbool(b: bool) -> CodeValue:
 
 def csucc(a: CodeValue) -> CodeValue:
     def build(ctx, loc):
-        d, v = a(ctx, loc + (1,))
+        d, v = a._build(ctx, loc + (1,))
         return ctx.sem.mk_succ(d), v
 
     return CodeValue(build)
@@ -123,8 +126,8 @@ def _binop(cls, a, b):
     """Code of binary operator `cls` applied to `a` and `b`."""
 
     def build(ctx, loc):
-        d1, v1 = a(ctx, loc + (1,))
-        d2, v2 = b(ctx, loc + (2,))
+        d1, v1 = a._build(ctx, loc + (1,))
+        d2, v2 = b._build(ctx, loc + (2,))
         return ctx.sem.mk_binop(cls, d1, d2), merge(v1, v2)
 
     return CodeValue(build)
@@ -152,8 +155,8 @@ def ceq(a, b) -> CodeValue:
 
 def capp(f: CodeValue, a: CodeValue) -> CodeValue:
     def build(ctx, loc):
-        d1, v1 = f(ctx, loc + (1,))
-        d2, v2 = a(ctx, loc + (2,))
+        d1, v1 = f._build(ctx, loc + (1,))
+        d2, v2 = a._build(ctx, loc + (2,))
         return ctx.sem.mk_app(d1, d2), merge(v1, v2)
 
     return CodeValue(build)
@@ -161,9 +164,9 @@ def capp(f: CodeValue, a: CodeValue) -> CodeValue:
 
 def cif(c: CodeValue, t: CodeValue, e: CodeValue) -> CodeValue:
     def build(ctx, loc):
-        dc, vc = c(ctx, loc + (1,))
-        dt, vt = t(ctx, loc + (2,))
-        de, ve = e(ctx, loc + (3,))
+        dc, vc = c._build(ctx, loc + (1,))
+        dt, vt = t._build(ctx, loc + (2,))
+        de, ve = e._build(ctx, loc + (3,))
         return ctx.sem.mk_if(dc, dt, de), merge(merge(vc, vt), ve)
 
     return CodeValue(build)
@@ -180,7 +183,7 @@ def clam(f, hint=None) -> CodeValue:
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
-        d, v = f(_var_code(name))(ctx, loc + (1,))
+        d, v = f(_var_code(name))._build(ctx, loc + (1,))
         return ctx.sem.mk_lam(name, d), v
 
     return CodeValue(build)
@@ -191,8 +194,8 @@ def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
-        d1, v1 = rhs(ctx, loc + (1,))
-        d2, v2 = body(_var_code(name))(ctx, loc + (2,))
+        d1, v1 = rhs._build(ctx, loc + (1,))
+        d2, v2 = body(_var_code(name))._build(ctx, loc + (2,))
         return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 
     return CodeValue(build)
@@ -204,10 +207,9 @@ def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
-        d, v = code(ctx, loc + (2,))
-        return ctx.sem.mk_var(name), v.updated(
-            locus.location, lambda s: addb(key, name, Canonical(d), s)
-        )
+        d, v = code._build(ctx, loc + (2,))
+        at = locus.location
+        return ctx.sem.mk_var(name), v.set(at, addb(key, name, Canonical(d), v.at(at)))
 
     return CodeValue(build)
 
@@ -217,7 +219,7 @@ def with_locus(f) -> CodeValue:
     become nested let-expressions here; others keep floating."""
 
     def build(ctx, loc):
-        d, v = f(Locus(loc))(ctx, loc + (1,))
+        d, v = f(Locus(loc))._build(ctx, loc + (1,))
         den = bind_lets(ordered(v.at(loc)), d, ctx.sem)
         return den, v.without(loc)
 
@@ -231,7 +233,7 @@ def genletrec(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
-        anchored = Pending(lambda: code(ctx, loc + (2,)))
+        anchored = Pending(lambda: code._build(ctx, loc + (2,)))
         store = addb(key, name, anchored, EMPTY_PER_LOCUS)
         return ctx.sem.mk_var(name), singleton(locus.location, store)
 
@@ -243,7 +245,7 @@ def with_locus_rec(f) -> CodeValue:
     bind them all in a single letrec."""
 
     def build(ctx, loc):
-        d, v = f(Locus(loc))(ctx, loc + (1,))
+        d, v = f(Locus(loc))._build(ctx, loc + (1,))
         v = canon(v, loc, ctx.canon_limit)
         return bind_letrec(ordered(v.at(loc)), d, ctx.sem), v.without(loc)
 
@@ -259,7 +261,7 @@ def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
     """Build the syntax tree a complete generator produces."""
     ctx = BuildContext(ShowSemantics(), canon_limit)
     with _HostStack("show"):
-        d, v = code(ctx, ROOT)
+        d, v = code._build(ctx, ROOT)
         _complete(v)
         return d(EMPTY_ENV)
 
@@ -272,6 +274,6 @@ def run(
     """Evaluate a complete generator to the value its code means."""
     ctx = BuildContext(RunSemantics(step_limit), canon_limit)
     with _HostStack("run"):
-        d, v = code(ctx, ROOT)
+        d, v = code._build(ctx, ROOT)
         _complete(v)
         return d(EMPTY_ENV)

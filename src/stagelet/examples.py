@@ -7,7 +7,6 @@ on demand; `arity` says how many integer arguments the evaluated result takes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .base import (
     Add,
@@ -26,6 +25,7 @@ from .base import (
     VInt,
     Var,
     _HostStack,
+    _Record,
 )
 from .codec import (
     cadd,
@@ -51,8 +51,7 @@ class ExampleKind(enum.Enum):
     GENERATOR_EXPECT_EXTRUSION = "generator-expect-extrusion"
 
 
-@dataclass(frozen=True)
-class ExampleEntry:
+class ExampleEntry(metaclass=_Record):
     name: str
     kind: ExampleKind
     arity: int

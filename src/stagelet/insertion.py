@@ -7,9 +7,9 @@ code built there. Stores are immutable: every operation returns a new store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
-from .base import StagingError
+from .base import StagingError, _Record
 
 DEFAULT_CANON_LIMIT = 10_000
 
@@ -41,15 +41,13 @@ def render_location(loc) -> str:
     return "[" + ",".join(str(i) for i in loc) + "]"
 
 
-@dataclass(frozen=True)
-class Locus:
+class Locus(metaclass=_Record):
     """Marks where requested bindings materialize; opaque to generators."""
 
     location: tuple
 
 
-@dataclass(frozen=True)
-class Canonical:
+class Canonical(metaclass=_Record):
     """A right-hand side that is already a denotation."""
 
     denotation: object
@@ -71,8 +69,7 @@ class Pending:
         return "Pending(...)"
 
 
-@dataclass(frozen=True)
-class BindingClass:
+class BindingClass(metaclass=_Record):
     """One equivalence class of requested bindings: the representative name
     to bind, its right-hand side, and the other names to rewrite into it."""
 
@@ -81,8 +78,10 @@ class BindingClass:
     aliases: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class PerLocus:
+_NO_ALIASES = frozenset()
+
+
+class PerLocus(metaclass=_Record):
     """Bindings destined for one locus: the classes by memo key, in
     first-insertion order.
 
@@ -105,20 +104,22 @@ class PerLocus:
 EMPTY_PER_LOCUS = PerLocus()
 
 
-def _fold(classes: dict, key, cls: BindingClass):
-    """Fold `cls` into `classes` under `key`, in place. A new key goes last;
-    an existing class keeps its name, absorbs the incoming names as aliases,
-    and keeps its right-hand side unless only the incoming one is canonical."""
-    existing = classes.get(key)
-    if existing is None:
-        classes[key] = cls
-        return
-    aliases = (existing.aliases | cls.aliases | {cls.name}) - {existing.name}
-    if isinstance(cls.rhs, Canonical) and not isinstance(existing.rhs, Canonical):
-        rhs = cls.rhs
+def _fold(existing: BindingClass, name, rhs, aliases) -> BindingClass:
+    """`existing` after absorbing a class with the given fields: it keeps its
+    name, takes the incoming names as aliases, and keeps its right-hand side
+    unless only the incoming one is canonical. `existing` itself when nothing
+    changes."""
+    if isinstance(rhs, Canonical) and not isinstance(existing.rhs, Canonical):
+        kept = rhs
     else:
-        rhs = existing.rhs
-    classes[key] = BindingClass(existing.name, rhs, frozenset(aliases))
+        kept = existing.rhs
+    if name is existing.name and aliases <= existing.aliases:
+        if kept is existing.rhs:
+            return existing
+        return BindingClass(name, kept, existing.aliases)
+    return BindingClass(
+        existing.name, kept, (existing.aliases | aliases | {name}) - {existing.name}
+    )
 
 
 def addb(key, name, rhs, store: PerLocus) -> PerLocus:
@@ -127,13 +128,19 @@ def addb(key, name, rhs, store: PerLocus) -> PerLocus:
     An existing class for the key absorbs the name as an alias and keeps its
     own right-hand side; a new key enters greater than everything present.
     """
+    existing = store.classes.get(key)
+    if existing is None:
+        cls = BindingClass(name, rhs)
+    else:
+        cls = _fold(existing, name, rhs, _NO_ALIASES)
+        if cls is existing:
+            return store
     classes = dict(store.classes)
-    _fold(classes, key, BindingClass(name, rhs))
+    classes[key] = cls
     return PerLocus(classes)
 
 
-@dataclass(frozen=True)
-class VirtualBindings:
+class VirtualBindings(metaclass=_Record):
     """Finite map from locus locations to per-locus stores; empty stores are
     never kept."""
 
@@ -156,9 +163,6 @@ class VirtualBindings:
             new[loc] = store
         return VirtualBindings(new)
 
-    def updated(self, loc, fn) -> "VirtualBindings":
-        return self.set(loc, fn(self.at(loc)))
-
     def without(self, loc) -> "VirtualBindings":
         if loc not in self.stores:
             return self
@@ -177,15 +181,23 @@ def singleton(loc, store: PerLocus) -> VirtualBindings:
 def merge(v1: VirtualBindings, v2: VirtualBindings) -> VirtualBindings:
     """Fold the classes of v2 into v1, locus by locus, each locus traversed
     in v2's binding order, so v2's newcomers end up after everything in v1."""
-    if v2.is_empty():
+    if not v2.stores:
         return v1
-    if v1.is_empty():
+    if not v1.stores:
         return v2
     stores = dict(v1.stores)
     for loc, incoming in v2.stores.items():
-        classes = dict(v1.at(loc).classes)
+        store = stores.get(loc)
+        if store is None:
+            stores[loc] = incoming
+            continue
+        classes = dict(store.classes)
         for key, cls in incoming.classes.items():
-            _fold(classes, key, cls)
+            existing = classes.get(key)
+            if existing is None:
+                classes[key] = cls
+            elif cls is not existing:
+                classes[key] = _fold(existing, cls.name, cls.rhs, cls.aliases)
         stores[loc] = PerLocus(classes)
     return VirtualBindings(stores)
 

@@ -1,6 +1,11 @@
 """Shared test utilities: oracles, random program builders, tree walkers."""
 
+import copy
+import dataclasses
+import pickle
 from types import SimpleNamespace
+
+import pytest
 
 from stagelet import (
     Add,
@@ -34,8 +39,49 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
+from stagelet.base import _Record
 from stagelet.codec import CodeValue
 from stagelet.insertion import EMPTY_BINDINGS, merge
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+def records_of(module):
+    """The record classes `module` defines."""
+    return {
+        c
+        for c in vars(module).values()
+        if isinstance(c, _Record) and c.__module__ == module.__name__
+    }
+
+
+def check_record(obj, fields):
+    """The frozen slotted dataclass contract on record `obj`, whose fields
+    are named `fields` in order."""
+    cls = type(obj)
+    assert not hasattr(obj, "__dict__")
+    assert [f.name for f in dataclasses.fields(obj)] == fields
+    assert list(cls.__dataclass_fields__) == fields
+    assert cls.__match_args__ == tuple(fields)
+    values = [getattr(obj, f) for f in fields]
+    for f, v in zip(fields, values):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f, v)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, f)
+        assert getattr(obj, f) is v
+    twin = cls(*values)
+    assert twin == obj and not twin != obj
+    try:
+        hash(obj)
+    except TypeError:  # a field holds a dict
+        pass
+    else:
+        assert hash(twin) == hash(obj)
+    for same in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(same) is cls and same == obj
 
 
 # ---------------------------------------------------------------------------

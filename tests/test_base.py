@@ -21,6 +21,7 @@ from stagelet import (
     Let,
     LetRec,
     Mul,
+    Name,
     Source,
     StepLimitExceeded,
     Sub,
@@ -28,6 +29,7 @@ from stagelet import (
     TypeMismatch,
     UnboundVariable,
     VBool,
+    Value,
     VFun,
     VInt,
     Var,
@@ -40,7 +42,15 @@ from stagelet import (
     to_sexp,
 )
 
-from helpers import bruteforce_free, cack, gib, random_term, rename_bound
+from helpers import (
+    bruteforce_free,
+    cack,
+    check_record,
+    gib,
+    random_term,
+    records_of,
+    rename_bound,
+)
 
 x, y, z = Source("x"), Source("y"), Source("z")
 
@@ -464,6 +474,76 @@ class TestDispatch:
         assert fn(MyAdd(Var(x), IntLit(2))) == fn(Add(Var(x), IntLit(2)))
         inside = Let(y, MyAdd(Var(x), IntLit(1)), MyAdd(Var(y), Var(y)))
         assert fn(inside) == fn(Let(y, Add(Var(x), IntLit(1)), Add(Var(y), Var(y))))
+
+
+BASE_RECORDS = {
+    **SAMPLES,
+    BaseAst: BaseAst(),
+    BinOp: BinOp(IntLit(1), IntLit(2)),
+    Source: x,
+    VInt: VInt(-3),
+    VBool: VBool(True),
+}
+
+
+class TestRecords:
+    """Syntax nodes, values and source names are frozen slotted dataclasses."""
+
+    def test_every_record_has_a_sample(self):
+        assert records_of(stagelet.base) == set(BASE_RECORDS)
+
+    @pytest.mark.parametrize("cls", BASE_RECORDS, ids=lambda c: c.__name__)
+    def test_contract(self, cls):
+        fields = {
+            IntLit: ["value"], BoolLit: ["value"], VInt: ["value"], VBool: ["value"],
+            Var: ["name"], Succ: ["arg"], Source: ["text"], BaseAst: [],
+            If: ["cond", "then", "orelse"], Lam: ["param", "body"],
+            App: ["fun", "arg"], Let: ["name", "rhs", "body"],
+            LetRec: ["clauses", "body"],
+        }.get(cls, ["left", "right"])
+        check_record(BASE_RECORDS[cls], fields)
+
+    def test_repr(self):
+        assert repr(Add(IntLit(1), IntLit(2))) == "Add(left=IntLit(value=1), right=IntLit(value=2))"
+        assert repr(Lam(x, Var(x))) == "Lam(param=Source('x'), body=Var(name=Source('x')))"
+        assert repr(LetRec(((x, BoolLit(True)),), Var(x))) == (
+            "LetRec(clauses=((Source('x'), BoolLit(value=True)),), body=Var(name=Source('x')))"
+        )
+        assert repr(VInt(-3)) == "VInt(value=-3)"
+
+    def test_kinds_and_fields_decide_equality(self):
+        a, b = IntLit(1), IntLit(2)
+        assert Add(a, b) == Add(IntLit(1), IntLit(2))
+        assert hash(Add(a, b)) == hash(Add(IntLit(1), IntLit(2)))
+        assert Add(a, b) != Sub(a, b)
+        assert Add(a, b) != Add(b, a)
+        assert IntLit(1) != VInt(1)
+        assert MyAdd(a, b) != Add(a, b)
+
+    def test_match_binds_fields(self):
+        match Let(x, IntLit(1), Add(Var(x), IntLit(2))):
+            case Let(n, IntLit(v), BinOp(Var(m), right=IntLit(w))):
+                assert (n, v, m, w) == (x, 1, x, 2)
+            case _:
+                pytest.fail("no match")
+
+    def test_letrec_normalises_and_checks_its_clauses(self):
+        t = LetRec([[x, IntLit(1)], [y, IntLit(2)]], Var(x))
+        assert t.clauses == ((x, IntLit(1)), (y, IntLit(2)))
+        assert type(t.clauses[0]) is tuple
+        with pytest.raises(ValueError, match="at least one clause"):
+            LetRec([], Var(x))
+        with pytest.raises(ValueError, match="distinct"):
+            LetRec([(x, IntLit(1)), (x, IntLit(2))], Var(x))
+
+    def test_a_subclass_of_a_record_is_a_record(self):
+        check_record(MyAdd(Var(x), IntLit(2)), ["left", "right"])
+
+    @pytest.mark.parametrize("base", [BaseAst, BinOp, Value, Name], ids=lambda c: c.__name__)
+    def test_each_class_is_listed_once_under_its_base(self, base):
+        subs = [c for c in base.__subclasses__() if c.__module__ == "stagelet.base"]
+        assert subs
+        assert len({c.__qualname__ for c in subs}) == len(subs)
 
 
 def eval_with_least_budget(tree, limit):

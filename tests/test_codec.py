@@ -267,6 +267,13 @@ class TestCli_independent_sexp:
         assert to_sexp(tree) == to_sexp(show(lookup("cack2").builder()))
 
 
+def let_chain(n):
+    """let x_n = n in x_n + (let x_(n-1) = n - 1 in ... + 0), n lets deep."""
+    if n == 0:
+        return cint(0)
+    return clet(cint(n), lambda v: cadd(v, let_chain(n - 1)))
+
+
 class TestRunErrors:
     def test_over_application(self):
         with pytest.raises(TypeMismatch):
@@ -280,13 +287,12 @@ class TestRunErrors:
             show(code)
 
     def test_long_let_chain_run_is_a_staging_error(self):
-        def chain(n):
-            if n == 0:
-                return cint(0)
-            return clet(cint(n), lambda v: cadd(v, chain(n - 1)))
-
         with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
-            run(chain(400))
+            run(let_chain(5000))
+
+    def test_let_chain_runs_at_depth_400(self):
+        # a build spends one host frame per level, so 400 nested lets fit
+        assert run(let_chain(400)) == VInt(sum(range(401)))
 
     def test_free_output_is_still_showable(self):
         tree = show(lookup("clgib5-extruded").builder())

@@ -37,16 +37,18 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
-from stagelet import codec
+from stagelet import codec, examples, insertion
 from stagelet.codec import BuildContext
-from stagelet.examples import ExampleKind, registry
+from stagelet.examples import ExampleEntry, ExampleKind, lookup, registry
 from stagelet.insertion import (
+    DEFAULT_CANON_LIMIT,
     EMPTY_BINDINGS,
     EMPTY_PER_LOCUS,
     BindingClass,
     Canonical,
     Pending,
     PerLocus,
+    VirtualBindings,
     addb,
     bind_letrec,
     bind_lets,
@@ -64,10 +66,12 @@ from helpers import (
     binders,
     build_code,
     cack,
+    check_record,
     clgib,
     count_lets,
     gib,
     random_plan,
+    records_of,
 )
 
 S = ShowSemantics
@@ -111,6 +115,17 @@ class TestAddb:
         v = addb(1, n, canonical_int(3), v)
         assert v.classes[1].aliases == frozenset()
 
+    def test_representative_readded_with_canonical_rhs_replaces_pending(self):
+        n, other = Fresh((2,)), Fresh((9,))
+        pen, can = Pending(lambda: None), canonical_int(3)
+        store = addb(1, other, pen, addb(1, n, pen, EMPTY_PER_LOCUS))
+        after = addb(1, n, can, store)
+        assert after.classes[1] == BindingClass(n, can, frozenset({other}))
+        assert after.classes[1].rhs is can
+        assert store.classes[1].rhs is pen  # the store added to is unchanged
+        # a pending right-hand side never replaces a canonical one
+        assert addb(1, n, Pending(lambda: None), after) == after
+
     def test_matches_naive_model_exhaustively(self):
         keys = (1, 2, 3)
         for length in (1, 2, 3):
@@ -133,6 +148,25 @@ class TestAddb:
                 for key, (rep, aliases) in classes.items():
                     assert store.classes[key].name == rep
                     assert store.classes[key].aliases == aliases
+
+
+def model_merge(v1, v2):
+    """The merge rule spelled out: per locus, v2's classes in order, each
+    new key appended, each existing class keeping its name, absorbing the
+    incoming names as aliases and taking the incoming right-hand side only
+    when it alone is canonical."""
+    out = {loc: dict(store.classes) for loc, store in v1.stores.items()}
+    for loc, store in v2.stores.items():
+        classes = out.setdefault(loc, {})
+        for key, cls in store.classes.items():
+            old = classes.get(key)
+            if old is None:
+                classes[key] = cls
+                continue
+            canonical = isinstance(cls.rhs, Canonical) and not isinstance(old.rhs, Canonical)
+            aliases = (old.aliases | cls.aliases | {cls.name}) - {old.name}
+            classes[key] = BindingClass(old.name, cls.rhs if canonical else old.rhs, aliases)
+    return {loc: PerLocus(classes) for loc, classes in out.items()}
 
 
 class TestMerge:
@@ -175,11 +209,91 @@ class TestMerge:
         assert merged(pen1, can2) is can2  # incoming canonical canonicalizes
         assert merged(pen1, pen2) is pen1  # pending keeps first
 
+    def test_store_into_bindings_lacking_its_locus_is_the_fold_into_empty(self):
+        n1, n2, n3 = Fresh((1,)), Fresh((2,)), Fresh((3,))
+        incoming = EMPTY_PER_LOCUS
+        for key, name, i in [(1, n1, 3), (1, n2, 4), (2, n3, 5)]:
+            incoming = addb(key, name, canonical_int(i), incoming)
+        v1 = singleton((7,), addb(1, Fresh((8,)), canonical_int(0), EMPTY_PER_LOCUS))
+        got = merge(v1, singleton((6,), incoming))
+        assert got.at((6,)) == model_merge(EMPTY_BINDINGS, singleton((6,), incoming))[(6,)]
+        assert tuple(got.at((6,)).classes) == (1, 2)
+        assert got.at((6,)).classes[1].aliases == {n2}
+        assert got.at((7,)) == v1.at((7,))
+
+    def test_matches_the_fold_rule_on_random_stores(self):
+        rng = random.Random(8)
+        names = [Fresh((i,)) for i in range(4)]
+        rhss = [canonical_int(0), canonical_int(1), Pending(lambda: None)]
+
+        def grow(v, steps):
+            for _ in range(steps):
+                loc = rng.choice([(), (1,)])
+                key, name, rhs = rng.randrange(4), rng.choice(names), rng.choice(rhss)
+                v = v.set(loc, addb(key, name, rhs, v.at(loc)))
+            return v
+
+        for _ in range(300):
+            shared = grow(EMPTY_BINDINGS, rng.randrange(4))
+            v1 = grow(shared, rng.randrange(4))
+            v2 = grow(shared, rng.randrange(4))
+            got = merge(v1, v2)
+            want = model_merge(v1, v2)
+            assert got.stores == want
+            assert [tuple(s.classes) for s in got.stores.values()] == [
+                tuple(s.classes) for s in want.values()
+            ]
+
     def test_distinct_loci_stay_separate(self):
         a = singleton((1,), addb(1, Fresh((5,)), canonical_int(0), EMPTY_PER_LOCUS))
         b = singleton((2,), addb(1, Fresh((6,)), canonical_int(0), EMPTY_PER_LOCUS))
         both = merge(a, b)
         assert set(both.loci()) == {(1,), (2,)}
+
+
+RECORDS = {
+    Locus: (Locus((1, 2)), ["location"]),
+    Canonical: (Canonical(IntLit(1)), ["denotation"]),
+    BindingClass: (
+        BindingClass(Source("a"), Canonical(IntLit(1)), frozenset({Source("b")})),
+        ["name", "rhs", "aliases"],
+    ),
+    PerLocus: (PerLocus({1: BindingClass(Source("a"), Canonical(IntLit(1)))}), ["classes"]),
+    VirtualBindings: (
+        VirtualBindings({(3,): PerLocus({1: BindingClass(Source("a"), Canonical(IntLit(1)))})}),
+        ["stores"],
+    ),
+    # a semantics compares by identity, so a stand-in that copies to an equal
+    BuildContext: (BuildContext(None, 7), ["sem", "canon_limit"]),
+    ExampleEntry: (lookup("t1"), ["name", "kind", "arity", "builder"]),
+}
+
+
+class TestRecords:
+    """Insertion, build and example records are frozen slotted dataclasses."""
+
+    def test_every_record_has_a_sample(self):
+        found = records_of(insertion) | records_of(codec) | records_of(examples)
+        assert found == set(RECORDS)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_contract(self, cls):
+        check_record(*RECORDS[cls])
+
+    def test_repr(self):
+        assert repr(Locus((1, 2))) == "Locus(location=(1, 2))"
+        assert repr(RECORDS[BindingClass][0]) == (
+            "BindingClass(name=Source('a'), rhs=Canonical(denotation=IntLit(value=1)), "
+            "aliases=frozenset({Source('b')}))"
+        )
+
+    def test_defaults(self):
+        assert BindingClass(Source("a"), None).aliases == frozenset()
+        assert PerLocus().classes == {} and VirtualBindings().stores == {}
+        assert PerLocus().classes is not PerLocus().classes
+        assert BuildContext(None).canon_limit == DEFAULT_CANON_LIMIT
+        assert dataclasses.fields(BindingClass)[2].default == frozenset()
+        assert dataclasses.fields(PerLocus)[0].default_factory is dict
 
 
 class TestStoreInvariants:
