@@ -70,12 +70,12 @@ class _Record(type):
     """Metaclass of the library's records: syntax nodes, values, names written
     in source, and the insertion and build records.
 
-    A record is a dataclass of its annotated fields (`fields`,
+    A record is a frozen dataclass of its annotated fields (`fields`,
     `__match_args__`, field-wise `==`, `hash` and `repr`) whose fields live
-    in `__slots__`. It is frozen by its own `__setattr__` and `__delattr__`,
-    which raise `FrozenInstanceError`. Its `__init__` stores each argument
-    through its slot's descriptor, where a frozen dataclass's calls
-    `object.__setattr__` per field. A subclass of a record is a record.
+    in `__slots__`. Its `__init__` stores each argument through its slot's
+    descriptor, where a frozen dataclass's calls `object.__setattr__` per
+    field. A subclass of a record is a record, and may be decorated with
+    `@dataclass(frozen=True)` as a subclass of a frozen dataclass may.
 
     Slots can only be declared when a class is created. A class decorator
     gets a class that exists already and must build a second one; the first
@@ -86,12 +86,17 @@ class _Record(type):
     def __new__(mcls, name, bases, ns):
         fields = ns.get("__annotations__", {})
         defaults = {f: ns.pop(f) for f in fields if f in ns}
-        ns = {**_RECORD_METHODS, **ns, "__slots__": tuple(fields)}
+        ns = {"__reduce__": _rebuild, **ns, "__slots__": tuple(fields)}
         cls = super().__new__(mcls, name, bases, ns)
-        # not `frozen=True`: that generates two more functions per class,
-        # the largest part of a record's import cost; `unsafe_hash` then
-        # keeps the field-wise hash a frozen dataclass would have
-        dataclasses.dataclass(unsafe_hash=True)(cls)
+        dataclasses.dataclass(frozen=True)(cls)
+        # `@dataclass(frozen=True)` refuses a class whose own body holds
+        # `__setattr__` or `__delattr__`, so a record below the top of its
+        # hierarchy keeps none and inherits the top one's, which refuses
+        # every field of every subclass
+        if any(isinstance(b, _Record) for b in bases):
+            del cls.__setattr__, cls.__delattr__
+        else:
+            cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
         # a slot and a class attribute cannot share a name, so the defaults
         # were held back from the class body; give them to the fields
         for f, default in defaults.items():
@@ -116,13 +121,6 @@ def _rebuild(self):
     # copy and pickle rebuild a record through `__init__`: the frozen
     # `__setattr__` refuses their field-by-field restore of slots
     return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-
-_RECORD_METHODS = {
-    "__setattr__": _frozen_setattr,
-    "__delattr__": _frozen_delattr,
-    "__reduce__": _rebuild,
-}
 
 
 def _slot_init(cls):

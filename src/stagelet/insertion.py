@@ -107,16 +107,11 @@ EMPTY_PER_LOCUS = PerLocus()
 def _fold(existing: BindingClass, name, rhs, aliases) -> BindingClass:
     """`existing` after absorbing a class with the given fields: it keeps its
     name, takes the incoming names as aliases, and keeps its right-hand side
-    unless only the incoming one is canonical. `existing` itself when nothing
-    changes."""
+    unless only the incoming one is canonical."""
     if isinstance(rhs, Canonical) and not isinstance(existing.rhs, Canonical):
         kept = rhs
     else:
         kept = existing.rhs
-    if name is existing.name and aliases <= existing.aliases:
-        if kept is existing.rhs:
-            return existing
-        return BindingClass(name, kept, existing.aliases)
     return BindingClass(
         existing.name, kept, (existing.aliases | aliases | {name}) - {existing.name}
     )
@@ -129,14 +124,11 @@ def addb(key, name, rhs, store: PerLocus) -> PerLocus:
     own right-hand side; a new key enters greater than everything present.
     """
     existing = store.classes.get(key)
-    if existing is None:
-        cls = BindingClass(name, rhs)
-    else:
-        cls = _fold(existing, name, rhs, _NO_ALIASES)
-        if cls is existing:
-            return store
     classes = dict(store.classes)
-    classes[key] = cls
+    if existing is None:
+        classes[key] = BindingClass(name, rhs)
+    else:
+        classes[key] = _fold(existing, name, rhs, _NO_ALIASES)
     return PerLocus(classes)
 
 
@@ -196,7 +188,7 @@ def merge(v1: VirtualBindings, v2: VirtualBindings) -> VirtualBindings:
             existing = classes.get(key)
             if existing is None:
                 classes[key] = cls
-            elif cls is not existing:
+            else:
                 classes[key] = _fold(existing, cls.name, cls.rhs, cls.aliases)
         stores[loc] = PerLocus(classes)
     return VirtualBindings(stores)

@@ -62,6 +62,7 @@ def check_record(obj, fields):
     are named `fields` in order."""
     cls = type(obj)
     assert not hasattr(obj, "__dict__")
+    assert cls.__dataclass_params__.frozen
     assert [f.name for f in dataclasses.fields(obj)] == fields
     assert list(cls.__dataclass_fields__) == fields
     assert cls.__match_args__ == tuple(fields)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -445,6 +446,18 @@ class MyAdd(Add):
     """A user's subclass: every walk treats it as its base class."""
 
 
+@dataclasses.dataclass(frozen=True)
+class DecoratedMul(Mul):
+    """A user's subclass decorated as a frozen dataclass's subclass may be."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Neg(BaseAst):
+    """A user's new node kind, decorated the same way; no walk knows it."""
+
+    arg: BaseAst
+
+
 class TestDispatch:
     def test_samples_cover_every_concrete_node(self):
         assert concrete_node_classes() == set(SAMPLES)
@@ -538,6 +551,21 @@ class TestRecords:
 
     def test_a_subclass_of_a_record_is_a_record(self):
         check_record(MyAdd(Var(x), IntLit(2)), ["left", "right"])
+
+    def test_a_decorated_subclass_builds_and_walks(self):
+        check_record(DecoratedMul(Var(x), IntLit(2)), ["left", "right"])
+        assert Mul.__subclasses__().count(DecoratedMul) == 1
+        tree = Let(y, DecoratedMul(Var(x), IntLit(3)), DecoratedMul(Var(y), Var(y)))
+        plain = Let(y, Mul(Var(x), IntLit(3)), Mul(Var(y), Var(y)))
+        for walk in WALKS.values():
+            assert walk(tree) == walk(plain)
+        assert eval_ast(tree, {x: VInt(2)}) == VInt(36)
+
+    def test_a_decorated_new_kind_is_a_record_no_walk_knows(self):
+        check_record(Neg(IntLit(1)), ["arg"])
+        assert BaseAst.__subclasses__().count(Neg) == 1
+        with pytest.raises(TypeMismatch, match="not a syntax tree"):
+            pretty(Neg(IntLit(1)))
 
     @pytest.mark.parametrize("base", [BaseAst, BinOp, Value, Name], ids=lambda c: c.__name__)
     def test_each_class_is_listed_once_under_its_base(self, base):
