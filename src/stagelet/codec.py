@@ -18,12 +18,12 @@ from .base import (
     Fresh,
     Mul,
     Sub,
+    TypeMismatch,
     Value,
     _HostStack,
     _Record,
 )
 from .insertion import (
-    Canonical,
     DEFAULT_CANON_LIMIT,
     EMPTY_BINDINGS,
     EMPTY_PER_LOCUS,
@@ -96,14 +96,20 @@ class CodeValue:
         return "CodeValue(...)"
 
 
+def _expect(x, kind=CodeValue, what="code value"):
+    """`x` if it is a `kind`, else a TypeMismatch raised where the generator
+    was written; hot combinators test inline and call this only to raise."""
+    if not isinstance(x, kind):
+        raise TypeMismatch(f"not a {what}: {x!r}")
+    return x
+
+
 def _lift(x):
-    if isinstance(x, CodeValue):
-        return x
     if isinstance(x, bool):
         return cbool(x)
     if isinstance(x, int):
         return cint(x)
-    raise TypeError(f"cannot lift {x!r} into a code value")
+    return _expect(x)
 
 
 def cint(i: int) -> CodeValue:
@@ -115,6 +121,8 @@ def cbool(b: bool) -> CodeValue:
 
 
 def csucc(a: CodeValue) -> CodeValue:
+    _expect(a)
+
     def build(ctx, loc):
         d, v = a._build(ctx, loc + (1,))
         return ctx.sem.mk_succ(d), v
@@ -124,6 +132,8 @@ def csucc(a: CodeValue) -> CodeValue:
 
 def _binop(cls, a, b):
     """Code of binary operator `cls` applied to `a` and `b`."""
+    if not (isinstance(a, CodeValue) and isinstance(b, CodeValue)):
+        _expect(a), _expect(b)
 
     def build(ctx, loc):
         d1, v1 = a._build(ctx, loc + (1,))
@@ -154,6 +164,9 @@ def ceq(a, b) -> CodeValue:
 
 
 def capp(f: CodeValue, a: CodeValue) -> CodeValue:
+    if not (isinstance(f, CodeValue) and isinstance(a, CodeValue)):
+        _expect(f), _expect(a)
+
     def build(ctx, loc):
         d1, v1 = f._build(ctx, loc + (1,))
         d2, v2 = a._build(ctx, loc + (2,))
@@ -163,6 +176,10 @@ def capp(f: CodeValue, a: CodeValue) -> CodeValue:
 
 
 def cif(c: CodeValue, t: CodeValue, e: CodeValue) -> CodeValue:
+    if not (isinstance(c, CodeValue) and isinstance(t, CodeValue)
+            and isinstance(e, CodeValue)):
+        _expect(c), _expect(t), _expect(e)
+
     def build(ctx, loc):
         dc, vc = c._build(ctx, loc + (1,))
         dt, vt = t._build(ctx, loc + (2,))
@@ -183,7 +200,7 @@ def clam(f, hint=None) -> CodeValue:
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
-        d, v = f(_var_code(name))._build(ctx, loc + (1,))
+        d, v = _expect(f(_var_code(name)))._build(ctx, loc + (1,))
         return ctx.sem.mk_lam(name, d), v
 
     return CodeValue(build)
@@ -191,11 +208,12 @@ def clam(f, hint=None) -> CodeValue:
 
 def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
     """Code of a let whose location is fixed right here."""
+    _expect(rhs)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
         d1, v1 = rhs._build(ctx, loc + (1,))
-        d2, v2 = body(_var_code(name))._build(ctx, loc + (2,))
+        d2, v2 = _expect(body(_var_code(name)))._build(ctx, loc + (2,))
         return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 
     return CodeValue(build)
@@ -204,12 +222,14 @@ def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
 def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     """Request a let-binding of `code` at `locus`, shared by memo key; the
     result is the code of the bound variable."""
+    if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
+        _expect(locus, Locus, "locus"), _expect(code)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
         d, v = code._build(ctx, loc + (2,))
         at = locus.location
-        return ctx.sem.mk_var(name), v.set(at, addb(key, name, Canonical(d), v.at(at)))
+        return ctx.sem.mk_var(name), v.set(at, addb(key, name, d, v.at(at)))
 
     return CodeValue(build)
 
@@ -219,7 +239,7 @@ def with_locus(f) -> CodeValue:
     become nested let-expressions here; others keep floating."""
 
     def build(ctx, loc):
-        d, v = f(Locus(loc))._build(ctx, loc + (1,))
+        d, v = _expect(f(Locus(loc)))._build(ctx, loc + (1,))
         den = bind_lets(ordered(v.at(loc)), d, ctx.sem)
         return den, v.without(loc)
 
@@ -230,6 +250,8 @@ def genletrec(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     """Request a letrec clause at `locus`. `code` is not evaluated here: the
     binding stores it anchored to this site, to be forced during
     canonicalization (so recursive generators terminate)."""
+    if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
+        _expect(locus, Locus, "locus"), _expect(code)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
@@ -245,7 +267,7 @@ def with_locus_rec(f) -> CodeValue:
     bind them all in a single letrec."""
 
     def build(ctx, loc):
-        d, v = f(Locus(loc))._build(ctx, loc + (1,))
+        d, v = _expect(f(Locus(loc)))._build(ctx, loc + (1,))
         v = canon(v, loc, ctx.canon_limit)
         return bind_letrec(ordered(v.at(loc)), d, ctx.sem), v.without(loc)
 
@@ -259,6 +281,7 @@ def _complete(bindings: VirtualBindings):
 
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
     """Build the syntax tree a complete generator produces."""
+    _expect(code)
     ctx = BuildContext(ShowSemantics(), canon_limit)
     with _HostStack("show"):
         d, v = code._build(ctx, ROOT)
@@ -272,6 +295,7 @@ def run(
     canon_limit=DEFAULT_CANON_LIMIT,
 ) -> Value:
     """Evaluate a complete generator to the value its code means."""
+    _expect(code)
     ctx = BuildContext(RunSemantics(step_limit), canon_limit)
     with _HostStack("run"):
         d, v = code._build(ctx, ROOT)

@@ -2,12 +2,16 @@
 
 A binding requested deep inside a generator floats upward attached to code
 values until the locus it names converts it to a let (or letrec) around the
-code built there. Stores are immutable: every operation returns a new store.
+code built there. The bindings destined for one locus are a store: an
+insertion-ordered dict from memo key to `BindingClass`. Stores are immutable
+by convention: every operation returns a new dict and never writes into one
+it was given.
 """
 
 from __future__ import annotations
 
 from dataclasses import field
+from types import MappingProxyType
 
 from .base import StagingError, _Record
 
@@ -47,12 +51,6 @@ class Locus(metaclass=_Record):
     location: tuple
 
 
-class Canonical(metaclass=_Record):
-    """A right-hand side that is already a denotation."""
-
-    denotation: object
-
-
 class Pending:
     """A right-hand side that is still a code value, anchored to a fixed
     location; forcing it twice yields structurally identical results."""
@@ -74,41 +72,21 @@ class BindingClass(metaclass=_Record):
     to bind, its right-hand side, and the other names to rewrite into it."""
 
     name: object
-    rhs: object  # Canonical | Pending
+    rhs: object  # a denotation, or a Pending
     aliases: frozenset = frozenset()
 
 
 _NO_ALIASES = frozenset()
 
-
-class PerLocus(metaclass=_Record):
-    """Bindings destined for one locus: the classes by memo key, in
-    first-insertion order.
-
-    A new key only ever enters above every key already present, so this
-    order is the whole binding preorder: the bindings a right-hand side
-    requested were inserted before its own key. Equality is order-sensitive.
-    """
-
-    classes: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, PerLocus):
-            return NotImplemented
-        return list(self.classes.items()) == list(other.classes.items())
-
-    def is_empty(self):
-        return not self.classes
-
-
-EMPTY_PER_LOCUS = PerLocus()
+# the store of a locus with no requests; shared, so read-only
+EMPTY_PER_LOCUS = MappingProxyType({})
 
 
 def _fold(existing: BindingClass, name, rhs, aliases) -> BindingClass:
     """`existing` after absorbing a class with the given fields: it keeps its
     name, takes the incoming names as aliases, and keeps its right-hand side
-    unless only the incoming one is canonical."""
-    if isinstance(rhs, Canonical) and not isinstance(existing.rhs, Canonical):
+    unless only the incoming one is forced."""
+    if isinstance(existing.rhs, Pending) and not isinstance(rhs, Pending):
         kept = rhs
     else:
         kept = existing.rhs
@@ -117,19 +95,21 @@ def _fold(existing: BindingClass, name, rhs, aliases) -> BindingClass:
     )
 
 
-def addb(key, name, rhs, store: PerLocus) -> PerLocus:
+def addb(key, name, rhs, store):
     """Add one requested binding of `name` to `rhs` under memo key `key`.
 
     An existing class for the key absorbs the name as an alias and keeps its
     own right-hand side; a new key enters greater than everything present.
+    So the key order is the whole binding preorder: the bindings a
+    right-hand side requested were inserted before its own key.
     """
-    existing = store.classes.get(key)
-    classes = dict(store.classes)
+    existing = store.get(key)
+    classes = dict(store)
     if existing is None:
         classes[key] = BindingClass(name, rhs)
     else:
         classes[key] = _fold(existing, name, rhs, _NO_ALIASES)
-    return PerLocus(classes)
+    return classes
 
 
 class VirtualBindings(metaclass=_Record):
@@ -138,7 +118,7 @@ class VirtualBindings(metaclass=_Record):
 
     stores: dict = field(default_factory=dict)
 
-    def at(self, loc) -> PerLocus:
+    def at(self, loc):
         return self.stores.get(loc, EMPTY_PER_LOCUS)
 
     def loci(self):
@@ -147,9 +127,9 @@ class VirtualBindings(metaclass=_Record):
     def is_empty(self):
         return not self.stores
 
-    def set(self, loc, store: PerLocus) -> "VirtualBindings":
+    def set(self, loc, store) -> "VirtualBindings":
         new = dict(self.stores)
-        if store.is_empty():
+        if not store:
             new.pop(loc, None)
         else:
             new[loc] = store
@@ -166,7 +146,7 @@ class VirtualBindings(metaclass=_Record):
 EMPTY_BINDINGS = VirtualBindings()
 
 
-def singleton(loc, store: PerLocus) -> VirtualBindings:
+def singleton(loc, store) -> VirtualBindings:
     return EMPTY_BINDINGS.set(loc, store)
 
 
@@ -183,21 +163,21 @@ def merge(v1: VirtualBindings, v2: VirtualBindings) -> VirtualBindings:
         if store is None:
             stores[loc] = incoming
             continue
-        classes = dict(store.classes)
-        for key, cls in incoming.classes.items():
+        classes = dict(store)
+        for key, cls in incoming.items():
             existing = classes.get(key)
             if existing is None:
                 classes[key] = cls
             else:
                 classes[key] = _fold(existing, cls.name, cls.rhs, cls.aliases)
-        stores[loc] = PerLocus(classes)
+        stores[loc] = classes
     return VirtualBindings(stores)
 
 
-def ordered(store: PerLocus):
+def ordered(store):
     """The classes in binding order, outermost first: a class's right-hand
     side mentions only classes before it."""
-    return list(store.classes.values())
+    return list(store.values())
 
 
 def subst(representative, aliases, denotation):
@@ -225,7 +205,7 @@ def _require_canonical(cls: BindingClass):
             f"binding {cls.name.render()} is still a code value; "
             "letrec-requested bindings need a letrec locus"
         )
-    return cls.rhs.denotation
+    return cls.rhs
 
 
 def bind_lets(classes, body, sem):
@@ -264,20 +244,15 @@ def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):
     rounds = 0
     while True:
         store = current.at(loc)
-        pending_keys = [
-            k for k, cls in store.classes.items() if isinstance(cls.rhs, Pending)
-        ]
+        pending_keys = [k for k, cls in store.items() if isinstance(cls.rhs, Pending)]
         if not pending_keys:
             return current
         if rounds >= round_limit:
             raise CanonLimitExceeded(loc, pending_keys)
         key = pending_keys[0]
-        cls = store.classes[key]
+        cls = store[key]
         den, produced = cls.rhs.force()
-        classes = dict(store.classes)
-        classes[key] = BindingClass(cls.name, Canonical(den), cls.aliases)
-        current = merge(
-            current.set(loc, PerLocus(classes)),
-            produced,
-        )
+        classes = dict(store)
+        classes[key] = BindingClass(cls.name, den, cls.aliases)
+        current = merge(current.set(loc, classes), produced)
         rounds += 1

@@ -37,7 +37,6 @@ from stagelet.insertion import (
     EMPTY_BINDINGS,
     EMPTY_PER_LOCUS,
     BindingClass,
-    Canonical,
     addb,
     canon,
     merge,
@@ -156,24 +155,24 @@ def test_c05_shared_sums_worked_example():
         # unit-style replay of the intermediate stores
         s = ShowSemantics()
         n2, n4, n6 = Fresh((2,)), Fresh((4,)), Fresh((6,))
-        d3 = Canonical(s.mk_binop(Add, s.mk_int(6), s.mk_int(7)))
-        d4 = Canonical(s.mk_binop(Add, s.mk_var(n2), s.mk_int(20)))
-        d6 = Canonical(s.mk_binop(Add, s.mk_var(n2), s.mk_int(30)))
+        d3 = s.mk_binop(Add, s.mk_int(6), s.mk_int(7))
+        d4 = s.mk_binop(Add, s.mk_var(n2), s.mk_int(20))
+        d6 = s.mk_binop(Add, s.mk_var(n2), s.mk_int(30))
         v2 = addb(1, n2, d3, EMPTY_PER_LOCUS)
-        assert tuple(v2.classes) == (1,)
-        assert v2.classes == {1: BindingClass(n2, d3, frozenset())}
+        assert tuple(v2) == (1,)
+        assert v2 == {1: BindingClass(n2, d3, frozenset())}
         v4 = addb(2, n4, d4, v2)
-        assert tuple(v4.classes) == (1, 2)
-        assert v4.classes == {
+        assert tuple(v4) == (1, 2)
+        assert v4 == {
             1: BindingClass(n2, d3, frozenset()),
             2: BindingClass(n4, d4, frozenset()),
         }
         v6 = addb(3, n6, d6, v2)
-        assert tuple(v6.classes) == (1, 3)
+        assert tuple(v6) == (1, 3)
         locus = (1,)
         v5 = merge(singleton(locus, v4), singleton(locus, v6)).at(locus)
-        assert tuple(v5.classes) == (1, 2, 3)
-        assert v5.classes == {
+        assert tuple(v5) == (1, 2, 3)
+        assert v5 == {
             1: BindingClass(n2, d3, frozenset()),
             2: BindingClass(n4, d4, frozenset()),
             3: BindingClass(n6, d6, frozenset()),
@@ -292,22 +291,22 @@ def test_c10_run_show_coherence():
 def test_c11_machinery_algebra():
     with criterion(11, "machinery algebra"):
         # merge identity
-        store = addb(1, Fresh((3,)), Canonical(ShowSemantics().mk_int(1)), EMPTY_PER_LOCUS)
+        store = addb(1, Fresh((3,)), ShowSemantics().mk_int(1), EMPTY_PER_LOCUS)
         nu = singleton((), store)
         assert merge(nu, EMPTY_BINDINGS) == nu
         assert merge(EMPTY_BINDINGS, nu) == nu
 
         # ordered respects the preorder, which is the insertion order
         rng = random.Random(1111)
-        can = Canonical(ShowSemantics().mk_int(0))
+        can = ShowSemantics().mk_int(0)
         for _ in range(40):
             st = EMPTY_PER_LOCUS
             nkeys = rng.randrange(1, 6)
             for i in range(rng.randrange(1, 10)):
                 st = addb(rng.randrange(nkeys), Fresh((i,)), can, st)
-            by_class = {id(cls): k for k, cls in st.classes.items()}
+            by_class = {id(cls): k for k, cls in st.items()}
             got = tuple(by_class[id(cls)] for cls in ordered(st))
-            assert got == tuple(st.classes)
+            assert got == tuple(st)
 
         # addb's two cases on exhaustively enumerated stores of <=3 keys
         for length in (1, 2, 3):
@@ -317,13 +316,13 @@ def test_c11_machinery_algebra():
                     name = Fresh((pos + 20,))
                     before = st
                     st = addb(key, name, can, st)
-                    if key in before.classes:
-                        assert tuple(st.classes) == tuple(before.classes)
-                        assert name in st.classes[key].aliases
-                        assert st.classes[key].name == before.classes[key].name
+                    if key in before:
+                        assert tuple(st) == tuple(before)
+                        assert name in st[key].aliases
+                        assert st[key].name == before[key].name
                     else:
-                        assert tuple(st.classes) == tuple(before.classes) + (key,)
-                        assert st.classes[key] == BindingClass(name, can)
+                        assert tuple(st) == tuple(before) + (key,)
+                        assert st[key] == BindingClass(name, can)
 
         # canon is idempotent on canonical stores
         assert canon(nu, ()) is nu

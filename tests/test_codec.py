@@ -10,6 +10,7 @@ from stagelet import (
     IntLit,
     Lam,
     Let,
+    Locus,
     Mul,
     Source,
     StagingError,
@@ -24,20 +25,26 @@ from stagelet import (
     capp,
     cbool,
     cdiv,
+    ceq,
     cif,
     cint,
     clam,
     clet,
     cmul,
     csub,
+    csucc,
     eval_ast,
     free_vars,
+    genlet,
+    genletrec,
     lookup,
     pretty,
     registry,
     run,
     show,
     to_sexp,
+    with_locus,
+    with_locus_rec,
 )
 from stagelet.codec import BuildContext
 from stagelet.examples import ExampleKind
@@ -297,3 +304,70 @@ class TestRunErrors:
     def test_free_output_is_still_showable(self):
         tree = show(lookup("clgib5-extruded").builder())
         assert free_vars(tree)
+
+
+class TestNotCode:
+    """Something that is not code where code belongs, or not a locus where a
+    locus belongs, is a TypeMismatch naming it, not a raw Python error."""
+
+    def test_lambda_body(self):
+        with pytest.raises(TypeMismatch, match="^not a code value: 3$"):
+            show(clam(lambda v: 3))
+
+    def test_operand(self):
+        with pytest.raises(TypeMismatch, match="^not a code value: 1$"):
+            show(cadd(1, cint(2)))
+
+    def test_locus_body(self):
+        with pytest.raises(TypeMismatch, match="^not a code value: 5$"):
+            run(with_locus(lambda l: 5))
+
+    def test_genlet_locus(self):
+        with pytest.raises(TypeMismatch, match="^not a locus: None$"):
+            show(genlet(None, 1, cint(1)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: csucc("x"),
+            lambda: csub(cint(1), "x"),
+            lambda: cmul("x", cint(1)),
+            lambda: cdiv(cint(1), "x"),
+            lambda: ceq(cint(1), "x"),
+            lambda: capp(cint(1), "x"),
+            lambda: cif(cbool(True), cint(1), "x"),
+            lambda: clet("x", lambda v: v),
+            lambda: genlet(Locus(()), 1, "x"),
+            lambda: genletrec(Locus(()), 1, "x"),
+            lambda: cint(1) + "x",
+            lambda: show("x"),
+            lambda: run("x"),
+        ],
+        ids=[
+            "csucc", "csub", "cmul", "cdiv", "ceq", "capp", "cif", "clet",
+            "genlet", "genletrec", "lift", "show", "run",
+        ],
+    )
+    def test_arguments_are_checked_when_written(self, make):
+        with pytest.raises(TypeMismatch, match="^not a code value: 'x'$"):
+            make()
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            clam(lambda v: "x"),
+            clet(cint(1), lambda v: "x"),
+            with_locus(lambda l: "x"),
+            with_locus_rec(lambda l: "x"),
+            with_locus(lambda l: cadd(cint(1), clam(lambda v: "x"))),
+        ],
+        ids=["clam", "clet", "with_locus", "with_locus_rec", "nested"],
+    )
+    def test_callback_results_are_checked(self, code):
+        for meaning in (show, run):
+            with pytest.raises(TypeMismatch, match="^not a code value: 'x'$"):
+                meaning(code)
+
+    def test_genletrec_locus(self):
+        with pytest.raises(TypeMismatch, match="^not a locus: 'l'$"):
+            genletrec("l", 0, cint(1))

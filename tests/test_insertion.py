@@ -45,9 +45,7 @@ from stagelet.insertion import (
     EMPTY_BINDINGS,
     EMPTY_PER_LOCUS,
     BindingClass,
-    Canonical,
     Pending,
-    PerLocus,
     VirtualBindings,
     addb,
     bind_letrec,
@@ -79,7 +77,7 @@ R = RunSemantics
 
 
 def canonical_int(i):
-    return Canonical(S().mk_int(i))
+    return S().mk_int(i)
 
 
 class TestAddb:
@@ -87,42 +85,42 @@ class TestAddb:
         name = Fresh((2,))
         rhs = canonical_int(3)
         v2 = addb(1, name, rhs, EMPTY_PER_LOCUS)
-        assert tuple(v2.classes) == (1,)
-        assert v2.classes == {1: BindingClass(name, rhs, frozenset())}
+        assert tuple(v2) == (1,)
+        assert v2 == {1: BindingClass(name, rhs, frozenset())}
 
     def test_new_key_becomes_latest(self):
         n2, n4 = Fresh((2,)), Fresh((4,))
         v2 = addb(1, n2, canonical_int(3), EMPTY_PER_LOCUS)
         v4 = addb(2, n4, canonical_int(20), v2)
-        assert tuple(v4.classes) == (1, 2)
-        assert set(v4.classes) == {1, 2}
+        assert tuple(v4) == (1, 2)
+        assert set(v4) == {1, 2}
 
     def test_existing_key_gains_alias_and_keeps_rhs(self):
         n2, other = Fresh((2,)), Fresh((9,))
         rhs = canonical_int(3)
         v2 = addb(1, n2, rhs, EMPTY_PER_LOCUS)
         v = addb(1, other, canonical_int(99), v2)
-        cls = v.classes[1]
+        cls = v[1]
         assert cls.name == n2
         assert cls.rhs is rhs  # the later right-hand side is disregarded
         assert cls.aliases == {other}
-        assert tuple(v.classes) == tuple(v2.classes)
-        assert tuple(v.classes) == (1,)
+        assert tuple(v) == tuple(v2)
+        assert tuple(v) == (1,)
 
     def test_reinserting_the_representative_is_a_noop_alias(self):
         n = Fresh((2,))
         v = addb(1, n, canonical_int(3), EMPTY_PER_LOCUS)
         v = addb(1, n, canonical_int(3), v)
-        assert v.classes[1].aliases == frozenset()
+        assert v[1].aliases == frozenset()
 
     def test_representative_readded_with_canonical_rhs_replaces_pending(self):
         n, other = Fresh((2,)), Fresh((9,))
         pen, can = Pending(lambda: None), canonical_int(3)
         store = addb(1, other, pen, addb(1, n, pen, EMPTY_PER_LOCUS))
         after = addb(1, n, can, store)
-        assert after.classes[1] == BindingClass(n, can, frozenset({other}))
-        assert after.classes[1].rhs is can
-        assert store.classes[1].rhs is pen  # the store added to is unchanged
+        assert after[1] == BindingClass(n, can, frozenset({other}))
+        assert after[1].rhs is can
+        assert store[1].rhs is pen  # the store added to is unchanged
         # a pending right-hand side never replaces a canonical one
         assert addb(1, n, Pending(lambda: None), after) == after
 
@@ -144,10 +142,10 @@ class TestAddb:
                     else:
                         classes[key] = (name, frozenset())
                         seen.append(key)
-                assert tuple(store.classes) == tuple(seen)
+                assert tuple(store) == tuple(seen)
                 for key, (rep, aliases) in classes.items():
-                    assert store.classes[key].name == rep
-                    assert store.classes[key].aliases == aliases
+                    assert store[key].name == rep
+                    assert store[key].aliases == aliases
 
 
 def model_merge(v1, v2):
@@ -155,18 +153,18 @@ def model_merge(v1, v2):
     new key appended, each existing class keeping its name, absorbing the
     incoming names as aliases and taking the incoming right-hand side only
     when it alone is canonical."""
-    out = {loc: dict(store.classes) for loc, store in v1.stores.items()}
+    out = {loc: dict(store) for loc, store in v1.stores.items()}
     for loc, store in v2.stores.items():
         classes = out.setdefault(loc, {})
-        for key, cls in store.classes.items():
+        for key, cls in store.items():
             old = classes.get(key)
             if old is None:
                 classes[key] = cls
                 continue
-            canonical = isinstance(cls.rhs, Canonical) and not isinstance(old.rhs, Canonical)
+            forced = isinstance(old.rhs, Pending) and not isinstance(cls.rhs, Pending)
             aliases = (old.aliases | cls.aliases | {cls.name}) - {old.name}
-            classes[key] = BindingClass(old.name, cls.rhs if canonical else old.rhs, aliases)
-    return {loc: PerLocus(classes) for loc, classes in out.items()}
+            classes[key] = BindingClass(old.name, cls.rhs if forced else old.rhs, aliases)
+    return out
 
 
 class TestMerge:
@@ -185,11 +183,11 @@ class TestMerge:
         v6 = addb(3, n6, d6, v2)
         locus = (1,)
         v5 = merge(singleton(locus, v4), singleton(locus, v6)).at(locus)
-        assert tuple(v5.classes) == (1, 2, 3)
-        assert set(v5.classes) == {1, 2, 3}
-        assert v5.classes[1] == BindingClass(n2, d3, frozenset())
-        assert v5.classes[2] == BindingClass(n4, d4, frozenset())
-        assert v5.classes[3] == BindingClass(n6, d6, frozenset())
+        assert tuple(v5) == (1, 2, 3)
+        assert set(v5) == {1, 2, 3}
+        assert v5[1] == BindingClass(n2, d3, frozenset())
+        assert v5[2] == BindingClass(n4, d4, frozenset())
+        assert v5[3] == BindingClass(n6, d6, frozenset())
 
     def test_rhs_collision_rules(self):
         rep, inc = Fresh((1,)), Fresh((2,))
@@ -199,7 +197,7 @@ class TestMerge:
         def merged(a, b):
             sa = singleton((), addb(0, rep, a, EMPTY_PER_LOCUS))
             sb = singleton((), addb(0, inc, b, EMPTY_PER_LOCUS))
-            cls = merge(sa, sb).at(()).classes[0]
+            cls = merge(sa, sb).at(())[0]
             assert cls.name == rep
             assert cls.aliases == {inc}
             return cls.rhs
@@ -217,8 +215,8 @@ class TestMerge:
         v1 = singleton((7,), addb(1, Fresh((8,)), canonical_int(0), EMPTY_PER_LOCUS))
         got = merge(v1, singleton((6,), incoming))
         assert got.at((6,)) == model_merge(EMPTY_BINDINGS, singleton((6,), incoming))[(6,)]
-        assert tuple(got.at((6,)).classes) == (1, 2)
-        assert got.at((6,)).classes[1].aliases == {n2}
+        assert tuple(got.at((6,))) == (1, 2)
+        assert got.at((6,))[1].aliases == {n2}
         assert got.at((7,)) == v1.at((7,))
 
     def test_matches_the_fold_rule_on_random_stores(self):
@@ -240,8 +238,8 @@ class TestMerge:
             got = merge(v1, v2)
             want = model_merge(v1, v2)
             assert got.stores == want
-            assert [tuple(s.classes) for s in got.stores.values()] == [
-                tuple(s.classes) for s in want.values()
+            assert [tuple(s) for s in got.stores.values()] == [
+                tuple(s) for s in want.values()
             ]
 
     def test_distinct_loci_stay_separate(self):
@@ -253,14 +251,12 @@ class TestMerge:
 
 RECORDS = {
     Locus: (Locus((1, 2)), ["location"]),
-    Canonical: (Canonical(IntLit(1)), ["denotation"]),
     BindingClass: (
-        BindingClass(Source("a"), Canonical(IntLit(1)), frozenset({Source("b")})),
+        BindingClass(Source("a"), IntLit(1), frozenset({Source("b")})),
         ["name", "rhs", "aliases"],
     ),
-    PerLocus: (PerLocus({1: BindingClass(Source("a"), Canonical(IntLit(1)))}), ["classes"]),
     VirtualBindings: (
-        VirtualBindings({(3,): PerLocus({1: BindingClass(Source("a"), Canonical(IntLit(1)))})}),
+        VirtualBindings({(3,): {1: BindingClass(Source("a"), IntLit(1))}}),
         ["stores"],
     ),
     # a semantics compares by identity, so a stand-in that copies to an equal
@@ -283,24 +279,22 @@ class TestRecords:
     def test_repr(self):
         assert repr(Locus((1, 2))) == "Locus(location=(1, 2))"
         assert repr(RECORDS[BindingClass][0]) == (
-            "BindingClass(name=Source('a'), rhs=Canonical(denotation=IntLit(value=1)), "
+            "BindingClass(name=Source('a'), rhs=IntLit(value=1), "
             "aliases=frozenset({Source('b')}))"
         )
 
     def test_defaults(self):
         assert BindingClass(Source("a"), None).aliases == frozenset()
-        assert PerLocus().classes == {} and VirtualBindings().stores == {}
-        assert PerLocus().classes is not PerLocus().classes
+        assert VirtualBindings().stores == {}
         assert BuildContext(None).canon_limit == DEFAULT_CANON_LIMIT
         assert dataclasses.fields(BindingClass)[2].default == frozenset()
-        assert dataclasses.fields(PerLocus)[0].default_factory is dict
 
 
 class TestStoreInvariants:
     def test_preorder_stays_reflexive_and_transitive(self):
         rng = random.Random(23)
         can = canonical_int(0)
-        # the preorder is the key order of `classes`, a linear order, so it
+        # the preorder is the key order of the store, a linear order, so it
         # is reflexive and transitive; check that it is first-request order
         for _ in range(50):
             store = EMPTY_PER_LOCUS
@@ -313,19 +307,9 @@ class TestStoreInvariants:
                 store = merge(
                     singleton((), store), singleton((), other)
                 ).at(())
-            assert tuple(store.classes) == tuple(dict.fromkeys(requested))
-            for cls in store.classes.values():
+            assert tuple(store) == tuple(dict.fromkeys(requested))
+            for cls in store.values():
                 assert cls.name not in cls.aliases
-
-    def test_one_stored_field(self):
-        assert [f.name for f in dataclasses.fields(PerLocus)] == ["classes"]
-
-    def test_equality_is_order_sensitive(self):
-        can = canonical_int(0)
-        a = BindingClass(Fresh((1,)), can)
-        b = BindingClass(Fresh((2,)), can)
-        assert PerLocus({1: a, 2: b}) == PerLocus({1: a, 2: b})
-        assert PerLocus({1: a, 2: b}) != PerLocus({2: b, 1: a})
 
     def test_thousand_keys_keep_first_request_order(self):
         # 8 stores of 250 random requests each, merged at one locus
@@ -347,8 +331,8 @@ class TestStoreInvariants:
         seq = tuple(first)
         assert len(seq) > 900
         assert [c.name for c in ordered(store)] == [first[k] for k in seq]
-        assert all(store.classes[k].aliases == others[k] for k in seq)
-        assert tuple(store.classes) == seq
+        assert all(store[k].aliases == others[k] for k in seq)
+        assert tuple(store) == seq
 
     def test_absent_locus_reads_empty(self):
         assert EMPTY_BINDINGS.at((1, 2)) is EMPTY_PER_LOCUS
@@ -358,6 +342,62 @@ class TestStoreInvariants:
         assert vb.is_empty()
         store = addb(1, Fresh((2,)), canonical_int(1), EMPTY_PER_LOCUS)
         assert singleton((1,), store).without((1,)).is_empty()
+
+
+class TestImmutability:
+    """A store is a plain dict, so only convention keeps it unchanged: no
+    operation writes into a store or a binding map it was given."""
+
+    def test_no_operation_changes_its_inputs(self):
+        rng = random.Random(12)
+        names = [Fresh((i,)) for i in range(4)]
+        locs = [(), (1,)]
+
+        def rhs():
+            pick = rng.randrange(3)
+            if pick < 2:
+                return canonical_int(pick)
+            # forcing requests one more key, with a forced right-hand side
+            loc, key, name = rng.choice(locs), rng.randrange(4), rng.choice(names)
+            return Pending(
+                lambda: (
+                    canonical_int(5),
+                    singleton(loc, addb(key, name, canonical_int(6), EMPTY_PER_LOCUS)),
+                )
+            )
+
+        def grow(v, steps):
+            for _ in range(steps):
+                loc = rng.choice(locs)
+                key, name = rng.randrange(4), rng.choice(names)
+                v = v.set(loc, addb(key, name, rhs(), v.at(loc)))
+            return v
+
+        def snapshot(*vbs):
+            return [
+                (list(v.stores.items()), [list(s.items()) for s in v.stores.values()])
+                for v in vbs
+            ]
+
+        for _ in range(300):
+            v1 = grow(EMPTY_BINDINGS, rng.randrange(5))
+            v2 = grow(EMPTY_BINDINGS, rng.randrange(5))
+            loc = rng.choice(locs)
+            store = v1.at(loc)
+            before = snapshot(v1, v2), list(store.items())
+            addb(rng.randrange(4), rng.choice(names), rhs(), store)
+            merge(v1, v2)
+            merge(v2, v1)
+            canon(v1, loc)
+            v1.set(loc, v2.at(loc))
+            v1.set(loc, EMPTY_PER_LOCUS)
+            v1.without(loc)
+            assert (snapshot(v1, v2), list(store.items())) == before
+
+    def test_the_shared_empty_store_is_read_only(self):
+        with pytest.raises(TypeError):
+            EMPTY_PER_LOCUS[1] = BindingClass(Fresh((1,)), canonical_int(0))
+        assert not EMPTY_PER_LOCUS
 
 
 class TestOrdered:
@@ -372,7 +412,7 @@ class TestOrdered:
     def test_tie_break_by_insertion_seq(self):
         c1 = BindingClass(Fresh((1,)), canonical_int(0))
         c2 = BindingClass(Fresh((2,)), canonical_int(0))
-        store = PerLocus({2: c2, 1: c1})
+        store = {2: c2, 1: c1}
         assert ordered(store) == [c2, c1]
 
     def test_consistent_with_preorder_bruteforce(self):
@@ -385,10 +425,10 @@ class TestOrdered:
                     rng.randrange(nkeys), Fresh((i,)), canonical_int(i), store
                 )
             keys = [
-                next(k for k, c in store.classes.items() if c is cls)
+                next(k for k, c in store.items() if c is cls)
                 for cls in ordered(store)
             ]
-            assert tuple(keys) == tuple(store.classes)
+            assert tuple(keys) == tuple(store)
 
 
 class TestSubst:
@@ -431,7 +471,7 @@ class TestBind:
         s = S()
         f, n = Source("f"), Source("n")
         rhs = s.mk_lam(n, s.mk_app(s.mk_var(f), s.mk_var(n)))
-        cls = BindingClass(f, Canonical(rhs))
+        cls = BindingClass(f, rhs)
         tree = bind_letrec([cls], s.mk_var(f), s)(EMPTY_ENV)
         assert tree == LetRec(((f, Lam(n, App(Var(f), Var(n)))),), Var(f))
 
@@ -589,9 +629,9 @@ class TestCanon:
         _, vb = _ack_requests(Locus(()))(ctx, (1,))
         settled = canon(vb, ())
         store = settled.at(())
-        assert tuple(store.classes) == (2, 1, 0)
+        assert tuple(store) == (2, 1, 0)
         assert all(
-            isinstance(cls.rhs, Canonical) for cls in store.classes.values()
+            not isinstance(cls.rhs, Pending) for cls in store.values()
         )
         # canonicalization is idempotent once settled
         assert canon(settled, ()) is settled
@@ -611,15 +651,15 @@ class TestCanon:
     def test_replay_of_pending_is_stable(self):
         ctx = BuildContext(ShowSemantics())
         _, vb = _ack_requests(Locus(()))(ctx, (1,))
-        cls = vb.at(()).classes[2]
+        cls = vb.at(())[2]
         d1, v1 = cls.rhs.force()
         d2, v2 = cls.rhs.force()
         assert d1(EMPTY_ENV) == d2(EMPTY_ENV)
         assert v1.loci() == v2.loci()
         s1, s2 = v1.at(()), v2.at(())
-        assert tuple(s1.classes) == tuple(s2.classes)
-        assert {k: c.name for k, c in s1.classes.items()} == {
-            k: c.name for k, c in s2.classes.items()
+        assert tuple(s1) == tuple(s2)
+        assert {k: c.name for k, c in s1.items()} == {
+            k: c.name for k, c in s2.items()
         }
 
 
