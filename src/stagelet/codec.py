@@ -30,14 +30,13 @@ from .insertion import (
     Locus,
     Pending,
     ResidualBindings,
-    VirtualBindings,
     addb,
     bind_letrec,
     bind_lets,
     canon,
     merge,
     ordered,
-    singleton,
+    without,
 )
 from .semantics import EMPTY_ENV, RunSemantics, ShowSemantics
 
@@ -113,10 +112,13 @@ def _lift(x):
 
 
 def cint(i: int) -> CodeValue:
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise TypeMismatch(f"not an integer: {i!r}")
     return CodeValue(lambda ctx, loc: (ctx.sem.mk_int(i), EMPTY_BINDINGS))
 
 
 def cbool(b: bool) -> CodeValue:
+    _expect(b, bool, "boolean")
     return CodeValue(lambda ctx, loc: (ctx.sem.mk_bool(b), EMPTY_BINDINGS))
 
 
@@ -219,17 +221,31 @@ def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
     return CodeValue(build)
 
 
+def _expect_hashable(key):
+    """A TypeMismatch raised where the request was written if memo key `key`
+    cannot key a store."""
+    try:
+        hash(key)
+    except TypeError:
+        raise TypeMismatch(f"memo key is not hashable: {key!r}") from None
+
+
 def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     """Request a let-binding of `code` at `locus`, shared by memo key; the
     result is the code of the bound variable."""
     if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
         _expect(locus, Locus, "locus"), _expect(code)
+    _expect_hashable(key)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
         d, v = code._build(ctx, loc + (2,))
         at = locus.location
-        return ctx.sem.mk_var(name), v.set(at, addb(key, name, d, v.at(at)))
+        # a dict also when `v` is the read-only EMPTY_BINDINGS, and cheaper
+        # than spreading that mapping into a dict display
+        bindings = v.copy()
+        bindings[at] = addb(key, name, d, v.get(at, EMPTY_PER_LOCUS))
+        return ctx.sem.mk_var(name), bindings
 
     return CodeValue(build)
 
@@ -240,8 +256,8 @@ def with_locus(f) -> CodeValue:
 
     def build(ctx, loc):
         d, v = _expect(f(Locus(loc)))._build(ctx, loc + (1,))
-        den = bind_lets(ordered(v.at(loc)), d, ctx.sem)
-        return den, v.without(loc)
+        den = bind_lets(ordered(v.get(loc, EMPTY_PER_LOCUS)), d, ctx.sem)
+        return den, without(v, loc)
 
     return CodeValue(build)
 
@@ -252,12 +268,13 @@ def genletrec(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     canonicalization (so recursive generators terminate)."""
     if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
         _expect(locus, Locus, "locus"), _expect(code)
+    _expect_hashable(key)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
         anchored = Pending(lambda: code._build(ctx, loc + (2,)))
         store = addb(key, name, anchored, EMPTY_PER_LOCUS)
-        return ctx.sem.mk_var(name), singleton(locus.location, store)
+        return ctx.sem.mk_var(name), {locus.location: store}
 
     return CodeValue(build)
 
@@ -269,14 +286,15 @@ def with_locus_rec(f) -> CodeValue:
     def build(ctx, loc):
         d, v = _expect(f(Locus(loc)))._build(ctx, loc + (1,))
         v = canon(v, loc, ctx.canon_limit)
-        return bind_letrec(ordered(v.at(loc)), d, ctx.sem), v.without(loc)
+        classes = ordered(v.get(loc, EMPTY_PER_LOCUS))
+        return bind_letrec(classes, d, ctx.sem), without(v, loc)
 
     return CodeValue(build)
 
 
-def _complete(bindings: VirtualBindings):
-    if not bindings.is_empty():
-        raise ResidualBindings(bindings.loci())
+def _complete(bindings):
+    if bindings:
+        raise ResidualBindings(tuple(bindings))
 
 
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:

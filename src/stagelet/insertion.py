@@ -3,14 +3,14 @@
 A binding requested deep inside a generator floats upward attached to code
 values until the locus it names converts it to a let (or letrec) around the
 code built there. The bindings destined for one locus are a store: an
-insertion-ordered dict from memo key to `BindingClass`. Stores are immutable
-by convention: every operation returns a new dict and never writes into one
-it was given.
+insertion-ordered dict from memo key to `BindingClass`. The bindings of a
+code value are an insertion-ordered dict from locus location to store, and no
+store in it is empty. Both are immutable by convention: every operation
+returns a new dict and never writes into one it was given.
 """
 
 from __future__ import annotations
 
-from dataclasses import field
 from types import MappingProxyType
 
 from .base import StagingError, _Record
@@ -112,53 +112,28 @@ def addb(key, name, rhs, store):
     return classes
 
 
-class VirtualBindings(metaclass=_Record):
-    """Finite map from locus locations to per-locus stores; empty stores are
-    never kept."""
-
-    stores: dict = field(default_factory=dict)
-
-    def at(self, loc):
-        return self.stores.get(loc, EMPTY_PER_LOCUS)
-
-    def loci(self):
-        return tuple(self.stores)
-
-    def is_empty(self):
-        return not self.stores
-
-    def set(self, loc, store) -> "VirtualBindings":
-        new = dict(self.stores)
-        if not store:
-            new.pop(loc, None)
-        else:
-            new[loc] = store
-        return VirtualBindings(new)
-
-    def without(self, loc) -> "VirtualBindings":
-        if loc not in self.stores:
-            return self
-        new = dict(self.stores)
-        del new[loc]
-        return VirtualBindings(new)
+# the bindings of a code value that requested none; shared, so read-only
+EMPTY_BINDINGS = MappingProxyType({})
 
 
-EMPTY_BINDINGS = VirtualBindings()
+def without(bindings, loc):
+    """`bindings` less the store of `loc`, once a locus has placed it."""
+    if loc not in bindings:
+        return bindings
+    rest = dict(bindings)
+    del rest[loc]
+    return rest
 
 
-def singleton(loc, store) -> VirtualBindings:
-    return EMPTY_BINDINGS.set(loc, store)
-
-
-def merge(v1: VirtualBindings, v2: VirtualBindings) -> VirtualBindings:
+def merge(v1, v2):
     """Fold the classes of v2 into v1, locus by locus, each locus traversed
     in v2's binding order, so v2's newcomers end up after everything in v1."""
-    if not v2.stores:
+    if not v2:
         return v1
-    if not v1.stores:
+    if not v1:
         return v2
-    stores = dict(v1.stores)
-    for loc, incoming in v2.stores.items():
+    stores = dict(v1)
+    for loc, incoming in v2.items():
         store = stores.get(loc)
         if store is None:
             stores[loc] = incoming
@@ -171,7 +146,7 @@ def merge(v1: VirtualBindings, v2: VirtualBindings) -> VirtualBindings:
             else:
                 classes[key] = _fold(existing, cls.name, cls.rhs, cls.aliases)
         stores[loc] = classes
-    return VirtualBindings(stores)
+    return stores
 
 
 def ordered(store):
@@ -231,7 +206,7 @@ def bind_letrec(classes, body, sem):
     return sem.mk_letrec(clauses, _redirect_all(pairs, body))
 
 
-def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):
+def canon(bindings, loc, round_limit=DEFAULT_CANON_LIMIT):
     """Force pending right-hand sides at `loc` until all classes there are
     canonical, merging whatever bindings each forcing produces.
 
@@ -243,7 +218,7 @@ def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):
     current = bindings
     rounds = 0
     while True:
-        store = current.at(loc)
+        store = current.get(loc, EMPTY_PER_LOCUS)
         pending_keys = [k for k, cls in store.items() if isinstance(cls.rhs, Pending)]
         if not pending_keys:
             return current
@@ -254,5 +229,5 @@ def canon(bindings: VirtualBindings, loc, round_limit=DEFAULT_CANON_LIMIT):
         den, produced = cls.rhs.force()
         classes = dict(store)
         classes[key] = BindingClass(cls.name, den, cls.aliases)
-        current = merge(current.set(loc, classes), produced)
+        current = merge({**current, loc: classes}, produced)
         rounds += 1

@@ -41,7 +41,6 @@ from stagelet.insertion import (
     canon,
     merge,
     ordered,
-    singleton,
 )
 from stagelet.semantics import ShowSemantics
 
@@ -170,7 +169,7 @@ def test_c05_shared_sums_worked_example():
         v6 = addb(3, n6, d6, v2)
         assert tuple(v6) == (1, 3)
         locus = (1,)
-        v5 = merge(singleton(locus, v4), singleton(locus, v6)).at(locus)
+        v5 = merge({locus: v4}, {locus: v6}).get(locus, EMPTY_PER_LOCUS)
         assert tuple(v5) == (1, 2, 3)
         assert v5 == {
             1: BindingClass(n2, d3, frozenset()),
@@ -292,7 +291,7 @@ def test_c11_machinery_algebra():
     with criterion(11, "machinery algebra"):
         # merge identity
         store = addb(1, Fresh((3,)), ShowSemantics().mk_int(1), EMPTY_PER_LOCUS)
-        nu = singleton((), store)
+        nu = {(): store}
         assert merge(nu, EMPTY_BINDINGS) == nu
         assert merge(EMPTY_BINDINGS, nu) == nu
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -78,7 +79,17 @@ class TestLiterals:
     def test_no_bindings_anywhere_without_genlet(self):
         c = cadd(cint(1), cmul(cint(2), cint(3)))
         for loc in ((), (1,), (2, 1), (3, 1, 2)):
-            assert bindings_at(c, loc).is_empty()
+            assert not bindings_at(c, loc)
+
+    @pytest.mark.parametrize("bad", ["x", None, True, 1.0], ids=repr)
+    def test_cint_takes_only_an_int(self, bad):
+        with pytest.raises(TypeMismatch, match=f"^not an integer: {re.escape(repr(bad))}$"):
+            cint(bad)
+
+    @pytest.mark.parametrize("bad", [2, 1, None, "true"], ids=repr)
+    def test_cbool_takes_only_a_bool(self, bad):
+        with pytest.raises(TypeMismatch, match=f"^not a boolean: {re.escape(repr(bad))}$"):
+            cbool(bad)
 
 
 class TestOperators:
@@ -371,3 +382,21 @@ class TestNotCode:
     def test_genletrec_locus(self):
         with pytest.raises(TypeMismatch, match="^not a locus: 'l'$"):
             genletrec("l", 0, cint(1))
+
+
+class TestMemoKeys:
+    """A memo key keys a dict, so an unhashable one is a TypeMismatch where
+    the request is written, not a raw TypeError during the build."""
+
+    @pytest.mark.parametrize("key", [[1], {}, (1, [2])], ids=repr)
+    @pytest.mark.parametrize("request_", [genlet, genletrec])
+    def test_unhashable_key_is_refused_when_written(self, request_, key):
+        want = f"^memo key is not hashable: {re.escape(repr(key))}$"
+        with pytest.raises(TypeMismatch, match=want):
+            request_(Locus(()), key, cint(1))
+
+    def test_show_of_an_unhashable_key(self):
+        with pytest.raises(TypeMismatch, match="^memo key is not hashable"):
+            show(with_locus(lambda l: genlet(l, [1], cint(1))))
+        with pytest.raises(TypeMismatch, match="^memo key is not hashable"):
+            run(with_locus_rec(lambda l: genletrec(l, {}, clam(lambda n: n))))

@@ -46,15 +46,14 @@ from stagelet.insertion import (
     EMPTY_PER_LOCUS,
     BindingClass,
     Pending,
-    VirtualBindings,
     addb,
     bind_letrec,
     bind_lets,
     canon,
     merge,
     ordered,
-    singleton,
     subst,
+    without,
 )
 from stagelet.semantics import EMPTY_ENV, RunSemantics, ShowSemantics
 
@@ -153,8 +152,8 @@ def model_merge(v1, v2):
     new key appended, each existing class keeping its name, absorbing the
     incoming names as aliases and taking the incoming right-hand side only
     when it alone is canonical."""
-    out = {loc: dict(store) for loc, store in v1.stores.items()}
-    for loc, store in v2.stores.items():
+    out = {loc: dict(store) for loc, store in v1.items()}
+    for loc, store in v2.items():
         classes = out.setdefault(loc, {})
         for key, cls in store.items():
             old = classes.get(key)
@@ -167,10 +166,37 @@ def model_merge(v1, v2):
     return out
 
 
+# a random bindings map over two loci, four keys and four names
+NAMES = [Fresh((i,)) for i in range(4)]
+LOCS = [(), (1,)]
+
+
+def random_rhs(rng):
+    pick = rng.randrange(3)
+    if pick < 2:
+        return canonical_int(pick)
+    # forcing requests one more key, with a forced right-hand side
+    loc, key, name = rng.choice(LOCS), rng.randrange(4), rng.choice(NAMES)
+    return Pending(
+        lambda: (
+            canonical_int(5),
+            {loc: addb(key, name, canonical_int(6), EMPTY_PER_LOCUS)},
+        )
+    )
+
+
+def grow(rng, v, steps):
+    for _ in range(steps):
+        loc = rng.choice(LOCS)
+        key, name = rng.randrange(4), rng.choice(NAMES)
+        v = {**v, loc: addb(key, name, random_rhs(rng), v.get(loc, EMPTY_PER_LOCUS))}
+    return v
+
+
 class TestMerge:
     def test_identities(self):
         n = Fresh((2,))
-        v = singleton((), addb(1, n, canonical_int(3), EMPTY_PER_LOCUS))
+        v = {(): addb(1, n, canonical_int(3), EMPTY_PER_LOCUS)}
         assert merge(v, EMPTY_BINDINGS) == v
         assert merge(EMPTY_BINDINGS, v) == v
 
@@ -182,7 +208,7 @@ class TestMerge:
         v4 = addb(2, n4, d4, v2)
         v6 = addb(3, n6, d6, v2)
         locus = (1,)
-        v5 = merge(singleton(locus, v4), singleton(locus, v6)).at(locus)
+        v5 = merge({locus: v4}, {locus: v6}).get(locus, EMPTY_PER_LOCUS)
         assert tuple(v5) == (1, 2, 3)
         assert set(v5) == {1, 2, 3}
         assert v5[1] == BindingClass(n2, d3, frozenset())
@@ -195,9 +221,9 @@ class TestMerge:
         pen1, pen2 = Pending(lambda: None), Pending(lambda: None)
 
         def merged(a, b):
-            sa = singleton((), addb(0, rep, a, EMPTY_PER_LOCUS))
-            sb = singleton((), addb(0, inc, b, EMPTY_PER_LOCUS))
-            cls = merge(sa, sb).at(())[0]
+            sa = {(): addb(0, rep, a, EMPTY_PER_LOCUS)}
+            sb = {(): addb(0, inc, b, EMPTY_PER_LOCUS)}
+            cls = merge(sa, sb).get((), EMPTY_PER_LOCUS)[0]
             assert cls.name == rep
             assert cls.aliases == {inc}
             return cls.rhs
@@ -212,12 +238,13 @@ class TestMerge:
         incoming = EMPTY_PER_LOCUS
         for key, name, i in [(1, n1, 3), (1, n2, 4), (2, n3, 5)]:
             incoming = addb(key, name, canonical_int(i), incoming)
-        v1 = singleton((7,), addb(1, Fresh((8,)), canonical_int(0), EMPTY_PER_LOCUS))
-        got = merge(v1, singleton((6,), incoming))
-        assert got.at((6,)) == model_merge(EMPTY_BINDINGS, singleton((6,), incoming))[(6,)]
-        assert tuple(got.at((6,))) == (1, 2)
-        assert got.at((6,))[1].aliases == {n2}
-        assert got.at((7,)) == v1.at((7,))
+        v1 = {(7,): addb(1, Fresh((8,)), canonical_int(0), EMPTY_PER_LOCUS)}
+        got = merge(v1, {(6,): incoming})
+        at6 = got.get((6,), EMPTY_PER_LOCUS)
+        assert at6 == model_merge(EMPTY_BINDINGS, {(6,): incoming})[(6,)]
+        assert tuple(at6) == (1, 2)
+        assert at6[1].aliases == {n2}
+        assert got.get((7,), EMPTY_PER_LOCUS) == v1.get((7,), EMPTY_PER_LOCUS)
 
     def test_matches_the_fold_rule_on_random_stores(self):
         rng = random.Random(8)
@@ -228,7 +255,7 @@ class TestMerge:
             for _ in range(steps):
                 loc = rng.choice([(), (1,)])
                 key, name, rhs = rng.randrange(4), rng.choice(names), rng.choice(rhss)
-                v = v.set(loc, addb(key, name, rhs, v.at(loc)))
+                v = {**v, loc: addb(key, name, rhs, v.get(loc, EMPTY_PER_LOCUS))}
             return v
 
         for _ in range(300):
@@ -237,16 +264,16 @@ class TestMerge:
             v2 = grow(shared, rng.randrange(4))
             got = merge(v1, v2)
             want = model_merge(v1, v2)
-            assert got.stores == want
-            assert [tuple(s) for s in got.stores.values()] == [
+            assert got == want
+            assert [tuple(s) for s in got.values()] == [
                 tuple(s) for s in want.values()
             ]
 
     def test_distinct_loci_stay_separate(self):
-        a = singleton((1,), addb(1, Fresh((5,)), canonical_int(0), EMPTY_PER_LOCUS))
-        b = singleton((2,), addb(1, Fresh((6,)), canonical_int(0), EMPTY_PER_LOCUS))
+        a = {(1,): addb(1, Fresh((5,)), canonical_int(0), EMPTY_PER_LOCUS)}
+        b = {(2,): addb(1, Fresh((6,)), canonical_int(0), EMPTY_PER_LOCUS)}
         both = merge(a, b)
-        assert set(both.loci()) == {(1,), (2,)}
+        assert set(both) == {(1,), (2,)}
 
 
 RECORDS = {
@@ -254,10 +281,6 @@ RECORDS = {
     BindingClass: (
         BindingClass(Source("a"), IntLit(1), frozenset({Source("b")})),
         ["name", "rhs", "aliases"],
-    ),
-    VirtualBindings: (
-        VirtualBindings({(3,): {1: BindingClass(Source("a"), IntLit(1))}}),
-        ["stores"],
     ),
     # a semantics compares by identity, so a stand-in that copies to an equal
     BuildContext: (BuildContext(None, 7), ["sem", "canon_limit"]),
@@ -285,7 +308,6 @@ class TestRecords:
 
     def test_defaults(self):
         assert BindingClass(Source("a"), None).aliases == frozenset()
-        assert VirtualBindings().stores == {}
         assert BuildContext(None).canon_limit == DEFAULT_CANON_LIMIT
         assert dataclasses.fields(BindingClass)[2].default == frozenset()
 
@@ -304,9 +326,7 @@ class TestStoreInvariants:
             if rng.random() < 0.5:
                 requested.append(rng.randrange(5))
                 other = addb(requested[-1], Fresh((99,)), can, EMPTY_PER_LOCUS)
-                store = merge(
-                    singleton((), store), singleton((), other)
-                ).at(())
+                store = merge({(): store}, {(): other}).get((), EMPTY_PER_LOCUS)
             assert tuple(store) == tuple(dict.fromkeys(requested))
             for cls in store.values():
                 assert cls.name not in cls.aliases
@@ -326,8 +346,8 @@ class TestStoreInvariants:
                     others[key].add(name)
                 else:
                     first[key], others[key] = name, set()
-            merged = merge(merged, singleton((), store))
-        store = merged.at(())
+            merged = merge(merged, {(): store})
+        store = merged.get((), EMPTY_PER_LOCUS)
         seq = tuple(first)
         assert len(seq) > 900
         assert [c.name for c in ordered(store)] == [first[k] for k in seq]
@@ -335,13 +355,67 @@ class TestStoreInvariants:
         assert tuple(store) == seq
 
     def test_absent_locus_reads_empty(self):
-        assert EMPTY_BINDINGS.at((1, 2)) is EMPTY_PER_LOCUS
+        assert EMPTY_BINDINGS.get((1, 2), EMPTY_PER_LOCUS) is EMPTY_PER_LOCUS
 
     def test_empty_stores_are_dropped(self):
-        vb = EMPTY_BINDINGS.set((1,), EMPTY_PER_LOCUS)
-        assert vb.is_empty()
         store = addb(1, Fresh((2,)), canonical_int(1), EMPTY_PER_LOCUS)
-        assert singleton((1,), store).without((1,)).is_empty()
+        assert not without({(1,): store}, (1,))
+        assert without(EMPTY_BINDINGS, (1,)) is EMPTY_BINDINGS
+
+
+class TestRandomOperations:
+    """Random sequences of the binding operations. No operation drops an
+    empty store, so none may make one: every reachable bindings map holds
+    only non-empty stores, in the key order the merge rule gives."""
+
+    @staticmethod
+    def model_canon(v, loc):
+        """`canon` replayed with `model_merge`; the key orders it reaches."""
+        while True:
+            store = v.get(loc, {})
+            pending = [k for k, cls in store.items() if isinstance(cls.rhs, Pending)]
+            if not pending:
+                return v
+            cls = store[pending[0]]
+            den, produced = cls.rhs.force()
+            forced = {**store, pending[0]: BindingClass(cls.name, den, cls.aliases)}
+            v = model_merge({**v, loc: forced}, produced)
+
+    @staticmethod
+    def key_orders(v):
+        return {loc: tuple(store) for loc, store in v.items()}
+
+    def test_no_empty_store_and_model_key_order(self):
+        rng = random.Random(29)
+        made = 0
+        for _ in range(150):
+            pool = [EMPTY_BINDINGS, grow(rng, EMPTY_BINDINGS, rng.randrange(1, 5))]
+            for _ in range(rng.randrange(1, 12)):
+                v1, v2 = rng.choice(pool), rng.choice(pool)
+                loc = rng.choice(LOCS)
+                op = rng.randrange(5)
+                if op == 0:
+                    key, name, rhs = rng.randrange(4), rng.choice(NAMES), random_rhs(rng)
+                    got = {**v1, loc: addb(key, name, rhs, v1.get(loc, EMPTY_PER_LOCUS))}
+                    want = model_merge(v1, {loc: {key: BindingClass(name, rhs)}})
+                    assert got == want
+                elif op in (1, 2):
+                    if op == 2:
+                        v1, v2 = v2, v1
+                    got, want = merge(v1, v2), model_merge(v1, v2)
+                    assert got == want
+                elif op == 3:
+                    # each forcing builds new denotations: compare key orders
+                    got, want = canon(v1, loc), self.model_canon(v1, loc)
+                else:
+                    got = without(v1, loc)
+                    want = {l: s for l, s in v1.items() if l != loc}
+                    assert got == want
+                assert all(got.values()), "an empty store is reachable"
+                assert self.key_orders(got) == self.key_orders(want)
+                pool.append(got)
+                made += 1
+        assert made > 500
 
 
 class TestImmutability:
@@ -350,54 +424,33 @@ class TestImmutability:
 
     def test_no_operation_changes_its_inputs(self):
         rng = random.Random(12)
-        names = [Fresh((i,)) for i in range(4)]
-        locs = [(), (1,)]
-
-        def rhs():
-            pick = rng.randrange(3)
-            if pick < 2:
-                return canonical_int(pick)
-            # forcing requests one more key, with a forced right-hand side
-            loc, key, name = rng.choice(locs), rng.randrange(4), rng.choice(names)
-            return Pending(
-                lambda: (
-                    canonical_int(5),
-                    singleton(loc, addb(key, name, canonical_int(6), EMPTY_PER_LOCUS)),
-                )
-            )
-
-        def grow(v, steps):
-            for _ in range(steps):
-                loc = rng.choice(locs)
-                key, name = rng.randrange(4), rng.choice(names)
-                v = v.set(loc, addb(key, name, rhs(), v.at(loc)))
-            return v
 
         def snapshot(*vbs):
-            return [
-                (list(v.stores.items()), [list(s.items()) for s in v.stores.values()])
-                for v in vbs
-            ]
+            return [(list(v.items()), [list(s.items()) for s in v.values()]) for v in vbs]
 
         for _ in range(300):
-            v1 = grow(EMPTY_BINDINGS, rng.randrange(5))
-            v2 = grow(EMPTY_BINDINGS, rng.randrange(5))
-            loc = rng.choice(locs)
-            store = v1.at(loc)
+            v1 = grow(rng, EMPTY_BINDINGS, rng.randrange(5))
+            v2 = grow(rng, EMPTY_BINDINGS, rng.randrange(5))
+            loc = rng.choice(LOCS)
+            store = v1.get(loc, EMPTY_PER_LOCUS)
             before = snapshot(v1, v2), list(store.items())
-            addb(rng.randrange(4), rng.choice(names), rhs(), store)
+            addb(rng.randrange(4), rng.choice(NAMES), random_rhs(rng), store)
             merge(v1, v2)
             merge(v2, v1)
             canon(v1, loc)
-            v1.set(loc, v2.at(loc))
-            v1.set(loc, EMPTY_PER_LOCUS)
-            v1.without(loc)
+            without(v1, loc)
             assert (snapshot(v1, v2), list(store.items())) == before
 
     def test_the_shared_empty_store_is_read_only(self):
         with pytest.raises(TypeError):
             EMPTY_PER_LOCUS[1] = BindingClass(Fresh((1,)), canonical_int(0))
         assert not EMPTY_PER_LOCUS
+
+    def test_the_shared_empty_bindings_are_read_only(self):
+        store = addb(1, Fresh((2,)), canonical_int(1), EMPTY_PER_LOCUS)
+        with pytest.raises(TypeError):
+            EMPTY_BINDINGS[(1,)] = store
+        assert not EMPTY_BINDINGS
 
 
 class TestOrdered:
@@ -513,8 +566,8 @@ class TestGenlet:
         # and the inner composite really does forward the outer-locus store
         ctx = BuildContext(ShowSemantics())
         _, vb = seen["inner"](ctx, (1, 1))
-        assert vb.loci() == ((),)
-        assert (1, 1) not in vb.loci()
+        assert tuple(vb) == ((),)
+        assert (1, 1) not in vb
 
     def test_binding_order_tracks_dependencies(self):
         rng = random.Random(3)
@@ -620,7 +673,7 @@ def _ack_requests(l):
 class TestCanon:
     def test_all_canonical_is_unchanged(self):
         store = addb(1, Fresh((3,)), canonical_int(5), EMPTY_PER_LOCUS)
-        vb = singleton((), store)
+        vb = {(): store}
         assert canon(vb, ()) is vb
         assert canon(canon(vb, ()), ()) == canon(vb, ())
 
@@ -628,7 +681,7 @@ class TestCanon:
         ctx = BuildContext(ShowSemantics())
         _, vb = _ack_requests(Locus(()))(ctx, (1,))
         settled = canon(vb, ())
-        store = settled.at(())
+        store = settled.get((), EMPTY_PER_LOCUS)
         assert tuple(store) == (2, 1, 0)
         assert all(
             not isinstance(cls.rhs, Pending) for cls in store.values()
@@ -651,12 +704,12 @@ class TestCanon:
     def test_replay_of_pending_is_stable(self):
         ctx = BuildContext(ShowSemantics())
         _, vb = _ack_requests(Locus(()))(ctx, (1,))
-        cls = vb.at(())[2]
+        cls = vb.get((), EMPTY_PER_LOCUS)[2]
         d1, v1 = cls.rhs.force()
         d2, v2 = cls.rhs.force()
         assert d1(EMPTY_ENV) == d2(EMPTY_ENV)
-        assert v1.loci() == v2.loci()
-        s1, s2 = v1.at(()), v2.at(())
+        assert tuple(v1) == tuple(v2)
+        s1, s2 = v1.get((), EMPTY_PER_LOCUS), v2.get((), EMPTY_PER_LOCUS)
         assert tuple(s1) == tuple(s2)
         assert {k: c.name for k, c in s1.items()} == {
             k: c.name for k, c in s2.items()
