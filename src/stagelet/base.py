@@ -75,7 +75,8 @@ class _Record(type):
     in `__slots__`. Its `__init__` stores each argument through its slot's
     descriptor, where a frozen dataclass's calls `object.__setattr__` per
     field. A subclass of a record is a record, and may be decorated with
-    `@dataclass(frozen=True)` as a subclass of a frozen dataclass may.
+    `@dataclass(frozen=True)` as a subclass of a frozen dataclass may; its
+    field defaults hold for it and for its subclasses.
 
     Slots can only be declared when a class is created. A class decorator
     gets a class that exists already and must build a second one; the first
@@ -85,8 +86,16 @@ class _Record(type):
 
     def __new__(mcls, name, bases, ns):
         fields = ns.get("__annotations__", {})
+        # a slot and a class attribute cannot share a name, so the defaults
+        # are held back from the class body; `__setattr__` gives them to the
+        # fields
         defaults = {f: ns.pop(f) for f in fields if f in ns}
-        ns = {"__reduce__": _rebuild, **ns, "__slots__": tuple(fields)}
+        ns = {
+            "__reduce__": _rebuild,
+            **ns,
+            "__slots__": tuple(fields),
+            "__record_defaults__": defaults,
+        }
         cls = super().__new__(mcls, name, bases, ns)
         dataclasses.dataclass(frozen=True)(cls)
         # `@dataclass(frozen=True)` refuses a class whose own body holds
@@ -97,16 +106,20 @@ class _Record(type):
             del cls.__setattr__, cls.__delattr__
         else:
             cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-        # a slot and a class attribute cannot share a name, so the defaults
-        # were held back from the class body; give them to the fields
-        for f, default in defaults.items():
-            field = cls.__dataclass_fields__[f]
-            if isinstance(default, dataclasses.Field):
-                field.default_factory = default.default_factory
-            else:
-                field.default = default
         cls.__init__ = _slot_init(cls)
         return cls
+
+    def __setattr__(cls, name, value):
+        # each dataclass call on a record, the one in `__new__` or a
+        # `@dataclass` decorator's, reads a field's default from the class
+        # and finds the slot there; give the fields the held-back defaults
+        if name == "__dataclass_fields__":
+            for f, default in cls.__dict__["__record_defaults__"].items():
+                if isinstance(default, dataclasses.Field):
+                    value[f].default_factory = default.default_factory
+                else:
+                    value[f].default = default
+        super().__setattr__(name, value)
 
 
 def _frozen_setattr(self, name, value):

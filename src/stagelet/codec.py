@@ -191,6 +191,25 @@ def cif(c: CodeValue, t: CodeValue, e: CodeValue) -> CodeValue:
     return CodeValue(build)
 
 
+# the words `pretty` prints
+_WORDS = frozenset("fun let rec in and if then else true false succ".split())
+
+
+def _expect_hint(hint):
+    """A TypeMismatch raised where the binder was written unless `hint` is
+    None or an identifier that is no word `pretty` prints and does not end
+    in a digit. `Fresh.render` spells a name `v` and its path's digits, the
+    bare hint at the root, or the hint, `_` and the path's digits; under this
+    rule no two paths render alike, so printed code never captures a name."""
+    if hint is not None and not (
+        isinstance(hint, str)
+        and hint.isidentifier()
+        and not hint[-1].isdigit()
+        and hint not in _WORDS
+    ):
+        raise TypeMismatch(f"not a name hint: {hint!r}")
+
+
 def _var_code(name) -> CodeValue:
     # the bound variable: ignores where it is used, always names its binder
     return CodeValue(lambda ctx, loc: (ctx.sem.mk_var(name), EMPTY_BINDINGS))
@@ -199,6 +218,7 @@ def _var_code(name) -> CodeValue:
 def clam(f, hint=None) -> CodeValue:
     """Code of a function; `f` receives the bound variable as a CodeValue and
     must treat it as opaque."""
+    _expect_hint(hint)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
@@ -211,6 +231,7 @@ def clam(f, hint=None) -> CodeValue:
 def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
     """Code of a let whose location is fixed right here."""
     _expect(rhs)
+    _expect_hint(hint)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
@@ -236,6 +257,7 @@ def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
         _expect(locus, Locus, "locus"), _expect(code)
     _expect_hashable(key)
+    _expect_hint(hint)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)
@@ -269,6 +291,7 @@ def genletrec(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
         _expect(locus, Locus, "locus"), _expect(code)
     _expect_hashable(key)
+    _expect_hint(hint)
 
     def build(ctx, loc):
         name = Fresh(loc, hint)

@@ -244,10 +244,15 @@ class RunSemantics:
 
 
 class ShowSemantics:
-    """Denotation builders that build trees: Env maps names to BaseAsts.
+    """Denotation builders that build trees: Env maps each alias to the
+    name of its class, and holds nothing else.
 
-    Every builder is total: unbound names come out as literal Var nodes, which
-    is what makes scope extrusion visible in the output.
+    Show renames; it evaluates nothing. A build gives each location one name
+    object, a tree never binds a name twice, and every combinator's use site
+    passes its binder's own name object. So a binder needs no entry: a
+    lookup that misses renders the name it was given, which is the binder's
+    own. Unbound names come out the same way, which is what makes scope
+    extrusion visible in the output.
     """
 
     def mk_var(self, name):
@@ -275,23 +280,16 @@ class ShowSemantics:
         return lambda env: If(dc(env), dt(env), de(env))
 
     def mk_lam(self, name, body):
-        return lambda env: Lam(name, body(env.extend(name, Var(name))))
+        return lambda env: Lam(name, body(env))
 
     def mk_app(self, d1, d2):
         return lambda env: App(d1(env), d2(env))
 
     def mk_let(self, name, d1, d2):
-        return lambda env: Let(name, d1(env), d2(env.extend(name, Var(name))))
+        return lambda env: Let(name, d1(env), d2(env))
 
     def mk_letrec(self, clauses, body):
         clauses = tuple(clauses)
-
-        def den(env):
-            env2 = env
-            for n, _ in clauses:
-                env2 = env2.extend(n, Var(n))
-            return LetRec(
-                tuple((n, rhs(env2)) for n, rhs in clauses), body(env2)
-            )
-
-        return den
+        return lambda env: LetRec(
+            tuple((n, rhs(env)) for n, rhs in clauses), body(env)
+        )

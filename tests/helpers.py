@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -372,11 +373,41 @@ def random_plan(rng, depth, nvars=0, in_locus=False, allow_locus=False):
             return ("locus", random_plan(rng, d, nvars, True, allow_locus))
 
 
-def build_code(plan, b, env=(), locus=None):
-    """Realize a plan as a CodeValue using builder namespace `b`."""
+def c09_plans():
+    """The 100 plans of acceptance criterion 9 (order independence): every
+    other one opens a locus, the rest insert nothing."""
+    rng = random.Random(909)
+    plans = []
+    for i in range(100):
+        depth = rng.randrange(2, 6)
+        if i % 2 == 0:
+            plans.append(
+                ("locus", random_plan(rng, depth, in_locus=True, allow_locus=True))
+            )
+        else:
+            plans.append(random_plan(rng, depth))
+    return plans
 
-    def rec(p, env=env, locus=locus):
-        return build_code(p, b, env, locus)
+
+def c10_plans():
+    """The 100 plans of acceptance criterion 10 (run/show coherence)."""
+    rng = random.Random(1010)
+    return [random_plan(rng, rng.randrange(1, 6)) for _ in range(100)]
+
+
+def build_code(plan, b, env=(), loci=(), rec=None):
+    """Realize a plan as a CodeValue using builder namespace `b`.
+
+    Besides `random_plan`'s forms: `("genlet", key, rhs, up)` requests at the
+    locus `up` loci out from the innermost; `("lam", body)` and
+    `("lam", body, hint)` are a function; `("rec", defs, body)` opens a letrec
+    locus whose clause `j` is the one-parameter function of body plan
+    `defs[j]`; `("ref", j)` requests clause `j` there and `("call", j, arg)`
+    applies it. `loci` are the enclosing loci, innermost last, and `rec` is
+    the innermost letrec locus with its clause plans."""
+
+    def sub(p, env=env):
+        return build_code(p, b, env, loci, rec)
 
     match plan:
         case ("int", k):
@@ -384,25 +415,34 @@ def build_code(plan, b, env=(), locus=None):
         case ("var", i):
             return env[i]
         case ("add", p, q):
-            return b.add(rec(p), rec(q))
+            return b.add(sub(p), sub(q))
         case ("sub", p, q):
-            return b.sub(rec(p), rec(q))
+            return b.sub(sub(p), sub(q))
         case ("mul", p, q):
-            return b.mul(rec(p), rec(q))
+            return b.mul(sub(p), sub(q))
         case ("succ", p):
-            return csucc(rec(p))
+            return csucc(sub(p))
         case ("eqif", p, q, t, e):
-            return b.if_(b.eq(rec(p), rec(q)), rec(t), rec(e))
+            return b.if_(b.eq(sub(p), sub(q)), sub(t), sub(e))
+        case ("lam", body, *hint):
+            return clam(lambda v: sub(body, env + (v,)), *hint)
         case ("app", body, arg):
-            return b.app(
-                clam(lambda v: build_code(body, b, env + (v,), locus)), rec(arg)
-            )
+            return b.app(clam(lambda v: sub(body, env + (v,))), sub(arg))
         case ("let", rhs, body):
-            return b.let_(rec(rhs), lambda v: build_code(body, b, env + (v,), locus))
-        case ("genlet", key, rhs):
-            return genlet(locus, key, rec(rhs))
+            return b.let_(sub(rhs), lambda v: sub(body, env + (v,)))
+        case ("genlet", key, rhs, *up):
+            return genlet(loci[-1 - sum(up)], key, sub(rhs))
         case ("locus", body):
-            return with_locus(lambda l: build_code(body, b, env, l))
+            return with_locus(lambda l: build_code(body, b, env, loci + (l,), rec))
+        case ("rec", defs, body):
+            return with_locus_rec(
+                lambda l: build_code(body, b, env, loci + (l,), (l, defs))
+            )
+        case ("ref", j):
+            l, defs = rec
+            return genletrec(l, j, clam(lambda n: sub(defs[j], (n,))))
+        case ("call", j, arg):
+            return b.app(sub(("ref", j)), sub(arg))
     raise AssertionError(plan)
 
 
@@ -523,3 +563,35 @@ def serialize_sexp(node):
     if isinstance(node, list):
         return "(" + " ".join(serialize_sexp(x) for x in node) + ")"
     return node
+
+
+_SEXP_BINOPS = {cls.tag: cls for cls in (Add, Sub, Mul, Div, Eq)}
+
+
+def read_tree(node):
+    """The tree an s-expression (as `parse_sexp` returns it) writes, every
+    name read back as the `Source` of its text."""
+    match node:
+        case ["int", n]:
+            return IntLit(int(n))
+        case ["bool", b]:
+            return BoolLit(b == "true")
+        case ["var", n]:
+            return Var(Source(n))
+        case ["succ", a]:
+            return Succ(read_tree(a))
+        case [tag, a, b] if tag in _SEXP_BINOPS:
+            return _SEXP_BINOPS[tag](read_tree(a), read_tree(b))
+        case ["if", c, t, e]:
+            return If(read_tree(c), read_tree(t), read_tree(e))
+        case ["lam", n, b]:
+            return Lam(Source(n), read_tree(b))
+        case ["app", f, a]:
+            return App(read_tree(f), read_tree(a))
+        case ["let", n, r, b]:
+            return Let(Source(n), read_tree(r), read_tree(b))
+        case ["letrec", clauses, b]:
+            return LetRec(
+                tuple((Source(n), read_tree(r)) for n, r in clauses), read_tree(b)
+            )
+    raise AssertionError(node)

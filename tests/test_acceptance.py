@@ -50,9 +50,10 @@ from helpers import (
     ackermann,
     binders,
     build_code,
+    c09_plans,
+    c10_plans,
     count_lets,
     gib,
-    random_plan,
     subtrees,
 )
 
@@ -264,13 +265,7 @@ def test_c08_sharing_property():
 
 def test_c09_order_independence():
     with criterion(9, "order independence"):
-        rng = random.Random(909)
-        for i in range(100):
-            depth = rng.randrange(2, 6)
-            if i % 2 == 0:
-                plan = ("locus", random_plan(rng, depth, in_locus=True, allow_locus=True))
-            else:
-                plan = random_plan(rng, depth)  # no insertion at all
+        for plan in c09_plans():
             left = show(build_code(plan, LEFT_FIRST))
             right = show(build_code(plan, RIGHT_FIRST))
             assert left == right
@@ -278,9 +273,7 @@ def test_c09_order_independence():
 
 def test_c10_run_show_coherence():
     with criterion(10, "run/show coherence"):
-        rng = random.Random(1010)
-        for _ in range(100):
-            plan = random_plan(rng, rng.randrange(1, 6))
+        for plan in c10_plans():
             code = build_code(plan, LEFT_FIRST)
             tree = show(code)
             assert free_vars(tree) == set()

@@ -458,6 +458,18 @@ class Neg(BaseAst):
     arg: BaseAst
 
 
+@dataclasses.dataclass(frozen=True)
+class Scaled(BaseAst):
+    """A decorated new kind whose field has a default."""
+
+    arg: BaseAst
+    factor: int = 2
+
+
+class Scaled3(Scaled):
+    """Its subclass, made by the metaclass alone."""
+
+
 class TestDispatch:
     def test_samples_cover_every_concrete_node(self):
         assert concrete_node_classes() == set(SAMPLES)
@@ -566,6 +578,12 @@ class TestRecords:
         assert BaseAst.__subclasses__().count(Neg) == 1
         with pytest.raises(TypeMismatch, match="not a syntax tree"):
             pretty(Neg(IntLit(1)))
+
+    def test_a_decorated_kind_keeps_its_defaults_for_its_subclasses(self):
+        assert Scaled(IntLit(1)).factor == Scaled3(IntLit(1)).factor == 2
+        for cls in (Scaled, Scaled3):
+            assert [f.default for f in dataclasses.fields(cls)][1] == 2
+        check_record(Scaled3(IntLit(1), 4), ["arg", "factor"])
 
     @pytest.mark.parametrize("base", [BaseAst, BinOp, Value, Name], ids=lambda c: c.__name__)
     def test_each_class_is_listed_once_under_its_base(self, base):

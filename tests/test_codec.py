@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -8,6 +9,7 @@ from stagelet import (
     Add,
     BinOp,
     Div,
+    Fresh,
     IntLit,
     Lam,
     Let,
@@ -218,6 +220,48 @@ class TestBinders:
     def test_hint_shows_up_in_names(self):
         tree = show(clam(lambda v: v, hint="acc"))
         assert pretty(tree) == "(fun acc -> acc)"
+
+
+class TestHints:
+    """A hint is None or an identifier that ends in no digit and is no word
+    `pretty` prints; any other hint could print two binders alike."""
+
+    BINDERS = {
+        "clam": lambda hint: clam(lambda v: v, hint=hint),
+        "clet": lambda hint: clet(cint(1), lambda v: v, hint=hint),
+        "genlet": lambda hint: genlet(Locus(()), 1, cint(1), hint=hint),
+        "genletrec": lambda hint: genletrec(Locus(()), 1, cint(1), hint=hint),
+    }
+
+    def test_a_hint_ending_in_a_digit_would_capture(self):
+        with pytest.raises(TypeMismatch, match="not a name hint: 'v1'"):
+            clam(lambda x: clam(lambda y: x), hint="v1")  # (fun v1 -> (fun v1 -> v1))
+        with pytest.raises(TypeMismatch, match="not a name hint: 'x_1'"):
+            # (fun x_1 -> (fun x_1 -> x_1))
+            clam(lambda x: clam(lambda y: x, hint="x"), hint="x_1")
+
+    @pytest.mark.parametrize("binder", BINDERS)
+    @pytest.mark.parametrize(
+        "hint", ["v1", "x_1", "", "1x", "a b", "x-y", "fun", "let", "succ", 3, b"x"]
+    )
+    def test_every_binder_refuses_a_bad_hint(self, binder, hint):
+        with pytest.raises(TypeMismatch, match="not a name hint"):
+            self.BINDERS[binder](hint)
+
+    @pytest.mark.parametrize("binder", BINDERS)
+    @pytest.mark.parametrize("hint", [None, "x", "y", "acc", "v", "x_", "a_1b", "Fun"])
+    def test_every_binder_takes_a_good_hint(self, binder, hint):
+        self.BINDERS[binder](hint)
+
+    def test_good_hints_never_render_two_paths_alike(self):
+        paths = [()] + [
+            p for n in (1, 2, 3) for p in itertools.product((1, 2, 3, 10), repeat=n)
+        ]
+        texts = {}
+        for hint in [None, "x", "v", "x_", "a_1b", "acc"]:
+            for path in paths:
+                text = Fresh(path, hint).render()
+                assert texts.setdefault(text, path) == path, text
 
 
 class TestExamplesCorrespondence:
