@@ -76,7 +76,9 @@ class _Record(type):
     descriptor, where a frozen dataclass's calls `object.__setattr__` per
     field. A subclass of a record is a record, and may be decorated with
     `@dataclass(frozen=True)` as a subclass of a frozen dataclass may; its
-    field defaults hold for it and for its subclasses.
+    field defaults hold for it and for its subclasses. A field written as
+    `dataclasses.field(...)` may give a default or a default factory and
+    nothing else: its other options would be dropped, so they are refused.
 
     Slots can only be declared when a class is created. A class decorator
     gets a class that exists already and must build a second one; the first
@@ -90,6 +92,12 @@ class _Record(type):
         # are held back from the class body; `__setattr__` gives them to the
         # fields
         defaults = {f: ns.pop(f) for f in fields if f in ns}
+        for f, default in defaults.items():
+            if isinstance(default, dataclasses.Field) and not _plain_field(default):
+                raise TypeError(
+                    f"record field {name}.{f} may give only a default or a "
+                    "default_factory"
+                )
         ns = {
             "__reduce__": _rebuild,
             **ns,
@@ -116,10 +124,17 @@ class _Record(type):
         if name == "__dataclass_fields__":
             for f, default in cls.__dict__["__record_defaults__"].items():
                 if isinstance(default, dataclasses.Field):
+                    value[f].default = default.default
                     value[f].default_factory = default.default_factory
                 else:
                     value[f].default = default
         super().__setattr__(name, value)
+
+
+def _plain_field(f):
+    """Whether `dataclasses.field` was given nothing but a default."""
+    options = (f.init, f.repr, f.hash, f.compare, f.metadata, f.kw_only)
+    return options == (True, True, None, True, {}, dataclasses.MISSING)
 
 
 def _frozen_setattr(self, name, value):

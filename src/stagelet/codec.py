@@ -320,9 +320,17 @@ def _complete(bindings):
         raise ResidualBindings(tuple(bindings))
 
 
+def _expect_limit(limit):
+    """Raise TypeMismatch unless `limit` is an int or None (no limit)."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+        raise TypeMismatch(f"not a limit: {limit!r}")
+
+
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
-    """Build the syntax tree a complete generator produces."""
+    """Build the syntax tree a complete generator produces; a limit of None
+    is no limit."""
     _expect(code)
+    _expect_limit(canon_limit)
     ctx = BuildContext(ShowSemantics(), canon_limit)
     with _HostStack("show"):
         d, v = code._build(ctx, ROOT)
@@ -335,8 +343,11 @@ def run(
     step_limit=DEFAULT_STEP_LIMIT,
     canon_limit=DEFAULT_CANON_LIMIT,
 ) -> Value:
-    """Evaluate a complete generator to the value its code means."""
+    """Evaluate a complete generator to the value its code means; a limit
+    of None is no limit."""
     _expect(code)
+    _expect_limit(step_limit)
+    _expect_limit(canon_limit)
     ctx = BuildContext(RunSemantics(step_limit), canon_limit)
     with _HostStack("run"):
         d, v = code._build(ctx, ROOT)

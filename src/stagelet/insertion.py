@@ -67,38 +67,73 @@ class Pending:
         return "Pending(...)"
 
 
+_EMPTY_LOG = frozenset()
+
+
 class BindingClass(metaclass=_Record):
     """One equivalence class of requested bindings: the representative name
-    to bind, its right-hand side, and the other names to rewrite into it."""
+    to bind, its right-hand side, and the log of the requests folded into it.
+
+    A log is a frozenset of alias names, or a fold node `(request name,
+    incoming class's log, earlier log)`: a fold records its request without
+    copying, and the alias set is built from the log once, when the class is
+    bound."""
 
     name: object
     rhs: object  # a denotation, or a Pending
-    aliases: frozenset = frozenset()
+    log: object = _EMPTY_LOG
+
+    @property
+    def aliases(self) -> frozenset:
+        """The other names to rewrite into the representative."""
+        return frozenset(_requests(self))
 
 
-_NO_ALIASES = frozenset()
+def _requests(cls: BindingClass):
+    """The aliases of `cls` as the keys of a dict, in request order: a fold
+    node's earlier log, then its request name, then the incoming log. Each
+    node is visited once, so a log shared by two folded classes is read
+    once; a frozenset log is returned as it is."""
+    node = cls.log
+    if type(node) is frozenset:
+        return node
+    names, seen, stack = {}, set(), []
+    while True:
+        # descend the earlier logs to the first request not yet read
+        while type(node) is tuple and id(node) not in seen:
+            seen.add(id(node))
+            stack.append(node)
+            node = node[2]
+        if type(node) is frozenset:
+            for n in node:
+                names[n] = None
+        if not stack:
+            break
+        name, node, _ = stack.pop()
+        names[name] = None
+    names.pop(cls.name, None)
+    return names
+
 
 # the store of a locus with no requests; shared, so read-only
 EMPTY_PER_LOCUS = MappingProxyType({})
 
 
-def _fold(existing: BindingClass, name, rhs, aliases) -> BindingClass:
+def _fold(existing: BindingClass, name, rhs, log) -> BindingClass:
     """`existing` after absorbing a class with the given fields: it keeps its
-    name, takes the incoming names as aliases, and keeps its right-hand side
-    unless only the incoming one is forced."""
+    name, logs the incoming name and log after its own log, and keeps its
+    right-hand side unless only the incoming one is forced."""
     if isinstance(existing.rhs, Pending) and not isinstance(rhs, Pending):
         kept = rhs
     else:
         kept = existing.rhs
-    return BindingClass(
-        existing.name, kept, (existing.aliases | aliases | {name}) - {existing.name}
-    )
+    return BindingClass(existing.name, kept, (name, log, existing.log))
 
 
 def addb(key, name, rhs, store):
     """Add one requested binding of `name` to `rhs` under memo key `key`.
 
-    An existing class for the key absorbs the name as an alias and keeps its
+    An existing class for the key logs the name as an alias and keeps its
     own right-hand side; a new key enters greater than everything present.
     So the key order is the whole binding preorder: the bindings a
     right-hand side requested were inserted before its own key.
@@ -108,7 +143,7 @@ def addb(key, name, rhs, store):
     if existing is None:
         classes[key] = BindingClass(name, rhs)
     else:
-        classes[key] = _fold(existing, name, rhs, _NO_ALIASES)
+        classes[key] = _fold(existing, name, rhs, _EMPTY_LOG)
     return classes
 
 
@@ -127,7 +162,9 @@ def without(bindings, loc):
 
 def merge(v1, v2):
     """Fold the classes of v2 into v1, locus by locus, each locus traversed
-    in v2's binding order, so v2's newcomers end up after everything in v1."""
+    in v2's binding order, so v2's newcomers end up after everything in v1.
+    A class found in both is kept as it is: folding it into itself adds no
+    name."""
     if not v2:
         return v1
     if not v1:
@@ -143,8 +180,8 @@ def merge(v1, v2):
             existing = classes.get(key)
             if existing is None:
                 classes[key] = cls
-            else:
-                classes[key] = _fold(existing, cls.name, cls.rhs, cls.aliases)
+            elif existing is not cls:
+                classes[key] = _fold(existing, cls.name, cls.rhs, cls.log)
         stores[loc] = classes
     return stores
 
@@ -188,7 +225,7 @@ def bind_lets(classes, body, sem):
     den = body
     for cls in reversed(list(classes)):
         rhs = _require_canonical(cls)
-        den = sem.mk_let(cls.name, rhs, subst(cls.name, cls.aliases, den))
+        den = sem.mk_let(cls.name, rhs, subst(cls.name, _requests(cls), den))
     return den
 
 
@@ -199,7 +236,7 @@ def bind_letrec(classes, body, sem):
     classes = list(classes)
     if not classes:
         return body
-    pairs = tuple((alias, cls.name) for cls in classes for alias in cls.aliases)
+    pairs = tuple((alias, cls.name) for cls in classes for alias in _requests(cls))
     clauses = [
         (cls.name, _redirect_all(pairs, _require_canonical(cls))) for cls in classes
     ]
@@ -213,7 +250,7 @@ def canon(bindings, loc, round_limit=DEFAULT_CANON_LIMIT):
     Forcing a pending class may request the same key again; the merge folds
     that re-occurrence into the now-canonical class, which is what lets the
     process terminate. Picks the earliest pending key in insertion order;
-    aborts after `round_limit` forcings.
+    aborts after `round_limit` forcings, or never if it is None.
     """
     current = bindings
     rounds = 0
@@ -222,12 +259,12 @@ def canon(bindings, loc, round_limit=DEFAULT_CANON_LIMIT):
         pending_keys = [k for k, cls in store.items() if isinstance(cls.rhs, Pending)]
         if not pending_keys:
             return current
-        if rounds >= round_limit:
+        if round_limit is not None and rounds >= round_limit:
             raise CanonLimitExceeded(loc, pending_keys)
         key = pending_keys[0]
         cls = store[key]
         den, produced = cls.rhs.force()
         classes = dict(store)
-        classes[key] = BindingClass(cls.name, den, cls.aliases)
+        classes[key] = BindingClass(cls.name, den, cls.log)
         current = merge({**current, loc: classes}, produced)
         rounds += 1

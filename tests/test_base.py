@@ -585,6 +585,28 @@ class TestRecords:
             assert [f.default for f in dataclasses.fields(cls)][1] == 2
         check_record(Scaled3(IntLit(1), 4), ["arg", "factor"])
 
+    def test_a_field_default_or_factory_is_kept(self):
+        class Tagged(BaseAst):
+            arg: object = dataclasses.field(default=1)
+            tags: list = dataclasses.field(default_factory=list)
+
+        assert Tagged() == Tagged(1, [])
+        assert Tagged().tags is not Tagged().tags
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"compare": False, "repr": False}, {"kw_only": True}],
+        ids=["compare-repr", "kw_only"],
+    )
+    def test_other_field_options_are_refused_by_name(self, options):
+        # a frozen dataclass would honour them: R(1) == R(2) and repr "R()",
+        # or a keyword-only `a` after a positional `b`
+        with pytest.raises(TypeError, match=r"record field R\.a "):
+
+            class R(BaseAst):
+                a: int = dataclasses.field(default=1, **options)
+                b: int = 0
+
     @pytest.mark.parametrize("base", [BaseAst, BinOp, Value, Name], ids=lambda c: c.__name__)
     def test_each_class_is_listed_once_under_its_base(self, base):
         subs = [c for c in base.__subclasses__() if c.__module__ == "stagelet.base"]

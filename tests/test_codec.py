@@ -361,6 +361,27 @@ class TestRunErrors:
         assert free_vars(tree)
 
 
+class TestLimits:
+    """A limit is an int, or None for no limit; anything else is refused
+    before the build starts."""
+
+    def test_none_is_no_limit(self):
+        cack2 = lookup("cack2").builder
+        assert show(cack2(), canon_limit=None) == show(cack2())
+        value = run(cack2(), step_limit=None, canon_limit=None)
+        assert apply_ints(value, [3]) == VInt(9)
+
+    @pytest.mark.parametrize("bad", ["5", 5.0, True, False, [1]], ids=repr)
+    def test_anything_else_is_a_type_mismatch(self, bad):
+        cack2 = lookup("cack2").builder
+        with pytest.raises(TypeMismatch, match="not a limit"):
+            show(cack2(), canon_limit=bad)
+        with pytest.raises(TypeMismatch, match="not a limit"):
+            run(cack2(), canon_limit=bad)
+        with pytest.raises(TypeMismatch, match="not a limit"):
+            run(cack2(), step_limit=bad)
+
+
 class TestNotCode:
     """Something that is not code where code belongs, or not a locus where a
     locus belongs, is a TypeMismatch naming it, not a raw Python error."""

@@ -1,6 +1,11 @@
 import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +84,20 @@ def canonical_int(i):
     return S().mk_int(i)
 
 
+def view(cls):
+    """A class as (name, rhs, aliases): what its folds decided, whatever
+    shape its log has."""
+    return cls.name, cls.rhs, cls.aliases
+
+
+def store_view(store):
+    return {key: view(cls) for key, cls in store.items()}
+
+
+def bindings_view(bindings):
+    return {loc: store_view(store) for loc, store in bindings.items()}
+
+
 class TestAddb:
     def test_first_insertion(self):
         name = Fresh((2,))
@@ -117,11 +136,12 @@ class TestAddb:
         pen, can = Pending(lambda: None), canonical_int(3)
         store = addb(1, other, pen, addb(1, n, pen, EMPTY_PER_LOCUS))
         after = addb(1, n, can, store)
-        assert after[1] == BindingClass(n, can, frozenset({other}))
+        assert view(after[1]) == view(BindingClass(n, can, frozenset({other})))
         assert after[1].rhs is can
         assert store[1].rhs is pen  # the store added to is unchanged
         # a pending right-hand side never replaces a canonical one
-        assert addb(1, n, Pending(lambda: None), after) == after
+        again = addb(1, n, Pending(lambda: None), after)
+        assert store_view(again) == store_view(after)
 
     def test_matches_naive_model_exhaustively(self):
         keys = (1, 2, 3)
@@ -264,7 +284,7 @@ class TestMerge:
             v2 = grow(shared, rng.randrange(4))
             got = merge(v1, v2)
             want = model_merge(v1, v2)
-            assert got == want
+            assert bindings_view(got) == bindings_view(want)
             assert [tuple(s) for s in got.values()] == [
                 tuple(s) for s in want.values()
             ]
@@ -276,11 +296,100 @@ class TestMerge:
         assert set(both) == {(1,), (2,)}
 
 
+# the (alias, representative) pair of every Env.redirect that showing
+# clgib(10) and cack(8) makes, in call order, as JSON
+_REDIRECTS_SCRIPT = """
+import json
+from stagelet import show
+from stagelet.semantics import Env
+from helpers import cack, clgib
+
+seen = []
+redirect = Env.redirect
+
+def spy(env, alias, representative):
+    seen.append((alias.render(), representative.render()))
+    return redirect(env, alias, representative)
+
+Env.redirect = spy
+for gen in (clgib(10), cack(8)):
+    show(gen)
+print(json.dumps(seen))
+"""
+
+
+class TestFoldLog:
+    """A fold logs its request in one node and copies nothing; the alias set
+    is read from the log, each name once, in request order."""
+
+    def test_merging_bindings_with_themselves_keeps_their_classes(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            v = grow(rng, EMPTY_BINDINGS, rng.randrange(1, 6))
+            got = merge(v, v)
+            assert list(got) == list(v)
+            for loc, store in v.items():
+                assert list(got[loc]) == list(store)
+                assert all(got[loc][key] is cls for key, cls in store.items())
+
+    def test_aliases_come_in_request_order(self):
+        a, b, c, d, e = (Fresh((i,)) for i in range(5))
+        can = canonical_int(0)
+        left = addb(0, c, can, addb(0, b, can, addb(0, a, can, EMPTY_PER_LOCUS)))
+        right = addb(0, a, can, addb(0, e, can, addb(0, d, can, EMPTY_PER_LOCUS)))
+        cls = merge({(): left}, {(): right})[()][0]
+        # the earlier log, the incoming representative, the incoming log;
+        # the representative itself is dropped wherever it was requested
+        assert list(insertion._requests(cls)) == [b, c, d, e]
+        assert cls.aliases == {b, c, d, e}
+        assert cls.name == a
+
+    @pytest.mark.parametrize("how", ["addb", "merge into", "merge from"])
+    def test_a_hundred_thousand_folds_flatten(self, how):
+        can = canonical_int(0)
+        names = [Fresh((i,)) for i in range(10**5)]
+        if how == "addb":
+            store = EMPTY_PER_LOCUS
+            for name in names:
+                store = addb(0, name, can, store)
+        else:
+            # the log deepens along its earlier logs merging into the
+            # class, along its incoming logs merging the class into others
+            v = EMPTY_BINDINGS
+            for name in names:
+                one = {(): {0: BindingClass(name, can)}}
+                v = merge(v, one) if how == "merge into" else merge(one, v)
+            store = v[()]
+        cls = store[0]
+        assert cls.name == (names[0] if how != "merge from" else names[-1])
+        assert len(cls.aliases) == len(names) - 1
+        assert cls.name not in cls.aliases
+        alias = names[len(names) // 2]
+        tree = bind_lets([cls], S().mk_var(alias), S())(EMPTY_ENV)
+        assert tree == Let(cls.name, IntLit(0), Var(cls.name))
+
+    def test_redirect_order_does_not_follow_the_hash_seed(self):
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        )
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            done = subprocess.run(
+                [sys.executable, "-c", _REDIRECTS_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert len(runs[0]) > 300
+        assert runs[0] == runs[1]
+
+
 RECORDS = {
     Locus: (Locus((1, 2)), ["location"]),
     BindingClass: (
         BindingClass(Source("a"), IntLit(1), frozenset({Source("b")})),
-        ["name", "rhs", "aliases"],
+        ["name", "rhs", "log"],
     ),
     # a semantics compares by identity, so a stand-in that copies to an equal
     BuildContext: (BuildContext(None, 7), ["sem", "canon_limit"]),
@@ -303,7 +412,7 @@ class TestRecords:
         assert repr(Locus((1, 2))) == "Locus(location=(1, 2))"
         assert repr(RECORDS[BindingClass][0]) == (
             "BindingClass(name=Source('a'), rhs=IntLit(value=1), "
-            "aliases=frozenset({Source('b')}))"
+            "log=frozenset({Source('b')}))"
         )
 
     def test_defaults(self):
@@ -398,12 +507,12 @@ class TestRandomOperations:
                     key, name, rhs = rng.randrange(4), rng.choice(NAMES), random_rhs(rng)
                     got = {**v1, loc: addb(key, name, rhs, v1.get(loc, EMPTY_PER_LOCUS))}
                     want = model_merge(v1, {loc: {key: BindingClass(name, rhs)}})
-                    assert got == want
+                    assert bindings_view(got) == bindings_view(want)
                 elif op in (1, 2):
                     if op == 2:
                         v1, v2 = v2, v1
                     got, want = merge(v1, v2), model_merge(v1, v2)
-                    assert got == want
+                    assert bindings_view(got) == bindings_view(want)
                 elif op == 3:
                     # each forcing builds new denotations: compare key orders
                     got, want = canon(v1, loc), self.model_canon(v1, loc)
@@ -741,10 +850,10 @@ class TestEndToEnd:
 
 
 class TestAliasClasses:
-    """subst and bind_letrec redirect aliases in no particular order. That is
-    sound because at every bind the alias sets are pairwise disjoint and no
-    alias is a representative, so each alias has exactly one target and no
-    target is itself redirected."""
+    """The order of a bind's redirects does not change what it means: at
+    every bind the alias sets are pairwise disjoint and no alias is a
+    representative, so each alias has exactly one target and no target is
+    itself redirected."""
 
     @pytest.fixture
     def binds(self, monkeypatch):
