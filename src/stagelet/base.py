@@ -62,6 +62,12 @@ class _Budget:
             raise StepLimitExceeded("step limit exceeded")
 
 
+def _expect_limit(limit):
+    """Raise TypeMismatch unless `limit` is an int or None (no limit)."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+        raise TypeMismatch(f"not a limit: {limit!r}")
+
+
 # ---------------------------------------------------------------------------
 # Records
 
@@ -654,6 +660,7 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
 
     `env` maps Name to Value. Free names not in `env` raise UnboundVariable.
     """
+    _expect_limit(step_limit)
     budget = _Budget(step_limit)
     with _HostStack("evaluation"):
         return _E[type(ast)](ast, dict(env) if env else {}, budget)

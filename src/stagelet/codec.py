@@ -22,6 +22,7 @@ from .base import (
     Value,
     _HostStack,
     _Record,
+    _expect_limit,
 )
 from .insertion import (
     DEFAULT_CANON_LIMIT,
@@ -320,12 +321,6 @@ def _complete(bindings):
         raise ResidualBindings(tuple(bindings))
 
 
-def _expect_limit(limit):
-    """Raise TypeMismatch unless `limit` is an int or None (no limit)."""
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
-        raise TypeMismatch(f"not a limit: {limit!r}")
-
-
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
     """Build the syntax tree a complete generator produces; a limit of None
     is no limit."""
@@ -352,4 +347,4 @@ def run(
     with _HostStack("run"):
         d, v = code._build(ctx, ROOT)
         _complete(v)
-        return d(EMPTY_ENV)
+        return d({})

@@ -85,8 +85,40 @@ class BindingClass(metaclass=_Record):
 
     @property
     def aliases(self) -> frozenset:
-        """The other names to rewrite into the representative."""
+        """The other names of the representative's binding."""
         return frozenset(_requests(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.rhs == other.rhs
+            and _same_log(self.log, other.log)
+        )
+
+    def __repr__(self):
+        aliases = list(_requests(self))
+        return f"BindingClass(name={self.name!r}, rhs={self.rhs!r}, aliases={aliases!r})"
+
+
+def _same_log(a, b):
+    """Whether logs `a` and `b` are equal as nested tuples. An explicit stack
+    compares logs of any depth, and each pair of nodes is compared once."""
+    stack, seen = [(a, b)], set()
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        if type(a) is tuple and type(b) is tuple:
+            if a[0] != b[0]:
+                return False
+            seen.add((id(a), id(b)))
+            stack.append((a[1], b[1]))
+            stack.append((a[2], b[2]))
+        elif a != b:
+            return False
+    return True
 
 
 def _requests(cls: BindingClass):
@@ -192,25 +224,6 @@ def ordered(store):
     return list(store.values())
 
 
-def subst(representative, aliases, denotation):
-    """A denotation equal to `denotation` except every alias resolves to the
-    representative's binding. The redirects may go in any order: the alias
-    sets at one locus are pairwise disjoint and hold no representative."""
-    return _redirect_all(tuple((a, representative) for a in aliases), denotation)
-
-
-def _redirect_all(pairs, denotation):
-    if not pairs:
-        return denotation
-
-    def den(env):
-        for alias, rep in pairs:
-            env = env.redirect(alias, rep)
-        return denotation(env)
-
-    return den
-
-
 def _require_canonical(cls: BindingClass):
     if isinstance(cls.rhs, Pending):
         raise PendingBinding(
@@ -221,26 +234,25 @@ def _require_canonical(cls: BindingClass):
 
 
 def bind_lets(classes, body, sem):
-    """Nest the classes around `body` as let-expressions, outermost first."""
+    """Nest the classes around `body` as let-expressions, outermost first,
+    each binding its aliases too. They may be bound in any order: the alias
+    sets at one locus are pairwise disjoint and hold no representative."""
     den = body
     for cls in reversed(list(classes)):
-        rhs = _require_canonical(cls)
-        den = sem.mk_let(cls.name, rhs, subst(cls.name, _requests(cls), den))
+        den = sem.mk_let(cls.name, _require_canonical(cls), den, _requests(cls))
     return den
 
 
 def bind_letrec(classes, body, sem):
     """One letrec over all classes; aliases from any class may appear in any
     clause (folding during canonicalization creates them), so every clause and
-    the body run under the full alias-to-representative rewrite."""
+    the body see every (alias, representative) pair."""
     classes = list(classes)
     if not classes:
         return body
     pairs = tuple((alias, cls.name) for cls in classes for alias in _requests(cls))
-    clauses = [
-        (cls.name, _redirect_all(pairs, _require_canonical(cls))) for cls in classes
-    ]
-    return sem.mk_letrec(clauses, _redirect_all(pairs, body))
+    clauses = [(cls.name, _require_canonical(cls)) for cls in classes]
+    return sem.mk_letrec(clauses, body, pairs)
 
 
 def canon(bindings, loc, round_limit=DEFAULT_CANON_LIMIT):

@@ -1,10 +1,14 @@
 """Environment-passing denotation builders for the object language.
 
-A denotation is a pure function from an Env to a semantic value. Two builder
-families share one shape: RunSemantics produces denotations that evaluate to
-run-time values, ShowSemantics produces denotations that build syntax trees.
-Binary operators evaluate the left operand first; final results must not
-depend on that order.
+A denotation is a pure function from an environment to a semantic value. Two
+builder families share one shape: RunSemantics produces denotations that
+evaluate to run-time values, ShowSemantics produces denotations that build
+syntax trees. Each keeps its own environment. Run's is a plain dict from
+name to value (or the `_RecCell` of a letrec clause), immutable by
+convention: a binder copies it once and binds its name, and the aliases of
+its binding class to the same value, in that copy. Show's is an `Env` that
+holds only alias redirects. Binary operators evaluate the left operand first;
+final results must not depend on that order.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ class _Redirect:
 
 
 class Env:
-    """Immutable finite map from names to semantic values.
+    """Immutable finite map from names to semantic values; Show uses it as
+    its alias map, Run not at all.
 
     Extension and redirection return new maps; the original is unchanged.
     `extend` copies the map once. `redirect` copies nothing: it returns a
@@ -105,8 +110,7 @@ class Env:
     def lookup(self, name):
         """Resolve a name through redirects; returns (final name, value).
 
-        The value is MISSING when the (resolved) name is unbound. Delayed
-        letrec bindings are forced here, invisibly to callers.
+        The value is MISSING when the (resolved) name is unbound.
         """
         entries = self._entries
         if entries is None:
@@ -116,8 +120,6 @@ class Env:
             if isinstance(v, _Redirect):
                 name = v.target
                 continue
-            if isinstance(v, _RecCell):
-                return name, v.force()
             return name, v
 
     def __repr__(self):
@@ -165,16 +167,20 @@ _RUN_BINOPS = _RunMakers({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
 class RunSemantics:
-    """Denotation builders that evaluate: Env maps names to Values."""
+    """Denotation builders that evaluate: the environment is a dict from
+    names to Values and letrec cells, which a binder copies and never
+    writes into once made."""
 
     def __init__(self, step_limit=None):
         self._budget = _Budget(step_limit)
 
     def mk_var(self, name):
         def den(env):
-            resolved, v = env.lookup(name)
-            if v is MISSING:
-                raise UnboundVariable(f"unbound variable {resolved.render()}")
+            v = env.get(name)
+            if v is None:
+                raise UnboundVariable(f"unbound variable {name.render()}")
+            if type(v) is _RecCell:
+                return v.force()
             return v
 
         return den
@@ -208,7 +214,9 @@ class RunSemantics:
         def den(env):
             def call(arg):
                 budget.tick()
-                return body(env.extend(name, arg))
+                inner = env.copy()
+                inner[name] = arg
+                return body(inner)
 
             return VFun(call)
 
@@ -224,20 +232,34 @@ class RunSemantics:
 
         return den
 
-    def mk_let(self, name, d1, d2):
-        return lambda env: d2(env.extend(name, d1(env)))
-
-    def mk_letrec(self, clauses, body):
-        budget = self._budget
-        clauses = tuple(clauses)
+    def mk_let(self, name, d1, d2, aliases=()):
+        """`let name = d1 in d2`; each alias names the same value, bound in
+        the same copy of the environment."""
+        names = (name, *aliases)
 
         def den(env):
-            cells = [_RecCell(n, rhs, budget) for n, rhs in clauses]
-            env2 = env
-            for cell in cells:
-                env2 = env2.extend(cell.name, cell)
-            for cell in cells:
+            v = d1(env)
+            inner = env.copy()
+            for n in names:
+                inner[n] = v
+            return d2(inner)
+
+        return den
+
+    def mk_letrec(self, clauses, body, pairs=()):
+        """One letrec over `clauses`, (name, rhs) each; every (alias,
+        representative) pair names the representative's cell."""
+        budget = self._budget
+        clauses = tuple(clauses)
+        pairs = tuple(pairs)
+
+        def den(env):
+            env2 = env.copy()
+            for n, rhs in clauses:
+                cell = env2[n] = _RecCell(n, rhs, budget)
                 cell.env = env2
+            for alias, rep in pairs:
+                env2[alias] = env2[rep]
             return body(env2)
 
         return den
@@ -285,11 +307,31 @@ class ShowSemantics:
     def mk_app(self, d1, d2):
         return lambda env: App(d1(env), d2(env))
 
-    def mk_let(self, name, d1, d2):
-        return lambda env: Let(name, d1(env), d2(env))
+    def mk_let(self, name, d1, d2, aliases=()):
+        """`let name = d1 in d2`; d2 is built with each alias redirected to
+        `name`, one redirect per alias."""
+        aliases = tuple(aliases)
 
-    def mk_letrec(self, clauses, body):
+        def den(env):
+            rhs = d1(env)
+            for alias in aliases:
+                env = env.redirect(alias, name)
+            return Let(name, rhs, d2(env))
+
+        return den
+
+    def mk_letrec(self, clauses, body, pairs=()):
+        """One letrec over `clauses`; each clause and the body is built
+        under every (alias, representative) redirect, made afresh for each."""
         clauses = tuple(clauses)
+        pairs = tuple(pairs)
+
+        def redirected(env):
+            for alias, rep in pairs:
+                env = env.redirect(alias, rep)
+            return env
+
         return lambda env: LetRec(
-            tuple((n, rhs(env)) for n, rhs in clauses), body(env)
+            tuple((n, rhs(redirected(env))) for n, rhs in clauses),
+            body(redirected(env)),
         )

@@ -7,6 +7,7 @@ import pytest
 import stagelet
 from stagelet import (
     Add,
+    App,
     BinOp,
     Div,
     Fresh,
@@ -380,6 +381,14 @@ class TestLimits:
             run(cack2(), canon_limit=bad)
         with pytest.raises(TypeMismatch, match="not a limit"):
             run(cack2(), step_limit=bad)
+
+    @pytest.mark.parametrize("bad", ["5", 2.5, True, False, [1]], ids=repr)
+    def test_eval_ast_refuses_the_same_limits(self, bad):
+        x = Source("x")
+        tree = App(Lam(x, Var(x)), IntLit(1))
+        assert eval_ast(tree, {}, step_limit=None) == VInt(1)
+        with pytest.raises(TypeMismatch, match=f"^not a limit: {re.escape(repr(bad))}$"):
+            eval_ast(tree, {}, step_limit=bad)
 
 
 class TestNotCode:

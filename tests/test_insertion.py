@@ -22,6 +22,7 @@ from stagelet import (
     PendingBinding,
     ResidualBindings,
     Source,
+    UnboundVariable,
     VInt,
     Var,
     alpha_eq,
@@ -43,6 +44,7 @@ from stagelet import (
     with_locus_rec,
 )
 from stagelet import codec, examples, insertion
+from stagelet.base import _RecCell
 from stagelet.codec import BuildContext
 from stagelet.examples import ExampleEntry, ExampleKind, lookup, registry
 from stagelet.insertion import (
@@ -57,7 +59,6 @@ from stagelet.insertion import (
     canon,
     merge,
     ordered,
-    subst,
     without,
 )
 from stagelet.semantics import EMPTY_ENV, RunSemantics, ShowSemantics
@@ -368,6 +369,24 @@ class TestFoldLog:
         tree = bind_lets([cls], S().mk_var(alias), S())(EMPTY_ENV)
         assert tree == Let(cls.name, IntLit(0), Var(cls.name))
 
+    def test_repr_and_eq_of_a_hundred_thousand_folds(self):
+        can = canonical_int(0)
+        names = [Fresh((i,)) for i in range(10**5)]
+
+        def folded(names):
+            store = EMPTY_PER_LOCUS
+            for name in names:
+                store = addb(0, name, can, store)
+            return store[0]
+
+        a, b = folded(names), folded(names)
+        assert a.log is not b.log
+        assert a == b
+        assert a != folded(names[:-1])
+        # differs at the deepest fold only
+        assert a != folded([names[0], Fresh((-1,)), *names[2:]])
+        assert repr(a) == f"BindingClass(name={names[0]!r}, rhs={can!r}, aliases={names[1:]!r})"
+
     def test_redirect_order_does_not_follow_the_hash_seed(self):
         tests = Path(__file__).resolve().parent
         path = os.pathsep.join(
@@ -412,7 +431,7 @@ class TestRecords:
         assert repr(Locus((1, 2))) == "Locus(location=(1, 2))"
         assert repr(RECORDS[BindingClass][0]) == (
             "BindingClass(name=Source('a'), rhs=IntLit(value=1), "
-            "log=frozenset({Source('b')}))"
+            "aliases=[Source('b')])"
         )
 
     def test_defaults(self):
@@ -593,20 +612,58 @@ class TestOrdered:
             assert tuple(keys) == tuple(store)
 
 
-class TestSubst:
-    def test_no_aliases_is_identity(self):
-        d = S().mk_int(7)
-        assert subst(Source("n"), frozenset(), d) is d
+class TestAliasBinding:
+    """A binder's aliases go to the semantics with it: run binds each to the
+    binder's own value or cell, show redirects each to the binder's name."""
+
+    def test_no_aliases_is_a_plain_let(self):
+        n = Source("n")
+        for sem, env, want in ((S(), EMPTY_ENV, Let(n, IntLit(7), Var(n))), (R(), {}, VInt(7))):
+            d = sem.mk_let(n, sem.mk_int(7), sem.mk_var(n), frozenset())
+            assert d(env) == sem.mk_let(n, sem.mk_int(7), sem.mk_var(n))(env) == want
 
     def test_alias_renders_as_representative(self):
         n, m = Source("n"), Source("m")
-        d = subst(n, {m}, S().mk_var(m))
-        assert d(EMPTY_ENV.extend(n, Var(n))) == Var(n)
+        s = S()
+        d = s.mk_let(n, s.mk_int(8), s.mk_var(m), {m})
+        assert d(EMPTY_ENV) == Let(n, IntLit(8), Var(n))
+        d = s.mk_letrec([(n, s.mk_var(m))], s.mk_var(m), [(m, n)])
+        assert d(EMPTY_ENV) == LetRec(((n, Var(n)),), Var(n))
 
     def test_alias_gets_representative_value(self):
+        n, m, x = Source("n"), Source("m"), Source("x")
+        r = R()
+        d = r.mk_let(n, r.mk_int(8), r.mk_var(m), {m})
+        assert d({}) == VInt(8)
+        ident = r.mk_lam(x, r.mk_var(x))
+        d = r.mk_letrec([(n, ident)], r.mk_app(r.mk_var(m), r.mk_int(8)), [(m, n)])
+        assert d({}) == VInt(8)
+
+    def test_alias_is_bound_to_the_same_object(self):
+        n, m, k, f = Source("n"), Source("m"), Source("k"), Source("f")
+        r = R()
+        seen = []
+
+        def body(env):
+            seen.append(env)
+            return VInt(0)
+
+        rhs = r.mk_binop(Add, r.mk_int(1), r.mk_int(2))
+        r.mk_let(n, rhs, body, [m, k])({})
+        (env,) = seen
+        assert env[n] == VInt(3)
+        assert env[m] is env[n] and env[k] is env[n]
+        r.mk_letrec([(f, r.mk_int(1)), (n, r.mk_int(2))], body, [(m, n), (k, f)])({})
+        env = seen[1]
+        assert isinstance(env[n], _RecCell) and env[m] is env[n]
+        assert isinstance(env[f], _RecCell) and env[k] is env[f]
+
+    def test_let_alias_is_not_bound_in_its_rhs(self):
         n, m = Source("n"), Source("m")
-        d = subst(n, {m}, R().mk_var(m))
-        assert d(EMPTY_ENV.extend(n, VInt(8))) == VInt(8)
+        r = R()
+        d = r.mk_let(n, r.mk_var(m), r.mk_int(0), [m])
+        with pytest.raises(UnboundVariable, match="^unbound variable m$"):
+            d({})
 
 
 class TestBind:

@@ -18,18 +18,28 @@ from stagelet import (
     TypeMismatch,
     UnboundVariable,
     VBool,
+    VFun,
     VInt,
     Var,
+    apply_ints,
+    cadd,
+    cint,
+    clam,
+    clet,
+    cmul,
     eval_ast,
     free_vars,
+    genlet,
+    lookup,
     pretty,
     run,
     show,
+    with_locus,
 )
-from stagelet import codec
+from stagelet import codec, semantics
 from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
-from helpers import ackermann, build_den, gib, random_plan
+from helpers import ackermann, build_den, cack, clgib, gib, random_plan
 
 R = RunSemantics
 S = ShowSemantics
@@ -154,7 +164,7 @@ class TestMkVar:
         assert S().mk_var(x)(env) == Var(x)
 
     def test_run_bound(self):
-        assert R().mk_var(x)(EMPTY_ENV.extend(x, VInt(7))) == VInt(7)
+        assert R().mk_var(x)({x: VInt(7)}) == VInt(7)
 
     def test_show_unbound_stays_literal(self):
         from stagelet import Fresh
@@ -164,21 +174,21 @@ class TestMkVar:
 
     def test_run_unbound_raises(self):
         with pytest.raises(UnboundVariable):
-            R().mk_var(x)(EMPTY_ENV)
+            R().mk_var(x)({})
 
 
 class TestMkConstants:
     def test_int(self):
-        assert R().mk_int(3)(EMPTY_ENV) == VInt(3)
+        assert R().mk_int(3)({}) == VInt(3)
         assert S().mk_int(3)(EMPTY_ENV) == IntLit(3)
         assert pretty(S().mk_int(42)(EMPTY_ENV)) == "42"
 
     def test_bool(self):
-        assert R().mk_bool(True)(EMPTY_ENV) == VBool(True)
+        assert R().mk_bool(True)({}) == VBool(True)
 
     def test_add(self):
         r = R()
-        assert r.mk_binop(Add, r.mk_int(1), r.mk_int(2))(EMPTY_ENV) == VInt(3)
+        assert r.mk_binop(Add, r.mk_int(1), r.mk_int(2))({}) == VInt(3)
         s = S()
         assert s.mk_binop(Add, s.mk_int(1), s.mk_int(2))(EMPTY_ENV) == Add(
             IntLit(1), IntLit(2)
@@ -187,13 +197,13 @@ class TestMkConstants:
     def test_if_picks_branch(self):
         r = R()
         d = r.mk_if(r.mk_bool(False), r.mk_int(1), r.mk_int(2))
-        assert d(EMPTY_ENV) == VInt(2)
+        assert d({}) == VInt(2)
 
     def test_type_errors_surface_at_application(self):
         r = R()
         d = r.mk_binop(Add, r.mk_bool(True), r.mk_int(1))
         with pytest.raises(TypeMismatch):
-            d(EMPTY_ENV)
+            d({})
 
     def test_subclass_of_an_operator_runs_as_its_base(self):
         gen = codec.capp(
@@ -213,7 +223,7 @@ class TestMkConstants:
 class TestMkLam:
     def test_run_identity(self):
         r = R()
-        fn = r.mk_lam(x, r.mk_var(x))(EMPTY_ENV)
+        fn = r.mk_lam(x, r.mk_var(x))({})
         assert fn.fn(VInt(5)) == VInt(5)
 
     def test_show_tree(self):
@@ -225,14 +235,14 @@ class TestMkLam:
         d = r.mk_app(
             r.mk_lam(x, r.mk_binop(Mul, r.mk_var(x), r.mk_var(x))), r.mk_int(3)
         )
-        assert d(EMPTY_ENV) == VInt(9)
+        assert d({}) == VInt(9)
 
 
 class TestMkLet:
     def test_run(self):
         r = R()
         d = r.mk_let(x, r.mk_int(3), r.mk_binop(Add, r.mk_var(x), r.mk_var(x)))
-        assert d(EMPTY_ENV) == VInt(6)
+        assert d({}) == VInt(6)
 
     def test_show(self):
         s = S()
@@ -262,7 +272,7 @@ class TestMkLetrec:
         d = r.mk_letrec(
             [(loop, r.mk_lam(n, body))], r.mk_app(r.mk_var(loop), r.mk_int(5))
         )
-        env = EMPTY_ENV.extend(x, VInt(1)).extend(y, VInt(1))
+        env = {x: VInt(1), y: VInt(1)}
         assert d(env) == VInt(8)
         assert d(env) == VInt(gib(5, 1, 1))
 
@@ -303,7 +313,7 @@ class TestMkLetrec:
             ],
             r.mk_var(a),
         )
-        got = d(EMPTY_ENV).fn(VInt(4))
+        got = d({}).fn(VInt(4))
         assert got == VInt(11)
         assert got == VInt(ackermann(2, 4))
 
@@ -311,7 +321,7 @@ class TestMkLetrec:
         r = R()
         d = r.mk_letrec([(x, r.mk_var(x))], r.mk_var(x))
         with pytest.raises(StepLimitExceeded):
-            d(EMPTY_ENV)
+            d({})
 
 
 class TestCoherence:
@@ -322,7 +332,7 @@ class TestCoherence:
             tree = build_den(plan, S())(EMPTY_ENV)
             assert free_vars(tree) == set()
             got = eval_ast(tree, {})
-            want = build_den(plan, R())(EMPTY_ENV)
+            want = build_den(plan, R())({})
             assert got == want
 
     def test_show_builds_are_total(self):
@@ -347,9 +357,9 @@ class TestPurity:
         r = R()
         log = []
         d = r.mk_binop(Add, _spy(r.mk_int(1), log, "L"), _spy(r.mk_int(2), log, "R"))
-        d(EMPTY_ENV)
+        d({})
         assert log == ["L", "R"]
-        d(EMPTY_ENV)
+        d({})
         assert log == ["L", "R", "L", "R"]
 
     def test_run_if_applies_exactly_one_branch(self):
@@ -360,14 +370,14 @@ class TestPurity:
             _spy(r.mk_int(1), log, "t"),
             _spy(r.mk_int(2), log, "e"),
         )
-        d(EMPTY_ENV)
+        d({})
         assert log == ["c", "t"]
 
     def test_run_lam_defers_body(self):
         r = R()
         log = []
         d = r.mk_lam(x, _spy(r.mk_var(x), log, "b"))
-        fn = d(EMPTY_ENV)
+        fn = d({})
         assert log == []
         fn.fn(VInt(1))
         assert log == ["b"]
@@ -382,3 +392,46 @@ class TestPurity:
         )
         d(EMPTY_ENV)
         assert log == ["c", "t", "e"]  # building the tree needs all children
+
+
+def _cpoly(coeffs):
+    """Horner's rule over `coeffs`, lowest degree first, one genlet a step."""
+
+    def steps(x, l):
+        acc = cint(coeffs[-1])
+        for i in range(len(coeffs) - 2, -1, -1):
+            acc = genlet(l, i, cadd(cmul(acc, x), cint(coeffs[i])))
+        return acc
+
+    return clam(lambda x: with_locus(lambda l: steps(x, l)))
+
+
+def _let_chain(n):
+    return cint(0) if n == 0 else clet(cint(n), lambda v: cadd(v, _let_chain(n - 1)))
+
+
+class TestRunEnvironment:
+    """Run's environment is a plain dict: running calls no Env method."""
+
+    @pytest.fixture
+    def no_env(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("run called an Env method")
+
+        for method in ("extend", "redirect", "lookup"):
+            monkeypatch.setattr(semantics.Env, method, refuse)
+
+    def test_run_calls_no_env_method(self, no_env):
+        assert apply_ints(run(clgib(10)), (2, 3)) == VInt(gib(10, 2, 3))
+        assert isinstance(run(cack(8)), VFun)
+        assert apply_ints(run(cack(2)), (3,)) == VInt(ackermann(2, 3))
+        coeffs = [3, -1, 4, 1, -5, 9]
+        for x in (-2, 0, 3):
+            want = sum(c * x**i for i, c in enumerate(coeffs))
+            assert apply_ints(run(_cpoly(coeffs)), (x,)) == VInt(want)
+        assert run(_let_chain(300)) == VInt(300 * 301 // 2)
+
+    def test_extruded_variable_stays_unbound(self, no_env):
+        value = run(lookup("clgib5-extruded").builder())
+        with pytest.raises(UnboundVariable, match="^unbound variable v1_1$"):
+            apply_ints(value, (1, 2))
