@@ -268,7 +268,7 @@ def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
         # than spreading that mapping into a dict display
         bindings = v.copy()
         bindings[at] = addb(key, name, d, v.get(at, EMPTY_PER_LOCUS))
-        return ctx.sem.mk_var(name), bindings
+        return ctx.sem.mk_request(name), bindings
 
     return CodeValue(build)
 
@@ -298,7 +298,7 @@ def genletrec(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
         name = Fresh(loc, hint)
         anchored = Pending(lambda: code._build(ctx, loc + (2,)))
         store = addb(key, name, anchored, EMPTY_PER_LOCUS)
-        return ctx.sem.mk_var(name), {locus.location: store}
+        return ctx.sem.mk_request(name), {locus.location: store}
 
     return CodeValue(build)
 

@@ -5,10 +5,12 @@ builder families share one shape: RunSemantics produces denotations that
 evaluate to run-time values, ShowSemantics produces denotations that build
 syntax trees. Each keeps its own environment. Run's is a plain dict from
 name to value (or the `_RecCell` of a letrec clause), immutable by
-convention: a binder copies it once and binds its name, and the aliases of
-its binding class to the same value, in that copy. Show's is an `Env` that
-holds only alias redirects. Binary operators evaluate the left operand first;
-final results must not depend on that order.
+convention: a binder copies it once and binds only its own names in that
+copy. The aliases of a binding class go into a table per `RunSemantics`,
+filled while the code is built, and the variable a request returns
+(`mk_request`) resolves its name through that table once. Show's is an
+`Env` that holds only alias redirects. Binary operators evaluate the left
+operand first; final results must not depend on that order.
 """
 
 from __future__ import annotations
@@ -166,13 +168,55 @@ class _RunMakers(_Walk):
 _RUN_BINOPS = _RunMakers({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
+def _run_request(reps):
+    """The request maker of one RunSemantics, whose alias table is `reps`.
+    Every request closure shares the table's cell and owns only its name's.
+
+    A request reads its own name first: a representative is bound under it.
+    On a miss it looks the name up in the table once and, if that finds a
+    bound representative, keeps the representative in place of the name. A
+    denotation sits at one place in one tree, so every environment it is
+    applied to binds the same names, and a representative found bound once
+    is found bound every time; a request that is unbound raises before it
+    keeps anything, naming itself."""
+
+    def make(name):
+        def den(env):
+            nonlocal name
+            v = env.get(name)
+            if v is None:
+                rep = reps.get(name)
+                if rep is None or (v := env.get(rep)) is None:
+                    raise UnboundVariable(f"unbound variable {name.render()}")
+                name = rep
+            if type(v) is _RecCell:
+                return v.force()
+            return v
+
+        return den
+
+    return make
+
+
 class RunSemantics:
     """Denotation builders that evaluate: the environment is a dict from
     names to Values and letrec cells, which a binder copies and never
-    writes into once made."""
+    writes into once made.
+
+    A binder binds only its own names. Each alias a let or letrec is handed
+    goes into this instance's alias table, mapped to its representative, as
+    the code is built. An instance serves one build, as in `run`, which
+    builds everything before it evaluates anything, so the table is
+    complete by then. A request's variable resolves through
+    the table, which is exact: a build gives each location one name, each
+    request name folds into exactly one class at one locus, and the binder
+    that binds a representative is the one that bound its aliases, so an
+    alias is in scope exactly where its representative is."""
 
     def __init__(self, step_limit=None):
         self._budget = _Budget(step_limit)
+        self._reps = {}
+        self.mk_request = _run_request(self._reps)
 
     def mk_var(self, name):
         def den(env):
@@ -233,33 +277,34 @@ class RunSemantics:
         return den
 
     def mk_let(self, name, d1, d2, aliases=()):
-        """`let name = d1 in d2`; each alias names the same value, bound in
-        the same copy of the environment."""
-        names = (name, *aliases)
+        """`let name = d1 in d2`, binding `name` alone in one copy of the
+        environment; each alias is mapped to `name` in the alias table, so
+        a request for it reads `name`'s value."""
+        if aliases:
+            # a dict's or set's keys keep their hashes: no Python-level __hash__
+            self._reps.update(dict.fromkeys(aliases, name))
 
         def den(env):
             v = d1(env)
             inner = env.copy()
-            for n in names:
-                inner[n] = v
+            inner[name] = v
             return d2(inner)
 
         return den
 
     def mk_letrec(self, clauses, body, pairs=()):
-        """One letrec over `clauses`, (name, rhs) each; every (alias,
-        representative) pair names the representative's cell."""
+        """One letrec over `clauses`, (name, rhs) each, binding one cell per
+        clause; every (alias, representative) pair goes into the alias
+        table, so a request for the alias reads the representative's cell."""
         budget = self._budget
         clauses = tuple(clauses)
-        pairs = tuple(pairs)
+        self._reps.update(pairs)
 
         def den(env):
             env2 = env.copy()
             for n, rhs in clauses:
                 cell = env2[n] = _RecCell(n, rhs, budget)
                 cell.env = env2
-            for alias, rep in pairs:
-                env2[alias] = env2[rep]
             return body(env2)
 
         return den
@@ -268,6 +313,11 @@ class RunSemantics:
 class ShowSemantics:
     """Denotation builders that build trees: Env maps each alias to the
     name of its class, and holds nothing else.
+
+    A request's variable is a plain variable here: show makes one redirect
+    per alias, and per alias and clause in a letrec, not one per class,
+    because the benchmark pins those redirect counts (ROADMAP item 10
+    re-pins them).
 
     Show renames; it evaluates nothing. A build gives each location one name
     object, a tree never binds a name twice, and every combinator's use site
@@ -283,6 +333,8 @@ class ShowSemantics:
             return v if v is not MISSING else Var(resolved)
 
         return den
+
+    mk_request = mk_var
 
     def mk_int(self, i):
         node = IntLit(i)

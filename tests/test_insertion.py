@@ -613,8 +613,9 @@ class TestOrdered:
 
 
 class TestAliasBinding:
-    """A binder's aliases go to the semantics with it: run binds each to the
-    binder's own value or cell, show redirects each to the binder's name."""
+    """A binder's aliases go to the semantics with it: run maps each to the
+    binder's name in its alias table and binds no alias key, show redirects
+    each to the binder's name."""
 
     def test_no_aliases_is_a_plain_let(self):
         n = Source("n")
@@ -633,13 +634,15 @@ class TestAliasBinding:
     def test_alias_gets_representative_value(self):
         n, m, x = Source("n"), Source("m"), Source("x")
         r = R()
-        d = r.mk_let(n, r.mk_int(8), r.mk_var(m), {m})
+        d = r.mk_let(n, r.mk_int(8), r.mk_request(m), {m})
         assert d({}) == VInt(8)
         ident = r.mk_lam(x, r.mk_var(x))
-        d = r.mk_letrec([(n, ident)], r.mk_app(r.mk_var(m), r.mk_int(8)), [(m, n)])
+        d = r.mk_letrec([(n, ident)], r.mk_app(r.mk_request(m), r.mk_int(8)), [(m, n)])
         assert d({}) == VInt(8)
 
     def test_alias_is_bound_to_the_same_object(self):
+        # run binds a binder's own names only; an alias request reads its
+        # representative's object, or its cell's value in a letrec
         n, m, k, f = Source("n"), Source("m"), Source("k"), Source("f")
         r = R()
         seen = []
@@ -648,20 +651,25 @@ class TestAliasBinding:
             seen.append(env)
             return VInt(0)
 
-        rhs = r.mk_binop(Add, r.mk_int(1), r.mk_int(2))
-        r.mk_let(n, rhs, body, [m, k])({})
+        def sum_of(a, b):
+            # a new VInt on every evaluation, so `is` tells bindings apart
+            return r.mk_binop(Add, r.mk_int(a), r.mk_int(b))
+
+        r.mk_let(n, sum_of(1, 2), body, [m, k])({})
         (env,) = seen
-        assert env[n] == VInt(3)
-        assert env[m] is env[n] and env[k] is env[n]
-        r.mk_letrec([(f, r.mk_int(1)), (n, r.mk_int(2))], body, [(m, n), (k, f)])({})
+        assert set(env) == {n} and env[n] == VInt(3)
+        assert r.mk_request(m)(env) is env[n] and r.mk_request(k)(env) is env[n]
+        r.mk_letrec([(f, sum_of(0, 1)), (n, sum_of(1, 1))], body, [(m, n), (k, f)])({})
         env = seen[1]
-        assert isinstance(env[n], _RecCell) and env[m] is env[n]
-        assert isinstance(env[f], _RecCell) and env[k] is env[f]
+        assert set(env) == {f, n}
+        assert isinstance(env[n], _RecCell) and isinstance(env[f], _RecCell)
+        assert r.mk_request(m)(env) is env[n].force() == VInt(2)
+        assert r.mk_request(k)(env) is env[f].force() == VInt(1)
 
     def test_let_alias_is_not_bound_in_its_rhs(self):
         n, m = Source("n"), Source("m")
         r = R()
-        d = r.mk_let(n, r.mk_var(m), r.mk_int(0), [m])
+        d = r.mk_let(n, r.mk_request(m), r.mk_int(0), [m])
         with pytest.raises(UnboundVariable, match="^unbound variable m$"):
             d({})
 

@@ -37,9 +37,10 @@ from stagelet import (
     with_locus,
 )
 from stagelet import codec, semantics
+from stagelet.codec import ROOT, BuildContext
 from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
-from helpers import ackermann, build_den, cack, clgib, gib, random_plan
+from helpers import ackermann, build_den, cack, clgib, count_lets, gib, random_plan
 
 R = RunSemantics
 S = ShowSemantics
@@ -435,3 +436,143 @@ class TestRunEnvironment:
         value = run(lookup("clgib5-extruded").builder())
         with pytest.raises(UnboundVariable, match="^unbound variable v1_1$"):
             apply_ints(value, (1, 2))
+
+
+class _LetBodySizes(RunSemantics):
+    """Run semantics that records the size of every environment a let body
+    is applied to."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def mk_let(self, name, d1, d2, aliases=()):
+        sizes = self.sizes
+
+        def body(env):
+            sizes.append(len(env))
+            return d2(env)
+
+        return super().mk_let(name, d1, body, aliases)
+
+
+class _CountingTable(dict):
+    """An alias table that counts its lookups."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+class _CountedRequests(RunSemantics):
+    """Run semantics whose requests resolve through a `_CountingTable`."""
+
+    def __init__(self):
+        super().__init__()
+        self._reps = _CountingTable()
+        self.mk_request = semantics._run_request(self._reps)
+
+
+def _extruded_alias():
+    """An alias request in the right-hand side of a request to an outer
+    locus: the outer let lands above the inner let of the alias's class, so
+    the alias is used outside its representative's scope."""
+
+    def inner(lo, li):
+        rep = genlet(li, 1, cint(3), "rep")
+        return cadd(rep, genlet(lo, 2, genlet(li, 1, cint(3), "alias"), "outer"))
+
+    return with_locus(lambda lo: with_locus(lambda li: inner(lo, li)))
+
+
+class TestRunAliasTable:
+    """Run binds each class once, under its representative's name, and a
+    request resolves through its semantics' alias table."""
+
+    @pytest.mark.parametrize("n, aliases", [(11, 275), (14, 1204)])
+    def test_environment_size_follows_binders_not_aliases(self, n, aliases):
+        sem = _LetBodySizes()
+        d, v = clgib(n)(BuildContext(sem), ROOT)
+        assert not v
+        assert apply_ints(d({}), (2, 3)) == VInt(gib(n, 2, 3))
+        assert len(sem._reps) == aliases
+        lets = count_lets(show(clgib(n)))
+        assert lets == n
+        # the lets plus the two parameters, however many aliases they carry
+        assert max(sem.sizes) == lets + 2
+
+    def test_each_request_resolves_once(self):
+        sem = _CountedRequests()
+        d, _ = clgib(8)(BuildContext(sem), ROOT)
+        value = d({})
+        assert sem._reps.gets == 0
+        assert apply_ints(value, (2, 3)) == VInt(gib(8, 2, 3))
+        # each alias request in the code resolves once, on its first
+        # evaluation, and then reads its representative directly
+        gets = sem._reps.gets
+        assert 0 < gets <= len(sem._reps)
+        assert apply_ints(value, (5, 1)) == VInt(gib(8, 5, 1))
+        assert sem._reps.gets == gets
+
+    def test_recursive_requests_resolve_once(self):
+        sem = _CountedRequests()
+        d, _ = cack(3)(BuildContext(sem), ROOT)
+        value = d({})
+        assert apply_ints(value, (3,)) == VInt(ackermann(3, 3))
+        gets = sem._reps.gets
+        assert 0 < gets <= len(sem._reps)
+        for n in range(4):
+            assert apply_ints(value, (n,)) == VInt(ackermann(3, n))
+        assert sem._reps.gets == gets
+
+    def test_c07_extrusion_names_the_free_variable(self):
+        code = lookup("clgib5-extruded").builder()
+        (free,) = free_vars(show(code))
+        value = run(code)
+        for _ in range(2):
+            with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+                apply_ints(value, (1, 2))
+
+    def test_extruded_alias_request_names_itself(self):
+        code = _extruded_alias()
+        (free,) = free_vars(show(code))
+        assert free.render().startswith("alias_")
+        for _ in range(2):
+            with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+                run(code)
+
+    def test_clgib_16_agrees_with_gib_and_show(self):
+        code = clgib(16)
+        value = run(code)
+        shown = eval_ast(show(code))
+        for args in ((2, 3), (0, 1), (-4, 7)):
+            want = VInt(gib(16, *args))
+            assert apply_ints(value, args) == want
+            assert apply_ints(shown, args) == want
+
+    def test_cack_3_applied_repeatedly_keeps_agreeing(self):
+        code = cack(3)
+        value, shown = run(code), eval_ast(show(code))
+        for n in range(4):
+            want = VInt(ackermann(3, n))
+            for _ in range(3):
+                assert apply_ints(value, (n,)) == want
+            assert apply_ints(shown, (n,)) == want
+        for n in (3, 0, 2, 1, 3):
+            assert apply_ints(value, (n,)) == VInt(ackermann(3, n))
+
+    def test_instances_share_no_table(self):
+        m, k = Source("m"), Source("k")
+        r1, r2 = R(), R()
+        assert r1._reps is not r2._reps
+        r1.mk_let(n, r1.mk_int(1), r1.mk_int(0), [m])
+        r2.mk_letrec([(f, r2.mk_int(2))], r2.mk_int(0), [(k, f)])
+        env = {n: VInt(1), f: VInt(2)}
+        assert r1.mk_request(m)(env) == VInt(1)
+        assert r2.mk_request(k)(env) == VInt(2)
+        with pytest.raises(UnboundVariable, match="^unbound variable m$"):
+            r2.mk_request(m)(env)
+        with pytest.raises(UnboundVariable, match="^unbound variable k$"):
+            r1.mk_request(k)(env)
