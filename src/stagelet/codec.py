@@ -57,7 +57,8 @@ class CodeValue:
 
     Combinators, `show` and `run` call a child's `_build` directly, so a
     build spends one host frame per level; calling the value is the public
-    entry point.
+    entry point. `CodeValue(build)` wraps a build function; each library
+    combinator instead returns a `_Node`, a record of its arguments.
     """
 
     __slots__ = ("_build",)
@@ -89,11 +90,35 @@ class CodeValue:
     def __truediv__(self, other):
         return cdiv(self, _lift(other))
 
+    def __rtruediv__(self, other):
+        return cdiv(_lift(other), self)
+
     def __matmul__(self, other):
         return capp(self, _lift(other))
 
     def __repr__(self):
         return "CodeValue(...)"
+
+
+class _Node(CodeValue):
+    """The code value a library combinator returns: one slotted object
+    holding the combinator's arguments, whose `_build` method shadows the
+    base class's slot. It keeps identity `==` and `hash`, so comparing or
+    hashing one never walks the generator tree. A subclass names its
+    arguments in `__slots__`; its `__init__`, generated from them, stores
+    its positional arguments in that order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        ns = {}
+        exec(
+            f"def __init__(self, {', '.join(cls.__slots__)}):"
+            + "".join(f"\n    self.{n} = {n}" for n in cls.__slots__),
+            ns,
+        )
+        cls.__init__ = ns["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
 
 def _expect(x, kind=CodeValue, what="code value"):
@@ -112,38 +137,57 @@ def _lift(x):
     return _expect(x)
 
 
+class _Int(_Node):
+    __slots__ = ("i",)
+
+    def _build(self, ctx, loc):
+        return ctx.sem.mk_int(self.i), EMPTY_BINDINGS
+
+
 def cint(i: int) -> CodeValue:
     if isinstance(i, bool) or not isinstance(i, int):
         raise TypeMismatch(f"not an integer: {i!r}")
-    return CodeValue(lambda ctx, loc: (ctx.sem.mk_int(i), EMPTY_BINDINGS))
+    return _Int(i)
+
+
+class _Bool(_Node):
+    __slots__ = ("b",)
+
+    def _build(self, ctx, loc):
+        return ctx.sem.mk_bool(self.b), EMPTY_BINDINGS
 
 
 def cbool(b: bool) -> CodeValue:
     _expect(b, bool, "boolean")
-    return CodeValue(lambda ctx, loc: (ctx.sem.mk_bool(b), EMPTY_BINDINGS))
+    return _Bool(b)
+
+
+class _Succ(_Node):
+    __slots__ = ("a",)
+
+    def _build(self, ctx, loc):
+        d, v = self.a._build(ctx, loc + (1,))
+        return ctx.sem.mk_succ(d), v
 
 
 def csucc(a: CodeValue) -> CodeValue:
-    _expect(a)
+    return _Succ(_expect(a))
 
-    def build(ctx, loc):
-        d, v = a._build(ctx, loc + (1,))
-        return ctx.sem.mk_succ(d), v
 
-    return CodeValue(build)
+class _BinOp(_Node):
+    __slots__ = ("cls", "a", "b")
+
+    def _build(self, ctx, loc):
+        d1, v1 = self.a._build(ctx, loc + (1,))
+        d2, v2 = self.b._build(ctx, loc + (2,))
+        return ctx.sem.mk_binop(self.cls, d1, d2), merge(v1, v2)
 
 
 def _binop(cls, a, b):
     """Code of binary operator `cls` applied to `a` and `b`."""
     if not (isinstance(a, CodeValue) and isinstance(b, CodeValue)):
         _expect(a), _expect(b)
-
-    def build(ctx, loc):
-        d1, v1 = a._build(ctx, loc + (1,))
-        d2, v2 = b._build(ctx, loc + (2,))
-        return ctx.sem.mk_binop(cls, d1, d2), merge(v1, v2)
-
-    return CodeValue(build)
+    return _BinOp(cls, a, b)
 
 
 def cadd(a, b) -> CodeValue:
@@ -166,30 +210,36 @@ def ceq(a, b) -> CodeValue:
     return _binop(Eq, a, b)
 
 
+class _App(_Node):
+    __slots__ = ("f", "a")
+
+    def _build(self, ctx, loc):
+        d1, v1 = self.f._build(ctx, loc + (1,))
+        d2, v2 = self.a._build(ctx, loc + (2,))
+        return ctx.sem.mk_app(d1, d2), merge(v1, v2)
+
+
 def capp(f: CodeValue, a: CodeValue) -> CodeValue:
     if not (isinstance(f, CodeValue) and isinstance(a, CodeValue)):
         _expect(f), _expect(a)
+    return _App(f, a)
 
-    def build(ctx, loc):
-        d1, v1 = f._build(ctx, loc + (1,))
-        d2, v2 = a._build(ctx, loc + (2,))
-        return ctx.sem.mk_app(d1, d2), merge(v1, v2)
 
-    return CodeValue(build)
+class _If(_Node):
+    __slots__ = ("c", "t", "e")
+
+    def _build(self, ctx, loc):
+        dc, vc = self.c._build(ctx, loc + (1,))
+        dt, vt = self.t._build(ctx, loc + (2,))
+        de, ve = self.e._build(ctx, loc + (3,))
+        return ctx.sem.mk_if(dc, dt, de), merge(merge(vc, vt), ve)
 
 
 def cif(c: CodeValue, t: CodeValue, e: CodeValue) -> CodeValue:
     if not (isinstance(c, CodeValue) and isinstance(t, CodeValue)
             and isinstance(e, CodeValue)):
         _expect(c), _expect(t), _expect(e)
-
-    def build(ctx, loc):
-        dc, vc = c._build(ctx, loc + (1,))
-        dt, vt = t._build(ctx, loc + (2,))
-        de, ve = e._build(ctx, loc + (3,))
-        return ctx.sem.mk_if(dc, dt, de), merge(merge(vc, vt), ve)
-
-    return CodeValue(build)
+    return _If(c, t, e)
 
 
 # the words `pretty` prints
@@ -211,36 +261,47 @@ def _expect_hint(hint):
         raise TypeMismatch(f"not a name hint: {hint!r}")
 
 
-def _var_code(name) -> CodeValue:
-    # the bound variable: ignores where it is used, always names its binder
-    return CodeValue(lambda ctx, loc: (ctx.sem.mk_var(name), EMPTY_BINDINGS))
+class _Var(_Node):
+    """The bound variable: ignores where it is used, always names its
+    binder."""
+
+    __slots__ = ("name",)
+
+    def _build(self, ctx, loc):
+        return ctx.sem.mk_var(self.name), EMPTY_BINDINGS
+
+
+class _Lam(_Node):
+    __slots__ = ("f", "hint")
+
+    def _build(self, ctx, loc):
+        name = Fresh(loc, self.hint)
+        d, v = _expect(self.f(_Var(name)))._build(ctx, loc + (1,))
+        return ctx.sem.mk_lam(name, d), v
 
 
 def clam(f, hint=None) -> CodeValue:
     """Code of a function; `f` receives the bound variable as a CodeValue and
     must treat it as opaque."""
     _expect_hint(hint)
+    return _Lam(f, hint)
 
-    def build(ctx, loc):
-        name = Fresh(loc, hint)
-        d, v = _expect(f(_var_code(name)))._build(ctx, loc + (1,))
-        return ctx.sem.mk_lam(name, d), v
 
-    return CodeValue(build)
+class _Let(_Node):
+    __slots__ = ("rhs", "body", "hint")
+
+    def _build(self, ctx, loc):
+        name = Fresh(loc, self.hint)
+        d1, v1 = self.rhs._build(ctx, loc + (1,))
+        d2, v2 = _expect(self.body(_Var(name)))._build(ctx, loc + (2,))
+        return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 
 
 def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
     """Code of a let whose location is fixed right here."""
     _expect(rhs)
     _expect_hint(hint)
-
-    def build(ctx, loc):
-        name = Fresh(loc, hint)
-        d1, v1 = rhs._build(ctx, loc + (1,))
-        d2, v2 = _expect(body(_var_code(name)))._build(ctx, loc + (2,))
-        return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
-
-    return CodeValue(build)
+    return _Let(rhs, body, hint)
 
 
 def _expect_hashable(key):
@@ -252,68 +313,82 @@ def _expect_hashable(key):
         raise TypeMismatch(f"memo key is not hashable: {key!r}") from None
 
 
-def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
-    """Request a let-binding of `code` at `locus`, shared by memo key; the
-    result is the code of the bound variable."""
+def _expect_request(locus, key, code, hint):
+    """Check a genlet or genletrec request where it is written."""
     if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
         _expect(locus, Locus, "locus"), _expect(code)
     _expect_hashable(key)
     _expect_hint(hint)
 
-    def build(ctx, loc):
-        name = Fresh(loc, hint)
-        d, v = code._build(ctx, loc + (2,))
-        at = locus.location
+
+class _GenLet(_Node):
+    __slots__ = ("locus", "key", "code", "hint")
+
+    def _build(self, ctx, loc):
+        name = Fresh(loc, self.hint)
+        d, v = self.code._build(ctx, loc + (2,))
+        at = self.locus.location
         # a dict also when `v` is the read-only EMPTY_BINDINGS, and cheaper
         # than spreading that mapping into a dict display
         bindings = v.copy()
-        bindings[at] = addb(key, name, d, v.get(at, EMPTY_PER_LOCUS))
+        bindings[at] = addb(self.key, name, d, v.get(at, EMPTY_PER_LOCUS))
         return ctx.sem.mk_request(name), bindings
 
-    return CodeValue(build)
+
+def genlet(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
+    """Request a let-binding of `code` at `locus`, shared by memo key; the
+    result is the code of the bound variable."""
+    _expect_request(locus, key, code, hint)
+    return _GenLet(locus, key, code, hint)
+
+
+class _WithLocus(_Node):
+    __slots__ = ("f",)
+
+    def _build(self, ctx, loc):
+        d, v = _expect(self.f(Locus(loc)))._build(ctx, loc + (1,))
+        den = bind_lets(ordered(v.get(loc, EMPTY_PER_LOCUS)), d, ctx.sem)
+        return den, without(v, loc)
 
 
 def with_locus(f) -> CodeValue:
     """Open a let locus: bindings requested for it by genlet inside `f`
     become nested let-expressions here; others keep floating."""
+    return _WithLocus(f)
 
-    def build(ctx, loc):
-        d, v = _expect(f(Locus(loc)))._build(ctx, loc + (1,))
-        den = bind_lets(ordered(v.get(loc, EMPTY_PER_LOCUS)), d, ctx.sem)
-        return den, without(v, loc)
 
-    return CodeValue(build)
+class _GenLetRec(_Node):
+    __slots__ = ("locus", "key", "code", "hint")
+
+    def _build(self, ctx, loc):
+        name = Fresh(loc, self.hint)
+        anchored = Pending(lambda: self.code._build(ctx, loc + (2,)))
+        store = addb(self.key, name, anchored, EMPTY_PER_LOCUS)
+        return ctx.sem.mk_request(name), {self.locus.location: store}
 
 
 def genletrec(locus: Locus, key: int, code: CodeValue, hint=None) -> CodeValue:
     """Request a letrec clause at `locus`. `code` is not evaluated here: the
     binding stores it anchored to this site, to be forced during
     canonicalization (so recursive generators terminate)."""
-    if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
-        _expect(locus, Locus, "locus"), _expect(code)
-    _expect_hashable(key)
-    _expect_hint(hint)
+    _expect_request(locus, key, code, hint)
+    return _GenLetRec(locus, key, code, hint)
 
-    def build(ctx, loc):
-        name = Fresh(loc, hint)
-        anchored = Pending(lambda: code._build(ctx, loc + (2,)))
-        store = addb(key, name, anchored, EMPTY_PER_LOCUS)
-        return ctx.sem.mk_request(name), {locus.location: store}
 
-    return CodeValue(build)
+class _WithLocusRec(_Node):
+    __slots__ = ("f",)
+
+    def _build(self, ctx, loc):
+        d, v = _expect(self.f(Locus(loc)))._build(ctx, loc + (1,))
+        v = canon(v, loc, ctx.canon_limit)
+        classes = ordered(v.get(loc, EMPTY_PER_LOCUS))
+        return bind_letrec(classes, d, ctx.sem), without(v, loc)
 
 
 def with_locus_rec(f) -> CodeValue:
     """Open a letrec locus: canonicalize the bindings requested for it, then
     bind them all in a single letrec."""
-
-    def build(ctx, loc):
-        d, v = _expect(f(Locus(loc)))._build(ctx, loc + (1,))
-        v = canon(v, loc, ctx.canon_limit)
-        classes = ordered(v.get(loc, EMPTY_PER_LOCUS))
-        return bind_letrec(classes, d, ctx.sem), without(v, loc)
-
-    return CodeValue(build)
+    return _WithLocusRec(f)
 
 
 def _complete(bindings):

@@ -230,11 +230,14 @@ def lookup(name: str):
 
 
 def apply_ints(value: Value, args) -> Value:
-    """Fold integer arguments into a (curried) function value."""
+    """Fold integer arguments into a (curried) function value; an argument
+    is an `int` that is not a `bool`, as `cint` takes."""
     result = value
     with _HostStack("evaluation"):
         for a in args:
             if not isinstance(result, VFun):
                 raise TypeMismatch(f"cannot apply an argument to {result!r}")
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise TypeMismatch(f"not an integer: {a!r}")
             result = result.fn(VInt(a))
     return result

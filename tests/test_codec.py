@@ -1,4 +1,6 @@
+import gc
 import itertools
+import operator
 import random
 import re
 
@@ -50,6 +52,7 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
+from stagelet import codec
 from stagelet.codec import BuildContext
 from stagelet.examples import ExampleKind
 from stagelet.semantics import ShowSemantics
@@ -114,6 +117,23 @@ class TestOperators:
         assert show(a + 1) == Add(IntLit(1), IntLit(1))  # plain ints lift
         f = clam(lambda v: v)
         assert show(f @ cint(3)) == show(capp(f, cint(3)))
+
+    @pytest.mark.parametrize(
+        "op, combinator",
+        [
+            (operator.add, cadd),
+            (operator.sub, csub),
+            (operator.mul, cmul),
+            (operator.truediv, cdiv),
+        ],
+        ids=["+", "-", "*", "/"],
+    )
+    def test_reflected_sugar_builds_same_trees(self, op, combinator):
+        b = cint(3)
+        assert show(op(2, b)) == show(combinator(cint(2), b))
+        assert show(op(True, b)) == show(combinator(cbool(True), b))
+        with pytest.raises(TypeMismatch, match="^not a code value: 'x'$"):
+            op("x", b)
 
     def test_division_truncates_toward_zero(self):
         assert run(cdiv(cint(7), cint(2))) == VInt(3)
@@ -474,3 +494,88 @@ class TestMemoKeys:
             show(with_locus(lambda l: genlet(l, [1], cint(1))))
         with pytest.raises(TypeMismatch, match="^memo key is not hashable"):
             run(with_locus_rec(lambda l: genletrec(l, {}, clam(lambda n: n))))
+
+
+def _ident(v):
+    return v
+
+
+# each maker takes the previous code value, so the operators chain; every
+# argument other than that one is made beforehand
+_LOCUS, _NAME = Locus(()), Fresh((1,))
+RECORD_MAKERS = {
+    "cint": lambda c: cint(7),
+    "cbool": lambda c: cbool(True),
+    "csucc": csucc,
+    "cadd": lambda c: cadd(c, c),
+    "csub": lambda c: csub(c, c),
+    "cmul": lambda c: cmul(c, c),
+    "cdiv": lambda c: cdiv(c, c),
+    "ceq": lambda c: ceq(c, c),
+    "capp": lambda c: capp(c, c),
+    "cif": lambda c: cif(c, c, c),
+    "variable": lambda c: codec._Var(_NAME),
+    "clam": lambda c: clam(_ident, "f"),
+    "clet": lambda c: clet(c, _ident, "x"),
+    "genlet": lambda c: genlet(_LOCUS, 1, c, "g"),
+    "with_locus": lambda c: with_locus(_ident),
+    "genletrec": lambda c: genletrec(_LOCUS, 1, c),
+    "with_locus_rec": lambda c: with_locus_rec(_ident),
+}
+
+
+class TestCodeValuesAreRecords:
+    """Each library combinator returns one slotted object holding its
+    arguments, not a build closure with its cells; a build still spends
+    one host frame per level."""
+
+    @pytest.mark.parametrize("name", RECORD_MAKERS)
+    def test_one_tracked_object_per_combinator(self, name):
+        make, n = RECORD_MAKERS[name], 2000
+        first, chain = cint(0), [None] * n
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            code = first
+            for i in range(n):
+                code = chain[i] = make(code)
+            after = len(gc.get_objects())
+        finally:
+            if enabled:
+                gc.enable()
+        assert after - before == n
+
+    @pytest.mark.parametrize("name", RECORD_MAKERS)
+    def test_identity_equality_and_no_instance_dict(self, name):
+        make = RECORD_MAKERS[name]
+        one, other = make(cint(1)), make(cint(1))
+        assert not hasattr(one, "__dict__")
+        assert one == one and one != other
+        assert hash(one) == hash(one)
+        assert repr(one) == "CodeValue(...)"
+
+    def test_a_deep_chain_hashes_and_compares_without_recursing(self):
+        code = cint(0)
+        for i in range(10_000):
+            code = cadd(code, cint(i))
+        assert code in {code} and code == code
+
+    # the deepest chains handled under pytest were 952 levels both before and
+    # after code values became records (3.11); a combinator that spent two
+    # host frames per level would fail well short of this
+    DEPTH = 900
+
+    def test_show_of_a_deep_cadd_chain(self):
+        code = cint(0)
+        for _ in range(self.DEPTH):
+            code = cadd(code, cint(1))
+        assert run(code) == VInt(self.DEPTH)
+        assert isinstance(show(code), Add)
+
+    def test_run_of_a_deep_clet_chain(self):
+        code = cint(5)
+        for i in range(self.DEPTH):
+            code = clet(cint(i), lambda v, body=code: body)
+        assert run(code) == VInt(5)
+        assert isinstance(show(code), Let)

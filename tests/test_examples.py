@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestApplyInts:
     def test_over_application(self):
         with pytest.raises(TypeMismatch):
             apply_ints(VInt(3), [1])
+
+    @pytest.mark.parametrize("bad", ["a", 1.5, True, None], ids=repr)
+    def test_arguments_are_integers_as_cint_takes(self, bad):
+        # a string, a float or a bool would fold into a VInt no meaning
+        # agrees on, and None into a raw TypeError
+        want = f"^not an integer: {re.escape(repr(bad))}$"
+        for value in (
+            run(lookup("cgib5").builder()),
+            eval_ast(lookup("gib5").builder()),
+        ):
+            for args in ((bad, 2), (2, bad)):
+                with pytest.raises(TypeMismatch, match=want):
+                    apply_ints(value, args)
 
 
 def _result(entry, args):
