@@ -4,13 +4,14 @@ A denotation is a pure function from an environment to a semantic value. Two
 builder families share one shape: RunSemantics produces denotations that
 evaluate to run-time values, ShowSemantics produces denotations that build
 syntax trees. Each keeps its own environment. Run's is a plain dict from
-name to value (or the `_RecCell` of a letrec clause), immutable by
-convention: a binder copies it once and binds only its own names in that
-copy. The aliases of a binding class go into a table per `RunSemantics`,
-filled while the code is built, and the variable a request returns
-(`mk_request`) resolves its name through that table once. Show's is an
-`Env` that holds only alias redirects. Binary operators evaluate the left
-operand first; final results must not depend on that order.
+name to value (or the `_RecCell` of a letrec clause). A let or letrec binds
+into the dict it is given; a closure keeps a copy of the dict it is made
+in, and a call binds its parameter into a copy of that. The aliases of a
+binding class go into a table per `RunSemantics`, filled while the code is
+built, and the variable a request returns (`mk_request`) resolves its name
+through that table once. Show's is an `Env` that holds only alias
+redirects. Binary operators evaluate the left operand first; final results
+must not depend on that order.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ EMPTY_ENV = Env()
 def _run_binop(op, box):
     """The run maker of one operator. `op` and `box` are fixed here, so a
     build reads no class attribute; the left operand is checked before the
-    right one is evaluated."""
+    right one is evaluated. The result is made as `_slot_init` would make it,
+    without the Python frame of its `__init__`."""
+    new, set_value = object.__new__, box.value.__set__
 
     def make(d1, d2):
         def den(env):
@@ -144,7 +147,9 @@ def _run_binop(op, box):
             y = d2(env)
             if not isinstance(y, VInt):
                 _as_int(y)
-            return box(op(x.value, y.value))
+            v = new(box)
+            set_value(v, op(x.value, y.value))
+            return v
 
         return den
 
@@ -168,6 +173,17 @@ class _RunMakers(_Walk):
 _RUN_BINOPS = _RunMakers({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
+def _clause(letrec):
+    """The value of a letrec clause, from the `(env, size, rhs)` its cell
+    holds: `rhs` evaluated in a copy of `env` cut back to its first `size`
+    entries, the environment the letrec bound the clause in."""
+    env, size, rhs = letrec
+    env = env.copy()
+    while len(env) > size:  # bound after the letrec, in the same activation
+        env.popitem()
+    return rhs(env)
+
+
 def _run_request(reps):
     """The request maker of one RunSemantics, whose alias table is `reps`.
     Every request closure shares the table's cell and owns only its name's.
@@ -176,9 +192,11 @@ def _run_request(reps):
     On a miss it looks the name up in the table once and, if that finds a
     bound representative, keeps the representative in place of the name. A
     denotation sits at one place in one tree, so every environment it is
-    applied to binds the same names, and a representative found bound once
-    is found bound every time; a request that is unbound raises before it
-    keeps anything, naming itself."""
+    applied to binds at least the names in scope there; the others were
+    bound earlier in the same activation, out of its scope, and are never
+    read (see `RunSemantics`). So a representative found bound once is found
+    bound every time; a request that is unbound raises before it keeps
+    anything, naming itself."""
 
     def make(name):
         def den(env):
@@ -200,8 +218,24 @@ def _run_request(reps):
 
 class RunSemantics:
     """Denotation builders that evaluate: the environment is a dict from
-    names to Values and letrec cells, which a binder copies and never
-    writes into once made.
+    names to Values and letrec cells. A let or letrec binds its names into
+    the dict it is given, so the binders under one function activation
+    share one dict; a closure copies the dict it is made in, and a call
+    binds its parameter into a copy of that.
+
+    That is exact. A build binds each name once, and each binder under one
+    activation runs at most once in it, so no write replaces a binding and
+    a dict only grows. Code in scope never reads a later entry. Extruded
+    code, which names a variable outside its binder, is hoisted above that
+    binder by insertion, so it either runs before the binder in the
+    activation or is deferred in a closure or a letrec cell. A deferred
+    evaluation sees the dict as it was deferred: a closure copies it when
+    made, and a clause is evaluated in a copy cut back to the entries its
+    letrec had bound, which are a prefix of the dict. So run raises
+    UnboundVariable where `eval_ast` does. A variable carried
+    out of its binder's builder through host state is outside the
+    argument: run may read the value it was last bound to in the same
+    activation.
 
     A binder binds only its own names. Each alias a let or letrec is handed
     goes into this instance's alias table, mapped to its representative, as
@@ -238,7 +272,14 @@ class RunSemantics:
         return lambda env: v
 
     def mk_succ(self, d):
-        return lambda env: VInt(_as_int(d(env)) + 1)
+        new, set_value = object.__new__, VInt.value.__set__
+
+        def den(env):
+            v = new(VInt)
+            set_value(v, _as_int(d(env)) + 1)
+            return v
+
+        return den
 
     def mk_binop(self, cls, d1, d2):
         return _RUN_BINOPS[cls](d1, d2)
@@ -256,6 +297,8 @@ class RunSemantics:
         budget = self._budget
 
         def den(env):
+            env = env.copy()  # its activation may bind more before a call
+
             def call(arg):
                 budget.tick()
                 inner = env.copy()
@@ -277,35 +320,36 @@ class RunSemantics:
         return den
 
     def mk_let(self, name, d1, d2, aliases=()):
-        """`let name = d1 in d2`, binding `name` alone in one copy of the
-        environment; each alias is mapped to `name` in the alias table, so
+        """`let name = d1 in d2`, binding `name` alone, into the environment
+        it is given; each alias is mapped to `name` in the alias table, so
         a request for it reads `name`'s value."""
         if aliases:
             # a dict's or set's keys keep their hashes: no Python-level __hash__
             self._reps.update(dict.fromkeys(aliases, name))
 
         def den(env):
-            v = d1(env)
-            inner = env.copy()
-            inner[name] = v
-            return d2(inner)
+            env[name] = d1(env)
+            return d2(env)
 
         return den
 
     def mk_letrec(self, clauses, body, pairs=()):
         """One letrec over `clauses`, (name, rhs) each, binding one cell per
-        clause; every (alias, representative) pair goes into the alias
-        table, so a request for the alias reads the representative's cell."""
+        clause into the environment it is given; every (alias,
+        representative) pair goes into the alias table, so a request for the
+        alias reads the representative's cell. A cell holds the environment,
+        its size once every cell is bound, and the clause's rhs, and
+        `_clause` evaluates them."""
         budget = self._budget
         clauses = tuple(clauses)
         self._reps.update(pairs)
 
         def den(env):
-            env2 = env.copy()
+            size = len(env) + len(clauses)
             for n, rhs in clauses:
-                cell = env2[n] = _RecCell(n, rhs, budget)
-                cell.env = env2
-            return body(env2)
+                cell = env[n] = _RecCell(n, _clause, budget)
+                cell.env = env, size, rhs
+            return body(env)
 
         return den
 
@@ -316,7 +360,7 @@ class ShowSemantics:
 
     A request's variable is a plain variable here: show makes one redirect
     per alias, and per alias and clause in a letrec, not one per class,
-    because the benchmark pins those redirect counts (ROADMAP item 10
+    because the benchmark pins those redirect counts (ROADMAP item 1
     re-pins them).
 
     Show renames; it evaluates nothing. A build gives each location one name

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -6,6 +9,7 @@ from stagelet import (
     Add,
     App,
     BinOp,
+    Div,
     Eq,
     IntLit,
     Lam,
@@ -23,18 +27,24 @@ from stagelet import (
     Var,
     apply_ints,
     cadd,
+    capp,
+    ceq,
+    cif,
     cint,
     clam,
     clet,
     cmul,
+    csub,
     eval_ast,
     free_vars,
     genlet,
+    genletrec,
     lookup,
     pretty,
     run,
     show,
     with_locus,
+    with_locus_rec,
 )
 from stagelet import codec, semantics
 from stagelet.codec import ROOT, BuildContext
@@ -438,18 +448,20 @@ class TestRunEnvironment:
             apply_ints(value, (1, 2))
 
 
-class _LetBodySizes(RunSemantics):
-    """Run semantics that records the size of every environment a let body
-    is applied to."""
+class _LetBodies(RunSemantics):
+    """Run semantics that records every environment a let body is applied
+    to, and its size then."""
 
     def __init__(self):
         super().__init__()
+        self.envs = []
         self.sizes = []
 
     def mk_let(self, name, d1, d2, aliases=()):
-        sizes = self.sizes
+        envs, sizes = self.envs, self.sizes
 
         def body(env):
+            envs.append(env)
             sizes.append(len(env))
             return d2(env)
 
@@ -493,7 +505,7 @@ class TestRunAliasTable:
 
     @pytest.mark.parametrize("n, aliases", [(11, 275), (14, 1204)])
     def test_environment_size_follows_binders_not_aliases(self, n, aliases):
-        sem = _LetBodySizes()
+        sem = _LetBodies()
         d, v = clgib(n)(BuildContext(sem), ROOT)
         assert not v
         assert apply_ints(d({}), (2, 3)) == VInt(gib(n, 2, 3))
@@ -576,3 +588,188 @@ class TestRunAliasTable:
             r2.mk_request(m)(env)
         with pytest.raises(UnboundVariable, match="^unbound variable k$"):
             r1.mk_request(k)(env)
+
+
+def _agree_over(code, args):
+    """Assert that `run` and `eval_ast` of `show` give the same value for
+    each argument tuple in `args`, applied one after another."""
+    value, shown = run(code), eval_ast(show(code))
+    for a in args:
+        assert apply_ints(value, a) == apply_ints(shown, a)
+
+
+def _closure_before_a_let():
+    # fun x -> let a = x + 1 in let f = fun y -> a + y in let z = x * 2 in
+    # f z * f a
+    return clam(
+        lambda x: clet(
+            cadd(x, cint(1)),
+            lambda a: clet(
+                clam(lambda y: cadd(a, y)),
+                lambda f: clet(cmul(x, cint(2)), lambda z: cmul(capp(f, z), capp(f, a))),
+            ),
+        )
+    )
+
+
+def _recursion_between_a_let_and_its_use():
+    # let rec s = fun n -> let a = n * n in if n = 0 then 0 else
+    #   let r = s (n - 1) in let b = r + a in b
+    def gen(l):
+        def s():
+            return clam(
+                lambda n: clet(
+                    cmul(n, n),
+                    lambda a: cif(
+                        ceq(n, cint(0)),
+                        cint(0),
+                        clet(
+                            capp(genletrec(l, 0, s()), csub(n, cint(1))),
+                            lambda r: clet(cadd(r, a), lambda b: b),
+                        ),
+                    ),
+                )
+            )
+
+        return genletrec(l, 0, s())
+
+    return with_locus_rec(gen)
+
+
+def _extruded_closure():
+    # let g = (fun x -> v) in let v = 1 in g 0: g's call must not see v
+    return with_locus(
+        lambda l: clet(cint(1), lambda v: capp(genlet(l, 1, clam(lambda x: v)), cint(0)))
+    )
+
+
+def _extruded_clause_closure():
+    return with_locus_rec(
+        lambda l: clet(
+            cint(1), lambda v: capp(genletrec(l, 1, clam(lambda x: v)), cint(0))
+        )
+    )
+
+
+def _extruded_clause_value():
+    # let rec c = v + 1 in let v = 1 in c + v: c is forced after v is bound
+    return with_locus_rec(
+        lambda l: clet(cint(1), lambda v: cadd(genletrec(l, 1, cadd(v, cint(1))), v))
+    )
+
+
+def _extruded_across_clauses():
+    # let rec c1 = (let v = 1 in c2) and c2 = (fun x -> v) in c1 0: c2 must
+    # not see the v that c1's right-hand side binds
+    return with_locus_rec(
+        lambda l: capp(
+            genletrec(
+                l, 1, clet(cint(1), lambda v: genletrec(l, 2, clam(lambda x: v)))
+            ),
+            cint(0),
+        )
+    )
+
+
+class TestRunBindsInPlace:
+    """A let or letrec binds into the environment it is given; only a call
+    copies, and a deferred evaluation sees its environment as it was
+    deferred."""
+
+    def test_closure_made_before_a_later_let(self):
+        _agree_over(_closure_before_a_let(), [(k,) for k in range(-3, 4)])
+
+    def test_recursion_between_a_let_and_its_use(self):
+        code = _recursion_between_a_let_and_its_use()
+        _agree_over(code, [(k,) for k in (0, 1, 5, 12, 3)])
+        assert apply_ints(run(code), (12,)) == VInt(sum(k * k for k in range(13)))
+
+    def test_clause_forced_after_a_let_of_the_letrec_body(self):
+        # let rec c = fun y -> y * x in let a = x + 1 in c a + a
+        code = clam(
+            lambda x: with_locus_rec(
+                lambda l: clet(
+                    cadd(x, cint(1)),
+                    lambda a: cadd(capp(genletrec(l, 0, clam(lambda y: cmul(y, x))), a), a),
+                )
+            )
+        )
+        _agree_over(code, [(k,) for k in (2, -1, 7)])
+        assert apply_ints(run(code), (2,)) == VInt(9)
+
+    def test_lets_of_one_activation_share_a_dict_and_each_call_copies(self):
+        sem = _LetBodies()
+        code = clet(
+            cint(1), lambda a: clet(cadd(a, cint(1)), lambda b: _closure_before_a_let())
+        )
+        d, bindings = code(BuildContext(sem), ROOT)
+        assert not bindings
+        top = {}
+        value = d(top)
+        assert len(sem.envs) == 2 and all(e is top for e in sem.envs)
+        calls = []
+        for k in (1, 2, 2):
+            del sem.envs[:]
+            apply_ints(value, (k,))
+            # the body's three lets, then f's two calls, which bind no let
+            a, f, z = sem.envs
+            assert a is f is z and a is not top
+            assert all(a is not e for e in calls)
+            calls.append(a)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            _extruded_closure,
+            _extruded_clause_closure,
+            _extruded_clause_value,
+            _extruded_across_clauses,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_extruded_deferred_code_stays_unbound(self, code):
+        (free,) = free_vars(show(code()))
+        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+            eval_ast(show(code()))
+        for _ in range(2):
+            with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+                run(code())
+
+
+def _binop_den(cls, a, b):
+    r = R()
+    return r.mk_binop(cls, r.mk_int(a), r.mk_int(b))
+
+
+def _succ_den(a):
+    r = R()
+    return r.mk_succ(r.mk_int(a))
+
+
+class TestOperatorResults:
+    """Run makes an operator's result without its record's `__init__`; it is
+    still an exact, fresh, frozen record."""
+
+    @pytest.mark.parametrize(
+        "den, want",
+        [
+            (_binop_den(Add, 7, 3), VInt(10)),
+            (_binop_den(Sub, 7, 3), VInt(4)),
+            (_binop_den(Mul, 7, 3), VInt(21)),
+            (_binop_den(Div, 7, -3), VInt(-2)),
+            (_binop_den(Eq, 7, 7), VBool(True)),
+            (_binop_den(Eq, 7, 3), VBool(False)),
+            (_binop_den(MyAdd, 7, 3), VInt(10)),
+            (_succ_den(9), VInt(10)),
+        ],
+        ids=["add", "sub", "mul", "div", "eq", "ne", "subclass", "succ"],
+    )
+    def test_result_is_a_true_record(self, den, want):
+        v = den({})
+        assert type(v) is type(want)
+        assert v == want and hash(v) == hash(want) and repr(v) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.value = 0
+        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is type(want) and twin == want
+        assert den({}) is not v
