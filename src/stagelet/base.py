@@ -183,6 +183,16 @@ def _slot_init(cls):
     return init
 
 
+def _slot_new(cls):
+    """`object.__new__` and the slot setter of record class `cls`, with which
+    a caller makes `cls(v)` as `_slot_init` would, without its Python frame;
+    a record with more than one field or a `__post_init__` is refused."""
+    fields = dataclasses.fields(cls)
+    if len(fields) != 1 or hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} is not a one-field record without __post_init__")
+    return object.__new__, getattr(cls, fields[0].name).__set__
+
+
 # ---------------------------------------------------------------------------
 # Names
 
@@ -622,9 +632,10 @@ def _alpha(a, b, ab, ba):
 class _RecCell:
     """Delayed letrec binding, shared by `eval_ast` and the run semantics.
 
-    `rhs` maps the letrec environment (set in `env` once every clause has
-    its cell) to the clause's value. Forcing while busy means sure
-    divergence.
+    `rhs` maps `env`, set once every clause has its cell, to the clause's
+    value. `eval_ast` sets `env` to the letrec environment; run stores
+    `(env, size, rhs)` there, for `rhs` = `semantics._clause`. Forcing while
+    busy means sure divergence.
     """
 
     __slots__ = ("name", "rhs", "env", "budget", "busy", "done", "value")

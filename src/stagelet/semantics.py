@@ -35,6 +35,7 @@ from .base import (
     _Budget,
     _RecCell,
     _Walk,
+    _slot_new,
     _as_int,
     _not_a_tree,
 )
@@ -135,9 +136,9 @@ EMPTY_ENV = Env()
 def _run_binop(op, box):
     """The run maker of one operator. `op` and `box` are fixed here, so a
     build reads no class attribute; the left operand is checked before the
-    right one is evaluated. The result is made as `_slot_init` would make it,
-    without the Python frame of its `__init__`."""
-    new, set_value = object.__new__, box.value.__set__
+    right one is evaluated. The result is made without the Python frame of
+    its record's `__init__` (`_slot_new`)."""
+    new, set_value = _slot_new(box)
 
     def make(d1, d2):
         def den(env):
@@ -272,14 +273,7 @@ class RunSemantics:
         return lambda env: v
 
     def mk_succ(self, d):
-        new, set_value = object.__new__, VInt.value.__set__
-
-        def den(env):
-            v = new(VInt)
-            set_value(v, _as_int(d(env)) + 1)
-            return v
-
-        return den
+        return lambda env: VInt(_as_int(d(env)) + 1)
 
     def mk_binop(self, cls, d1, d2):
         return _RUN_BINOPS[cls](d1, d2)

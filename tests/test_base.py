@@ -42,6 +42,7 @@ from stagelet import (
     show,
     to_sexp,
 )
+from stagelet.base import _slot_new
 
 from helpers import (
     bruteforce_free,
@@ -606,6 +607,22 @@ class TestRecords:
             class R(BaseAst):
                 a: int = dataclasses.field(default=1, **options)
                 b: int = 0
+
+    def test_slot_new_makes_a_one_field_record_and_refuses_others(self):
+        new, set_value = _slot_new(VInt)
+        v = new(VInt)
+        set_value(v, 3)
+        assert type(v) is VInt and v == VInt(3) and hash(v) == hash(VInt(3))
+
+        class Checked(Value, metaclass=type(VInt)):
+            value: int
+
+            def __post_init__(self):
+                pass
+
+        for cls in (Checked, Lam, BaseAst):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} is not a one-field record"):
+                _slot_new(cls)
 
     @pytest.mark.parametrize("base", [BaseAst, BinOp, Value, Name], ids=lambda c: c.__name__)
     def test_each_class_is_listed_once_under_its_base(self, base):

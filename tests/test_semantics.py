@@ -735,6 +735,27 @@ class TestRunBindsInPlace:
             with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
                 run(code())
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="run reads a variable carried out of its binder through host "
+        "state (CHANGES.md FOUND line on in-place binding)",
+    )
+    def test_variable_carried_out_through_host_state_stays_unbound(self):
+        # (let v1 = 1 in v1) + (let v2 = 0 in v1): v1 is used after its
+        # binder has run in the same activation
+        def code():
+            box = []
+            return cadd(
+                clet(cint(1), lambda v: (box.append(v), v)[1]),
+                clet(cint(0), lambda _: box[0]),
+            )
+
+        (free,) = free_vars(show(code()))
+        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+            eval_ast(show(code()))
+        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+            run(code())
+
 
 def _binop_den(cls, a, b):
     r = R()
@@ -747,8 +768,8 @@ def _succ_den(a):
 
 
 class TestOperatorResults:
-    """Run makes an operator's result without its record's `__init__`; it is
-    still an exact, fresh, frozen record."""
+    """Run makes a binary operator's result without its record's `__init__`,
+    and succ's with it; each is an exact, fresh, frozen record."""
 
     @pytest.mark.parametrize(
         "den, want",
