@@ -409,14 +409,14 @@ class _Walk(dict):
     level.
 
     A node subclass gets the handler of its nearest registered base, looked
-    up through the MRO once and then cached; any other class gets
-    `_not_a_tree`.
+    up through the MRO once and then cached; any other key, a class or not,
+    gets `_not_a_tree`.
     """
 
     __slots__ = ()
 
     def __missing__(self, cls):
-        for base in cls.__mro__[1:]:
+        for base in getattr(cls, "__mro__", ())[1:]:
             if base in self:
                 handler = self[cls] = self[base]
                 return handler
@@ -632,18 +632,16 @@ def _alpha(a, b, ab, ba):
 class _RecCell:
     """Delayed letrec binding, shared by `eval_ast` and the run semantics.
 
-    `rhs` maps `env`, set once every clause has its cell, to the clause's
-    value. `eval_ast` sets `env` to the letrec environment; run stores
-    `(env, size, rhs)` there, for `rhs` = `semantics._clause`. Forcing while
-    busy means sure divergence.
+    `force` computes the clause's value `rhs(env)` once; each evaluator
+    decides what `env` holds. Forcing while busy means sure divergence.
     """
 
     __slots__ = ("name", "rhs", "env", "budget", "busy", "done", "value")
 
-    def __init__(self, name, rhs, budget):
+    def __init__(self, name, rhs, env, budget):
         self.name = name
         self.rhs = rhs
-        self.env = None
+        self.env = env
         self.budget = budget
         self.busy = False
         self.done = False
@@ -743,13 +741,8 @@ def _eval_let(t, env, budget):
 
 def _eval_letrec(t, env, budget):
     env2 = dict(env)
-    cells = []
     for n, rhs in t.clauses:
-        cell = _RecCell(n, lambda e, r=rhs: _E[type(r)](r, e, budget), budget)
-        env2[n] = cell
-        cells.append(cell)
-    for cell in cells:
-        cell.env = env2
+        env2[n] = _RecCell(n, lambda e, r=rhs: _E[type(r)](r, e, budget), env2, budget)
     b = t.body
     return _E[type(b)](b, env2, budget)
 

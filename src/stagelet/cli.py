@@ -38,9 +38,12 @@ class _Parser(argparse.ArgumentParser):
 def _limit_flags(parser, with_defaults):
     # the flags are accepted before or after the subcommand; SUPPRESS on the
     # subcommand side keeps an earlier occurrence unless repeated (last wins)
-    default = None if with_defaults else argparse.SUPPRESS
-    parser.add_argument("--canon-limit", type=int, default=default)
-    parser.add_argument("--step-limit", type=int, default=default)
+    if with_defaults:
+        canon, step = DEFAULT_CANON_LIMIT, DEFAULT_STEP_LIMIT
+    else:
+        canon = step = argparse.SUPPRESS
+    parser.add_argument("--canon-limit", type=int, default=canon)
+    parser.add_argument("--step-limit", type=int, default=step)
 
 
 def _build_parser():
@@ -80,11 +83,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
 
-    canon_limit = (
-        opts.canon_limit if opts.canon_limit is not None else DEFAULT_CANON_LIMIT
-    )
-    step_limit = opts.step_limit if opts.step_limit is not None else DEFAULT_STEP_LIMIT
-
     if opts.command == "list":
         for entry in sorted(registry(), key=lambda e: e.name):
             print(f"{entry.name} {entry.kind.value}")
@@ -97,18 +95,20 @@ def main(argv=None) -> int:
 
     try:
         if opts.command == "show":
-            tree = _tree_of(entry, canon_limit)
+            tree = _tree_of(entry, opts.canon_limit)
             print(pretty(tree) if opts.format == "pretty" else to_sexp(tree))
         elif opts.command == "run":
             if entry.kind is ExampleKind.BASE_PROGRAM:
-                value = eval_ast(entry.builder(), {}, step_limit=step_limit)
+                value = eval_ast(entry.builder(), {}, step_limit=opts.step_limit)
             else:
                 value = run(
-                    entry.builder(), step_limit=step_limit, canon_limit=canon_limit
+                    entry.builder(),
+                    step_limit=opts.step_limit,
+                    canon_limit=opts.canon_limit,
                 )
             print(render_value(apply_ints(value, opts.args)))
         else:  # check
-            free = free_vars(_tree_of(entry, canon_limit))
+            free = free_vars(_tree_of(entry, opts.canon_limit))
             if free:
                 print("free: " + " ".join(sorted(n.render() for n in free)))
                 return EXIT_FREE

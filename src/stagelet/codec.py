@@ -304,20 +304,15 @@ def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
     return _Let(rhs, body, hint)
 
 
-def _expect_hashable(key):
-    """A TypeMismatch raised where the request was written if memo key `key`
-    cannot key a store."""
+def _expect_request(locus, key, code, hint):
+    """Check a genlet or genletrec request where it is written; memo key
+    `key` must be able to key a store."""
+    if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
+        _expect(locus, Locus, "locus"), _expect(code)
     try:
         hash(key)
     except TypeError:
         raise TypeMismatch(f"memo key is not hashable: {key!r}") from None
-
-
-def _expect_request(locus, key, code, hint):
-    """Check a genlet or genletrec request where it is written."""
-    if not (isinstance(locus, Locus) and isinstance(code, CodeValue)):
-        _expect(locus, Locus, "locus"), _expect(code)
-    _expect_hashable(key)
     _expect_hint(hint)
 
 
@@ -391,9 +386,14 @@ def with_locus_rec(f) -> CodeValue:
     return _WithLocusRec(f)
 
 
-def _complete(bindings):
-    if bindings:
-        raise ResidualBindings(tuple(bindings))
+def _denote(code, sem, canon_limit, what, env):
+    """Build complete generator `code` at the root in `sem` and apply its
+    denotation to `env`; host-stack overflow is reported as `what`'s."""
+    with _HostStack(what):
+        d, v = code._build(BuildContext(sem, canon_limit), ROOT)
+        if v:
+            raise ResidualBindings(tuple(v))
+        return d(env)
 
 
 def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
@@ -401,11 +401,7 @@ def show(code: CodeValue, canon_limit=DEFAULT_CANON_LIMIT) -> BaseAst:
     is no limit."""
     _expect(code)
     _expect_limit(canon_limit)
-    ctx = BuildContext(ShowSemantics(), canon_limit)
-    with _HostStack("show"):
-        d, v = code._build(ctx, ROOT)
-        _complete(v)
-        return d(EMPTY_ENV)
+    return _denote(code, ShowSemantics(), canon_limit, "show", EMPTY_ENV)
 
 
 def run(
@@ -418,8 +414,4 @@ def run(
     _expect(code)
     _expect_limit(step_limit)
     _expect_limit(canon_limit)
-    ctx = BuildContext(RunSemantics(step_limit), canon_limit)
-    with _HostStack("run"):
-        d, v = code._build(ctx, ROOT)
-        _complete(v)
-        return d({})
+    return _denote(code, RunSemantics(step_limit), canon_limit, "run", {})

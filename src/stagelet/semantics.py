@@ -157,21 +157,7 @@ def _run_binop(op, box):
     return make
 
 
-class _RunMakers(_Walk):
-    """The run maker of each operator class. A subclass gets its nearest
-    registered base's maker, as in every `base` walk; anything else raises
-    TypeMismatch."""
-
-    __slots__ = ()
-
-    def __missing__(self, cls):
-        make = super().__missing__(cls) if isinstance(cls, type) else _not_a_tree
-        if make is _not_a_tree:
-            raise TypeMismatch(f"not a binary operator: {cls!r}")
-        return make
-
-
-_RUN_BINOPS = _RunMakers({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
+_RUN_BINOPS = _Walk({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
 def _clause(letrec):
@@ -276,7 +262,10 @@ class RunSemantics:
         return lambda env: VInt(_as_int(d(env)) + 1)
 
     def mk_binop(self, cls, d1, d2):
-        return _RUN_BINOPS[cls](d1, d2)
+        make = _RUN_BINOPS[cls]
+        if make is _not_a_tree:
+            raise TypeMismatch(f"not a binary operator: {cls!r}")
+        return make(d1, d2)
 
     def mk_if(self, dc, dt, de):
         def den(env):
@@ -331,9 +320,9 @@ class RunSemantics:
         """One letrec over `clauses`, (name, rhs) each, binding one cell per
         clause into the environment it is given; every (alias,
         representative) pair goes into the alias table, so a request for the
-        alias reads the representative's cell. A cell holds the environment,
-        its size once every cell is bound, and the clause's rhs, and
-        `_clause` evaluates them."""
+        alias reads the representative's cell. A cell's environment is the
+        triple of the environment, its size once every cell is bound, and
+        the clause's rhs, which `_clause` evaluates."""
         budget = self._budget
         clauses = tuple(clauses)
         self._reps.update(pairs)
@@ -341,8 +330,7 @@ class RunSemantics:
         def den(env):
             size = len(env) + len(clauses)
             for n, rhs in clauses:
-                cell = env[n] = _RecCell(n, _clause, budget)
-                cell.env = env, size, rhs
+                env[n] = _RecCell(n, _clause, (env, size, rhs), budget)
             return body(env)
 
         return den

@@ -1,4 +1,6 @@
-from stagelet.cli import main
+from stagelet.base import DEFAULT_STEP_LIMIT
+from stagelet.cli import _build_parser, main
+from stagelet.codec import DEFAULT_CANON_LIMIT
 from stagelet.examples import registry
 
 from helpers import parse_sexp, serialize_sexp
@@ -120,6 +122,13 @@ class TestFlags:
             capsys, "--canon-limit", "1", "--canon-limit", "10000", "show", "cack2"
         )
         assert code == 0
+
+    def test_unset_flags_carry_the_library_defaults(self):
+        opts = _build_parser().parse_args(["list"])
+        assert (opts.canon_limit, opts.step_limit) == (
+            DEFAULT_CANON_LIMIT,
+            DEFAULT_STEP_LIMIT,
+        )
 
 
 class TestOutputDiscipline:

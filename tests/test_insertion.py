@@ -366,7 +366,7 @@ class TestFoldLog:
         assert len(cls.aliases) == len(names) - 1
         assert cls.name not in cls.aliases
         alias = names[len(names) // 2]
-        tree = bind_lets([cls], S().mk_var(alias), S())(EMPTY_ENV)
+        tree = bind_lets([cls], S().mk_request(alias), S())(EMPTY_ENV)
         assert tree == Let(cls.name, IntLit(0), Var(cls.name))
 
     def test_repr_and_eq_of_a_hundred_thousand_folds(self):
@@ -626,9 +626,9 @@ class TestAliasBinding:
     def test_alias_renders_as_representative(self):
         n, m = Source("n"), Source("m")
         s = S()
-        d = s.mk_let(n, s.mk_int(8), s.mk_var(m), {m})
+        d = s.mk_let(n, s.mk_int(8), s.mk_request(m), {m})
         assert d(EMPTY_ENV) == Let(n, IntLit(8), Var(n))
-        d = s.mk_letrec([(n, s.mk_var(m))], s.mk_var(m), [(m, n)])
+        d = s.mk_letrec([(n, s.mk_request(m))], s.mk_request(m), [(m, n)])
         assert d(EMPTY_ENV) == LetRec(((n, Var(n)),), Var(n))
 
     def test_alias_gets_representative_value(self):
