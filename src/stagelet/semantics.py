@@ -160,6 +160,17 @@ def _run_binop(op, box):
 _RUN_BINOPS = _Walk({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
+def _expect_binop(cls):
+    """Run's maker of operator class `cls`, a user's subclass of one
+    included; anything else, a class or not, is a TypeMismatch raised where
+    the code is built. Only a class is looked up, so an unhashable key
+    cannot reach the table."""
+    make = _RUN_BINOPS[cls] if isinstance(cls, type) else _not_a_tree
+    if make is _not_a_tree:
+        raise TypeMismatch(f"not a binary operator: {cls!r}")
+    return make
+
+
 def _clause(letrec):
     """The value of a letrec clause, from the `(env, size, rhs)` its cell
     holds: `rhs` evaluated in a copy of `env` cut back to its first `size`
@@ -262,10 +273,7 @@ class RunSemantics:
         return lambda env: VInt(_as_int(d(env)) + 1)
 
     def mk_binop(self, cls, d1, d2):
-        make = _RUN_BINOPS[cls]
-        if make is _not_a_tree:
-            raise TypeMismatch(f"not a binary operator: {cls!r}")
-        return make(d1, d2)
+        return _expect_binop(cls)(d1, d2)
 
     def mk_if(self, dc, dt, de):
         def den(env):
@@ -374,6 +382,7 @@ class ShowSemantics:
         return lambda env: Succ(d(env))
 
     def mk_binop(self, cls, d1, d2):
+        _expect_binop(cls)
         return lambda env: cls(d1(env), d2(env))
 
     def mk_if(self, dc, dt, de):

@@ -320,7 +320,91 @@ class TestEval:
         assert render_value(eval_ast(Lam(x, Var(x)), {})) == "<fun>"
 
 
-TWO_OPERAND_KINDS = [Add, Sub, Mul, Div, Eq, App]
+class MyVar(Var):
+    """A user's subclass of `Var`: evaluated through the walk table."""
+
+
+class MyIntLit(IntLit):
+    """A user's subclass of `IntLit`: evaluated through the walk table."""
+
+
+class MyVInt(VInt):
+    """A subclass of `VInt`, bound to a variable: still an integer."""
+
+
+OPERATORS = [Add, Sub, Mul, Div, Eq]
+q, c, u1, u2 = Source("q"), Source("c"), Source("u1"), Source("u2")
+
+
+def with_operand(op, side, operand):
+    """`op` applied to `operand` and `IntLit(3)`, the operand on `side`."""
+    return op(operand, IntLit(3)) if side == "left" else op(IntLit(3), operand)
+
+
+def seven_and_three(op, side):
+    """The value of `with_operand(op, side, operand)` for an operand worth 7."""
+    return op.box(op.op(7, 3) if side == "left" else op.op(3, 7))
+
+
+class TestOperands:
+    """Each way an operator reads an operand, on either side: an integer
+    literal or a variable bound to an integer is read in place, anything
+    else through the walk table, with the same value and the same error."""
+
+    CASES = {
+        "int": (IntLit(7), {}),
+        "var": (Var(q), {q: VInt(7)}),
+        "var-bound-to-subclass": (Var(q), {q: MyVInt(7)}),
+        "var-subclass": (MyVar(q), {q: VInt(7)}),
+        "int-subclass": (MyIntLit(7), {}),
+        "nested": (Add(IntLit(3), Var(q)), {q: VInt(4)}),
+    }
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("case", CASES)
+    def test_value(self, case, op, side):
+        operand, env = self.CASES[case]
+        assert eval_ast(with_operand(op, side, operand), env) == seven_and_three(op, side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda k: k.__name__)
+    def test_letrec_cell(self, op, side):
+        tree = LetRec(((c, IntLit(7)),), with_operand(op, side, Var(c)))
+        assert eval_with_least_budget(tree, 1) == seven_and_three(op, side)  # one force
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda k: k.__name__)
+    def test_var_bound_to_a_boolean(self, op, side):
+        message = "expected an integer, got VBool(value=True)"
+        with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+            eval_ast(with_operand(op, side, Var(q)), {q: VBool(True)})
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda k: k.__name__)
+    def test_unbound_var(self, op, side):
+        with pytest.raises(UnboundVariable, match="^unbound variable q$"):
+            eval_ast(with_operand(op, side, Var(q)), {})
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda k: k.__name__)
+    def test_cell_demanding_its_own_value(self, op, side):
+        tree = LetRec(((x, with_operand(op, side, Var(x))),), Var(x))
+        message = "recursive binding x demands its own value"
+        with pytest.raises(StepLimitExceeded, match=f"^{re.escape(message)}$"):
+            eval_ast(tree, {})
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda k: k.__name__)
+    def test_left_operand_is_checked_before_the_right_one_is_read(self, op):
+        with pytest.raises(TypeMismatch):
+            eval_ast(op(BoolLit(True), Var(u2)), {})
+        with pytest.raises(TypeMismatch):
+            eval_ast(op(Var(q), Var(u2)), {q: VBool(False)})
+        with pytest.raises(UnboundVariable, match="^unbound variable u1$"):
+            eval_ast(op(Var(u1), Var(u2)), {})
+
+
+TWO_OPERAND_KINDS = [*OPERATORS, App]
 
 
 class TestBinaryKinds:

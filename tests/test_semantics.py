@@ -188,6 +188,9 @@ class TestMkVar:
             R().mk_var(x)({})
 
 
+NOT_OPERATORS = [BinOp, Lam, int, "add", [1]]
+
+
 class TestMkConstants:
     def test_int(self):
         assert R().mk_int(3)({}) == VInt(3)
@@ -224,11 +227,15 @@ class TestMkConstants:
         assert isinstance(tree.fun.body, MyAdd)
         assert run(gen) == eval_ast(tree) == VInt(3)
 
-    @pytest.mark.parametrize("cls", [BinOp, Lam, int, "add"], ids=repr)
-    def test_anything_else_is_not_an_operator(self, cls):
-        r = R()
+    @pytest.mark.parametrize(
+        "sem,cls",
+        [pytest.param(R, k, id=repr(k)) for k in NOT_OPERATORS]
+        + [pytest.param(S, k, id=f"show-{k!r}") for k in NOT_OPERATORS],
+    )
+    def test_anything_else_is_not_an_operator(self, sem, cls):
+        s = sem()
         with pytest.raises(TypeMismatch, match="not a binary operator"):
-            r.mk_binop(cls, r.mk_int(1), r.mk_int(2))
+            s.mk_binop(cls, s.mk_int(1), s.mk_int(2))
 
 
 class TestMkLam:
