@@ -129,6 +129,14 @@ def _expect(x, kind=CodeValue, what="code value"):
     return x
 
 
+def _expect_function(f):
+    """`f` if it is callable, else a TypeMismatch raised where the binder
+    that takes it was written."""
+    if not callable(f):
+        raise TypeMismatch(f"not a function: {f!r}")
+    return f
+
+
 def _lift(x):
     if isinstance(x, bool):
         return cbool(x)
@@ -283,6 +291,7 @@ class _Lam(_Node):
 def clam(f, hint=None) -> CodeValue:
     """Code of a function; `f` receives the bound variable as a CodeValue and
     must treat it as opaque."""
+    _expect_function(f)
     _expect_hint(hint)
     return _Lam(f, hint)
 
@@ -300,6 +309,7 @@ class _Let(_Node):
 def clet(rhs: CodeValue, body, hint=None) -> CodeValue:
     """Code of a let whose location is fixed right here."""
     _expect(rhs)
+    _expect_function(body)
     _expect_hint(hint)
     return _Let(rhs, body, hint)
 
@@ -349,7 +359,7 @@ class _WithLocus(_Node):
 def with_locus(f) -> CodeValue:
     """Open a let locus: bindings requested for it by genlet inside `f`
     become nested let-expressions here; others keep floating."""
-    return _WithLocus(f)
+    return _WithLocus(_expect_function(f))
 
 
 class _GenLetRec(_Node):
@@ -383,7 +393,7 @@ class _WithLocusRec(_Node):
 def with_locus_rec(f) -> CodeValue:
     """Open a letrec locus: canonicalize the bindings requested for it, then
     bind them all in a single letrec."""
-    return _WithLocusRec(f)
+    return _WithLocusRec(_expect_function(f))
 
 
 def _denote(code, sem, canon_limit, what, env):

@@ -77,7 +77,10 @@ class BindingClass(metaclass=_Record):
     A log is a frozenset of alias names, or a fold node `(request name,
     incoming class's log, earlier log)`: a fold records its request without
     copying, and the alias set is built from the log once, when the class is
-    bound."""
+    bound. A class is its names: `==` and `hash` read the name, the
+    right-hand side and the aliases, so classes folded in different orders
+    into the same names are equal; the log only records how the class was
+    built."""
 
     name: object
     rhs: object  # a denotation, or a Pending
@@ -94,31 +97,15 @@ class BindingClass(metaclass=_Record):
         return (
             self.name == other.name
             and self.rhs == other.rhs
-            and _same_log(self.log, other.log)
+            and self.aliases == other.aliases
         )
+
+    def __hash__(self):
+        return hash((self.name, self.rhs, self.aliases))
 
     def __repr__(self):
         aliases = list(_requests(self))
         return f"BindingClass(name={self.name!r}, rhs={self.rhs!r}, aliases={aliases!r})"
-
-
-def _same_log(a, b):
-    """Whether logs `a` and `b` are equal as nested tuples. An explicit stack
-    compares logs of any depth, and each pair of nodes is compared once."""
-    stack, seen = [(a, b)], set()
-    while stack:
-        a, b = stack.pop()
-        if a is b or (id(a), id(b)) in seen:
-            continue
-        if type(a) is tuple and type(b) is tuple:
-            if a[0] != b[0]:
-                return False
-            seen.add((id(a), id(b)))
-            stack.append((a[1], b[1]))
-            stack.append((a[2], b[2]))
-        elif a != b:
-            return False
-    return True
 
 
 def _requests(cls: BindingClass):

@@ -10,8 +10,9 @@ in, and a call binds its parameter into a copy of that. The aliases of a
 binding class go into a table per `RunSemantics`, filled while the code is
 built, and the variable a request returns (`mk_request`) resolves its name
 through that table once. Show's is an `Env` that holds only alias
-redirects. Binary operators evaluate the left operand first; final results
-must not depend on that order.
+redirects, and only a request's variable reads it. Binary operators
+evaluate the left operand first; final results must not depend on that
+order.
 """
 
 from __future__ import annotations
@@ -348,27 +349,25 @@ class ShowSemantics:
     """Denotation builders that build trees: Env maps each alias to the
     name of its class, and holds nothing else.
 
-    A request's variable is a plain variable here: show makes one redirect
-    per alias, and per alias and clause in a letrec, not one per class,
-    because the benchmark pins those redirect counts (ROADMAP item 1
-    re-pins them).
+    Only a request's variable (`mk_request`) reads the Env: it renders the
+    representative its name redirects to, or its own name if none does. Show
+    makes one redirect per alias, and per alias and clause in a letrec, not
+    one per class, because the benchmark pins those redirect counts
+    (ROADMAP item 1 re-pins them).
 
     Show renames; it evaluates nothing. A build gives each location one name
     object, a tree never binds a name twice, and every combinator's use site
-    passes its binder's own name object. So a binder needs no entry: a
-    lookup that misses renders the name it was given, which is the binder's
-    own. Unbound names come out the same way, which is what makes scope
-    extrusion visible in the output.
+    passes its binder's own name object, which is never an alias. So a
+    binder needs no entry and a binder's variable (`mk_var`) renders its
+    name as it is. Unbound names come out the same way, which is what makes
+    scope extrusion visible in the output.
     """
 
     def mk_var(self, name):
-        def den(env):
-            resolved, v = env.lookup(name)
-            return v if v is not MISSING else Var(resolved)
+        return lambda env: Var(name)
 
-        return den
-
-    mk_request = mk_var
+    def mk_request(self, name):
+        return lambda env: Var(env.lookup(name)[0])
 
     def mk_int(self, i):
         node = IntLit(i)

@@ -477,6 +477,16 @@ class TestNotCode:
         with pytest.raises(TypeMismatch, match="^not a locus: 'l'$"):
             genletrec("l", 0, cint(1))
 
+    @pytest.mark.parametrize("bad", [42, None], ids=repr)
+    @pytest.mark.parametrize(
+        "binder",
+        [clam, lambda f: clet(cint(1), f), with_locus, with_locus_rec],
+        ids=["clam", "clet", "with_locus", "with_locus_rec"],
+    )
+    def test_binder_body_is_checked_when_written(self, binder, bad):
+        with pytest.raises(TypeMismatch, match=f"^not a function: {bad!r}$"):
+            binder(bad)
+
 
 class TestMemoKeys:
     """A memo key keys a dict, so an unhashable one is a TypeMismatch where

@@ -85,20 +85,6 @@ def canonical_int(i):
     return S().mk_int(i)
 
 
-def view(cls):
-    """A class as (name, rhs, aliases): what its folds decided, whatever
-    shape its log has."""
-    return cls.name, cls.rhs, cls.aliases
-
-
-def store_view(store):
-    return {key: view(cls) for key, cls in store.items()}
-
-
-def bindings_view(bindings):
-    return {loc: store_view(store) for loc, store in bindings.items()}
-
-
 class TestAddb:
     def test_first_insertion(self):
         name = Fresh((2,))
@@ -137,12 +123,12 @@ class TestAddb:
         pen, can = Pending(lambda: None), canonical_int(3)
         store = addb(1, other, pen, addb(1, n, pen, EMPTY_PER_LOCUS))
         after = addb(1, n, can, store)
-        assert view(after[1]) == view(BindingClass(n, can, frozenset({other})))
+        assert after[1] == BindingClass(n, can, frozenset({other}))
         assert after[1].rhs is can
         assert store[1].rhs is pen  # the store added to is unchanged
         # a pending right-hand side never replaces a canonical one
         again = addb(1, n, Pending(lambda: None), after)
-        assert store_view(again) == store_view(after)
+        assert again == after
 
     def test_matches_naive_model_exhaustively(self):
         keys = (1, 2, 3)
@@ -285,7 +271,7 @@ class TestMerge:
             v2 = grow(shared, rng.randrange(4))
             got = merge(v1, v2)
             want = model_merge(v1, v2)
-            assert bindings_view(got) == bindings_view(want)
+            assert got == want
             assert [tuple(s) for s in got.values()] == [
                 tuple(s) for s in want.values()
             ]
@@ -386,6 +372,40 @@ class TestFoldLog:
         # differs at the deepest fold only
         assert a != folded([names[0], Fresh((-1,)), *names[2:]])
         assert repr(a) == f"BindingClass(name={names[0]!r}, rhs={can!r}, aliases={names[1:]!r})"
+
+    def test_a_class_is_its_names_not_its_fold_order(self):
+        a, b, c, d = (Fresh((i,)) for i in range(4))
+        can = canonical_int(0)
+
+        def folded(*names):
+            store = EMPTY_PER_LOCUS
+            for name in names:
+                store = addb(0, name, can, store)
+            return store[0]
+
+        one, other = folded(a, b, c, d), folded(a, d, c, b)
+        merged = merge({(): {0: folded(a, c)}}, {(): {0: folded(d, b)}})[()][0]
+        assert one.log != other.log != merged.log
+        for twin in (other, merged):
+            assert one == twin and not one != twin
+            assert hash(one) == hash(twin)
+        assert list(insertion._requests(one)) == [b, c, d]
+        assert list(insertion._requests(merged)) == [c, d, b]
+
+    def test_an_explicit_log_equals_a_folded_one(self):
+        a, b, c = Source("a"), Source("b"), Source("c")
+        can = canonical_int(0)
+        folded = addb(0, b, can, addb(0, a, can, EMPTY_PER_LOCUS))[0]
+        explicit = BindingClass(a, can, frozenset({b}))
+        assert folded.log != explicit.log
+        assert folded == explicit and hash(folded) == hash(explicit)
+        for different in (
+            BindingClass(a, can),
+            BindingClass(a, can, frozenset({c})),
+            BindingClass(a, can, frozenset({b, c})),
+            BindingClass(b, can, frozenset({a})),
+        ):
+            assert folded != different and not folded == different
 
     def test_redirect_order_does_not_follow_the_hash_seed(self):
         tests = Path(__file__).resolve().parent
@@ -526,12 +546,12 @@ class TestRandomOperations:
                     key, name, rhs = rng.randrange(4), rng.choice(NAMES), random_rhs(rng)
                     got = {**v1, loc: addb(key, name, rhs, v1.get(loc, EMPTY_PER_LOCUS))}
                     want = model_merge(v1, {loc: {key: BindingClass(name, rhs)}})
-                    assert bindings_view(got) == bindings_view(want)
+                    assert got == want
                 elif op in (1, 2):
                     if op == 2:
                         v1, v2 = v2, v1
                     got, want = merge(v1, v2), model_merge(v1, v2)
-                    assert bindings_view(got) == bindings_view(want)
+                    assert got == want
                 elif op == 3:
                     # each forcing builds new denotations: compare key orders
                     got, want = canon(v1, loc), self.model_canon(v1, loc)

@@ -187,6 +187,27 @@ class TestMkVar:
         with pytest.raises(UnboundVariable):
             R().mk_var(x)({})
 
+    def test_show_resolves_only_requests(self):
+        a, rep = Source("a"), Source("r")
+        env = EMPTY_ENV.redirect(a, rep)
+        assert S().mk_var(a)(env) == Var(a)
+        assert S().mk_request(a)(env) == Var(rep)
+
+    def test_show_looks_up_only_at_requests(self, monkeypatch):
+        looked_up = []
+        env_lookup = semantics.Env.lookup
+
+        def spy(env, name):
+            looked_up.append(name)
+            return env_lookup(env, name)
+
+        monkeypatch.setattr(semantics.Env, "lookup", spy)
+        for name in ("cgib5", "clet-intro"):  # no genlet or genletrec
+            show(lookup(name).builder())
+            assert looked_up == [], name
+        show(lookup("clgib5").builder())
+        assert looked_up
+
 
 NOT_OPERATORS = [BinOp, Lam, int, "add", [1]]
 
