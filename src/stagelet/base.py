@@ -216,18 +216,36 @@ class Source(Name, metaclass=_Record):
         return f"Source({self.text!r})"
 
 
+# A tree location is a string: the root is "", and child i of location
+# `loc` is `loc + "_" + str(i)`, so making a child is one copy in C however
+# deep `loc` is, and a name's text is its location with a prefix.
+ROOT = ""
+
+
+def location(steps) -> str:
+    """The location reached from the root through child indices `steps`."""
+    return "".join(f"_{i}" for i in steps)
+
+
+def location_steps(loc) -> tuple:
+    """The child indices, from the root, of location `loc`."""
+    return tuple(int(i) for i in loc.split("_")[1:])
+
+
 class Fresh(Name):
     """Generator-created name, identified by its tree location.
 
-    The optional hint changes only how the name renders; equality and hashing
-    are on the location alone, so a hinted and an unhinted reference to the
-    same binding site stay interchangeable.
+    `path` is the location string; `Fresh` also takes the child indices
+    (`Fresh((1, 2))` is `Fresh("_1_2")`). The optional hint changes only how
+    the name renders; equality and hashing are on the location alone, so a
+    hinted and an unhinted reference to the same binding site stay
+    interchangeable.
     """
 
-    __slots__ = ("path", "hint", "_hash", "_text")
+    __slots__ = ("path", "hint", "_hash")
 
     def __init__(self, path, hint=None):
-        self.path = tuple(path)
+        self.path = path if type(path) is str else location(path)
         self.hint = hint
         self._hash = None
 
@@ -235,29 +253,22 @@ class Fresh(Name):
         return isinstance(other, Fresh) and self.path == other.path
 
     def __hash__(self):
-        # a path can run to hundreds of elements: hash it once, on first use
+        # cached in a slot: a name meets a dict at every store, alias table
+        # and environment, and the slot read is cheaper than calling `hash`
+        # on the path each time
         if self._hash is None:
-            self._hash = hash(("fresh", self.path))
+            self._hash = hash(self.path)
         return self._hash
 
     def render(self) -> str:
-        # a name occurs once per use site and its path can run to hundreds
-        # of elements: build the text once, on first render, per object (a
-        # hinted and an unhinted name at one path render differently)
-        try:
-            return self._text
-        except AttributeError:
-            pass
-        joined = "_".join(map(str, self.path))
+        # `v` and the location's digits, the bare hint at the root, or the
+        # hint, `_` and the digits
         if self.hint is None:
-            text = "v" + joined
-        else:
-            text = self.hint if not joined else f"{self.hint}_{joined}"
-        self._text = text
-        return text
+            return "v" + self.path[1:]
+        return self.hint + self.path
 
     def __repr__(self):
-        return f"Fresh({list(self.path)})"
+        return f"Fresh({list(location_steps(self.path))})"
 
 
 # ---------------------------------------------------------------------------

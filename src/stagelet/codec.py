@@ -1,10 +1,12 @@
 """Code combinators threading tree locations as the fresh-name supply.
 
 A CodeValue maps a location to a (denotation, virtual bindings) pair. The
-location is the path of child indices from the root, so every combinator
-occurrence owns a distinct name; binders are higher-order (host functions
-receive the bound variable as an opaque CodeValue). `run` evaluates a complete
-generator, `show` renders the code it builds.
+location is the path of child indices from the root, spelled as `base`
+states it: a string, `ROOT` for the root and `loc + "_1"` for child 1 of
+`loc`. So every combinator occurrence owns a distinct name; binders are
+higher-order (host functions receive the bound variable as an opaque
+CodeValue). `run` evaluates a complete generator, `show` renders the code
+it builds.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .base import (
     Eq,
     Fresh,
     Mul,
+    ROOT,
     Sub,
     TypeMismatch,
     Value,
@@ -40,8 +43,6 @@ from .insertion import (
     without,
 )
 from .semantics import EMPTY_ENV, RunSemantics, ShowSemantics
-
-ROOT = ()
 
 
 class BuildContext(metaclass=_Record):
@@ -174,7 +175,7 @@ class _Succ(_Node):
     __slots__ = ("a",)
 
     def _build(self, ctx, loc):
-        d, v = self.a._build(ctx, loc + (1,))
+        d, v = self.a._build(ctx, loc + "_1")
         return ctx.sem.mk_succ(d), v
 
 
@@ -186,8 +187,8 @@ class _BinOp(_Node):
     __slots__ = ("cls", "a", "b")
 
     def _build(self, ctx, loc):
-        d1, v1 = self.a._build(ctx, loc + (1,))
-        d2, v2 = self.b._build(ctx, loc + (2,))
+        d1, v1 = self.a._build(ctx, loc + "_1")
+        d2, v2 = self.b._build(ctx, loc + "_2")
         return ctx.sem.mk_binop(self.cls, d1, d2), merge(v1, v2)
 
 
@@ -222,8 +223,8 @@ class _App(_Node):
     __slots__ = ("f", "a")
 
     def _build(self, ctx, loc):
-        d1, v1 = self.f._build(ctx, loc + (1,))
-        d2, v2 = self.a._build(ctx, loc + (2,))
+        d1, v1 = self.f._build(ctx, loc + "_1")
+        d2, v2 = self.a._build(ctx, loc + "_2")
         return ctx.sem.mk_app(d1, d2), merge(v1, v2)
 
 
@@ -237,9 +238,9 @@ class _If(_Node):
     __slots__ = ("c", "t", "e")
 
     def _build(self, ctx, loc):
-        dc, vc = self.c._build(ctx, loc + (1,))
-        dt, vt = self.t._build(ctx, loc + (2,))
-        de, ve = self.e._build(ctx, loc + (3,))
+        dc, vc = self.c._build(ctx, loc + "_1")
+        dt, vt = self.t._build(ctx, loc + "_2")
+        de, ve = self.e._build(ctx, loc + "_3")
         return ctx.sem.mk_if(dc, dt, de), merge(merge(vc, vt), ve)
 
 
@@ -284,7 +285,7 @@ class _Lam(_Node):
 
     def _build(self, ctx, loc):
         name = Fresh(loc, self.hint)
-        d, v = _expect(self.f(_Var(name)))._build(ctx, loc + (1,))
+        d, v = _expect(self.f(_Var(name)))._build(ctx, loc + "_1")
         return ctx.sem.mk_lam(name, d), v
 
 
@@ -301,8 +302,8 @@ class _Let(_Node):
 
     def _build(self, ctx, loc):
         name = Fresh(loc, self.hint)
-        d1, v1 = self.rhs._build(ctx, loc + (1,))
-        d2, v2 = _expect(self.body(_Var(name)))._build(ctx, loc + (2,))
+        d1, v1 = self.rhs._build(ctx, loc + "_1")
+        d2, v2 = _expect(self.body(_Var(name)))._build(ctx, loc + "_2")
         return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 
 
@@ -331,7 +332,7 @@ class _GenLet(_Node):
 
     def _build(self, ctx, loc):
         name = Fresh(loc, self.hint)
-        d, v = self.code._build(ctx, loc + (2,))
+        d, v = self.code._build(ctx, loc + "_2")
         at = self.locus.location
         # a dict also when `v` is the read-only EMPTY_BINDINGS, and cheaper
         # than spreading that mapping into a dict display
@@ -351,7 +352,7 @@ class _WithLocus(_Node):
     __slots__ = ("f",)
 
     def _build(self, ctx, loc):
-        d, v = _expect(self.f(Locus(loc)))._build(ctx, loc + (1,))
+        d, v = _expect(self.f(Locus(loc)))._build(ctx, loc + "_1")
         den = bind_lets(ordered(v.get(loc, EMPTY_PER_LOCUS)), d, ctx.sem)
         return den, without(v, loc)
 
@@ -367,7 +368,7 @@ class _GenLetRec(_Node):
 
     def _build(self, ctx, loc):
         name = Fresh(loc, self.hint)
-        anchored = Pending(lambda: self.code._build(ctx, loc + (2,)))
+        anchored = Pending(lambda: self.code._build(ctx, loc + "_2"))
         store = addb(self.key, name, anchored, EMPTY_PER_LOCUS)
         return ctx.sem.mk_request(name), {self.locus.location: store}
 
@@ -384,7 +385,7 @@ class _WithLocusRec(_Node):
     __slots__ = ("f",)
 
     def _build(self, ctx, loc):
-        d, v = _expect(self.f(Locus(loc)))._build(ctx, loc + (1,))
+        d, v = _expect(self.f(Locus(loc)))._build(ctx, loc + "_1")
         v = canon(v, loc, ctx.canon_limit)
         classes = ordered(v.get(loc, EMPTY_PER_LOCUS))
         return bind_letrec(classes, d, ctx.sem), without(v, loc)
@@ -402,7 +403,7 @@ def _denote(code, sem, canon_limit, what, env):
     with _HostStack(what):
         d, v = code._build(BuildContext(sem, canon_limit), ROOT)
         if v:
-            raise ResidualBindings(tuple(v))
+            raise ResidualBindings(v)
         return d(env)
 
 

@@ -13,23 +13,30 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .base import StagingError, _Record
+from .base import StagingError, _Record, location_steps
 
 DEFAULT_CANON_LIMIT = 10_000
 
 
 class ResidualBindings(StagingError):
-    """A generator finished with bindings still floating (locus never opened)."""
+    """A generator finished with bindings still floating (locus never opened).
+
+    Made from the locations of those loci; `loci` holds each as its tuple of
+    child indices."""
 
     def __init__(self, loci):
-        self.loci = tuple(loci)
-        rendered = ", ".join(render_location(l) for l in self.loci)
+        loci = tuple(loci)
+        self.loci = tuple(map(location_steps, loci))
+        rendered = ", ".join(map(render_location, loci))
         super().__init__(f"unplaced bindings for loci: {rendered}")
 
 
 class CanonLimitExceeded(StagingError):
+    """Made from the location of the locus; `locus` holds it as its tuple of
+    child indices."""
+
     def __init__(self, locus, keys):
-        self.locus = locus
+        self.locus = location_steps(locus)
         self.keys = tuple(keys)
         super().__init__(
             f"canonicalization at locus {render_location(locus)} did not settle; "
@@ -42,13 +49,16 @@ class PendingBinding(StagingError):
 
 
 def render_location(loc) -> str:
-    return "[" + ",".join(str(i) for i in loc) + "]"
+    """Location `loc` as its child indices in brackets: `[1,2]`."""
+    return "[" + ",".join(map(str, location_steps(loc))) + "]"
 
 
 class Locus(metaclass=_Record):
-    """Marks where requested bindings materialize; opaque to generators."""
+    """Marks where requested bindings materialize; opaque to generators.
+    `location` is the locus's location string, in the format `base` states
+    at `ROOT`."""
 
-    location: tuple
+    location: str
 
 
 class Pending:

@@ -35,6 +35,7 @@ from .base import (
     _BINOPS,
     _Budget,
     _RecCell,
+    _Record,
     _Walk,
     _slot_new,
     _as_int,
@@ -161,15 +162,15 @@ def _run_binop(op, box):
 _RUN_BINOPS = _Walk({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
 
 
-def _expect_binop(cls):
-    """Run's maker of operator class `cls`, a user's subclass of one
-    included; anything else, a class or not, is a TypeMismatch raised where
-    the code is built. Only a class is looked up, so an unhashable key
-    cannot reach the table."""
-    make = _RUN_BINOPS[cls] if isinstance(cls, type) else _not_a_tree
-    if make is _not_a_tree:
-        raise TypeMismatch(f"not a binary operator: {cls!r}")
-    return make
+def _not_an_operator(cls):
+    """Raise where the code is built: `cls` is not an operator class.
+
+    Both `mk_binop`s test inline and call this only to raise. A key is an
+    operator class when it is a record class (every node class is one, so it
+    is hashable and has an MRO) that `_RUN_BINOPS` finds: one probe for a
+    registered operator, and for a user's subclass of one the walk's MRO
+    lookup, once. Anything else, a class or not, lands here."""
+    raise TypeMismatch(f"not a binary operator: {cls!r}")
 
 
 def _clause(letrec):
@@ -274,7 +275,10 @@ class RunSemantics:
         return lambda env: VInt(_as_int(d(env)) + 1)
 
     def mk_binop(self, cls, d1, d2):
-        return _expect_binop(cls)(d1, d2)
+        make = _RUN_BINOPS[cls] if type(cls) is _Record else _not_a_tree
+        if make is _not_a_tree:
+            _not_an_operator(cls)
+        return make(d1, d2)
 
     def mk_if(self, dc, dt, de):
         def den(env):
@@ -381,7 +385,8 @@ class ShowSemantics:
         return lambda env: Succ(d(env))
 
     def mk_binop(self, cls, d1, d2):
-        _expect_binop(cls)
+        if type(cls) is not _Record or _RUN_BINOPS[cls] is _not_a_tree:
+            _not_an_operator(cls)
         return lambda env: cls(d1(env), d2(env))
 
     def mk_if(self, dc, dt, de):

@@ -150,6 +150,33 @@ def cack(depth):
     return with_locus_rec(gen)
 
 
+def cpoly(n):
+    """Horner's rule unrolled over n fixed coefficients, one genlet per step
+    under a locus just inside the function of x: its names are the longest
+    a genlet chain makes."""
+    coeffs = [(-1) ** i * (i % 10) for i in range(n)]
+
+    def steps(l, x):
+        acc = cint(coeffs[-1])
+        for i in range(n - 2, -1, -1):
+            acc = genlet(l, i, cadd(cmul(acc, x), cint(coeffs[i])))
+        return acc
+
+    return clam(lambda x: with_locus(lambda l: steps(l, x)))
+
+
+def clet_chain(depth):
+    """let v = 1 in let v2 = v + 1 in ..., `depth` lets each nested in the
+    body of the one before, whose value is depth."""
+
+    def step(i, prev):
+        if i == depth:
+            return prev
+        return clet(cadd(prev, cint(1)), lambda v: step(i + 1, v))
+
+    return clet(cint(1), lambda v: step(1, v))
+
+
 # ---------------------------------------------------------------------------
 # Tree walkers
 
@@ -490,8 +517,8 @@ def _var_code(name):
 def _mirror_binary(make):
     def op(a, b):
         def build(ctx, loc):
-            d2, v2 = b(ctx, loc + (2,))
-            d1, v1 = a(ctx, loc + (1,))
+            d2, v2 = b(ctx, loc + "_2")
+            d1, v1 = a(ctx, loc + "_1")
             return make(ctx.sem, d1, d2), merge(v1, v2)
 
         return CodeValue(build)
@@ -501,9 +528,9 @@ def _mirror_binary(make):
 
 def _mirror_if(c, t, e):
     def build(ctx, loc):
-        de, ve = e(ctx, loc + (3,))
-        dt, vt = t(ctx, loc + (2,))
-        dc, vc = c(ctx, loc + (1,))
+        de, ve = e(ctx, loc + "_3")
+        dt, vt = t(ctx, loc + "_2")
+        dc, vc = c(ctx, loc + "_1")
         return ctx.sem.mk_if(dc, dt, de), merge(merge(vc, vt), ve)
 
     return CodeValue(build)
@@ -512,8 +539,8 @@ def _mirror_if(c, t, e):
 def _mirror_clet(rhs, body, hint=None):
     def build(ctx, loc):
         name = Fresh(loc, hint)
-        d2, v2 = body(_var_code(name))(ctx, loc + (2,))
-        d1, v1 = rhs(ctx, loc + (1,))
+        d2, v2 = body(_var_code(name))(ctx, loc + "_2")
+        d1, v1 = rhs(ctx, loc + "_1")
         return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 
     return CodeValue(build)

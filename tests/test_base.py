@@ -42,7 +42,7 @@ from stagelet import (
     show,
     to_sexp,
 )
-from stagelet.base import _slot_new
+from stagelet.base import _slot_new, location, location_steps
 
 from helpers import (
     bruteforce_free,
@@ -55,6 +55,17 @@ from helpers import (
 )
 
 x, y, z = Source("x"), Source("y"), Source("z")
+
+
+def index_tuples(seed, count=300):
+    """Random child-index tuples of length 0 to 5 over indices that render
+    alike when run together without separators (1 and 11, 0 and 10)."""
+    rng = random.Random(seed)
+    alphabet = [0, 1, 2, 3, 9, 10, 11, 12, 100, 101]
+    return [
+        tuple(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+        for _ in range(count)
+    ]
 
 
 def gib5_ast():
@@ -107,6 +118,31 @@ class TestNames:
         keys = {hinted: 1, plain: 2}
         assert keys == {hinted: 2}
         assert (hinted.render(), plain.render()) == ("acc_1_2", "v1_2")
+
+    def test_names_are_equal_exactly_when_their_indices_are(self):
+        tuples = index_tuples(1)
+        names = [Fresh(t) for t in tuples]
+        assert len(set(tuples)) < len(tuples)  # some draws repeat
+        for a, na in zip(tuples, names):
+            for b, nb in zip(tuples, names):
+                assert (na == nb) is (a == b)
+                if a == b:
+                    assert hash(na) == hash(nb)
+
+    def test_indices_list_and_location_string_make_one_name(self):
+        for t in index_tuples(2):
+            name = Fresh(t)
+            assert name == Fresh(list(t)) == Fresh(location(t))
+            assert hash(name) == hash(Fresh(list(t))) == hash(Fresh(location(t)))
+            assert location_steps(location(t)) == t
+            assert repr(name) == f"Fresh({list(t)})"
+
+    def test_rendering_joins_the_indices(self):
+        for t in index_tuples(3):
+            joined = "_".join(map(str, t))
+            assert Fresh(t).render() == "v" + joined
+            want = "acc" if not t else f"acc_{joined}"
+            assert Fresh(t, hint="acc").render() == want
 
     def test_sexp_first_then_pretty_reads_as_pretty_alone(self):
         tree = show(cack(3))

@@ -84,7 +84,7 @@ class TestLiterals:
 
     def test_no_bindings_anywhere_without_genlet(self):
         c = cadd(cint(1), cmul(cint(2), cint(3)))
-        for loc in ((), (1,), (2, 1), (3, 1, 2)):
+        for loc in ("", "_1", "_2_1", "_3_1_2"):
             assert not bindings_at(c, loc)
 
     @pytest.mark.parametrize("bad", ["x", None, True, 1.0], ids=repr)
@@ -242,6 +242,16 @@ class TestBinders:
         tree = show(clam(lambda v: v, hint="acc"))
         assert pretty(tree) == "(fun acc -> acc)"
 
+    def test_a_binder_is_named_by_its_index_path(self):
+        # the lambda is child 2 of the sum at the root, its let child 1 of
+        # the lambda, and the let's rhs and body children 1 and 2 of the let
+        code = cadd(cint(0), clam(lambda v: clet(cint(1), lambda w: cadd(v, w), hint="acc")))
+        tree = show(code)
+        lam, let = tree.right, tree.right.body
+        assert lam.param == Fresh((2,)) and let.name == Fresh((2, 1))
+        assert let.body == Add(Var(Fresh((2,))), Var(Fresh([2, 1])))
+        assert pretty(tree) == "(0 + (fun v2 -> (let acc_2_1 = 1 in (v2 + acc_2_1))))"
+
 
 class TestHints:
     """A hint is None or an identifier that ends in no digit and is no word
@@ -250,8 +260,8 @@ class TestHints:
     BINDERS = {
         "clam": lambda hint: clam(lambda v: v, hint=hint),
         "clet": lambda hint: clet(cint(1), lambda v: v, hint=hint),
-        "genlet": lambda hint: genlet(Locus(()), 1, cint(1), hint=hint),
-        "genletrec": lambda hint: genletrec(Locus(()), 1, cint(1), hint=hint),
+        "genlet": lambda hint: genlet(Locus(""), 1, cint(1), hint=hint),
+        "genletrec": lambda hint: genletrec(Locus(""), 1, cint(1), hint=hint),
     }
 
     def test_a_hint_ending_in_a_digit_would_capture(self):
@@ -442,8 +452,8 @@ class TestNotCode:
             lambda: capp(cint(1), "x"),
             lambda: cif(cbool(True), cint(1), "x"),
             lambda: clet("x", lambda v: v),
-            lambda: genlet(Locus(()), 1, "x"),
-            lambda: genletrec(Locus(()), 1, "x"),
+            lambda: genlet(Locus(""), 1, "x"),
+            lambda: genletrec(Locus(""), 1, "x"),
             lambda: cint(1) + "x",
             lambda: show("x"),
             lambda: run("x"),
@@ -497,7 +507,7 @@ class TestMemoKeys:
     def test_unhashable_key_is_refused_when_written(self, request_, key):
         want = f"^memo key is not hashable: {re.escape(repr(key))}$"
         with pytest.raises(TypeMismatch, match=want):
-            request_(Locus(()), key, cint(1))
+            request_(Locus(""), key, cint(1))
 
     def test_show_of_an_unhashable_key(self):
         with pytest.raises(TypeMismatch, match="^memo key is not hashable"):
@@ -512,7 +522,7 @@ def _ident(v):
 
 # each maker takes the previous code value, so the operators chain; every
 # argument other than that one is made beforehand
-_LOCUS, _NAME = Locus(()), Fresh((1,))
+_LOCUS, _NAME = Locus(""), Fresh((1,))
 RECORD_MAKERS = {
     "cint": lambda c: cint(7),
     "cbool": lambda c: cbool(True),

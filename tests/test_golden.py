@@ -1,7 +1,8 @@
 """Generated code pinned byte for byte.
 
 The sha256 of `pretty` and of `to_sexp` for every registry example and for
-the scaling generators `clgib` and `cack`. A change that moves a digest
+the scaling generators `clgib`, `cack`, `cpoly` and `clet_chain`; the last two
+make the longest names. A change that moves a digest
 changes the code stagelet generates, so a refactor must leave them all alone.
 """
 
@@ -12,7 +13,7 @@ import pytest
 from stagelet import lookup, pretty, registry, show, to_sexp
 from stagelet.examples import ExampleKind
 
-from helpers import cack, clgib
+from helpers import cack, clet_chain, clgib, cpoly
 
 # name: (sha256 of pretty, sha256 of to_sexp)
 GOLDEN = {
@@ -92,11 +93,26 @@ GOLDEN = {
         "fbfff876db5099a3ede6fe7ee9b6b5c7e77fc14ec79763635a7443cb788c6235",
         "b32a340a0cb0248e2f5270d507984952bf7e8e1a782ab5cb429558f675e63d8d",
     ),
+    "cpoly(8)": (
+        "ab9a5b00e219ef9c3a8ec52f67e5042d48a61cb09acb3a26c2b5389627d94276",
+        "608dcab99772fdd9df19220e25e95c335f8cf1076135159871a1130174996c83",
+    ),
+    "cpoly(64)": (
+        "82550528a5b3809b2eb27acc942a473e4108b377787cf5f12eb758112dd384ce",
+        "4f5e6872e21a7c20e6b92ab9c8010b2d3690a449735d423c651b230abb03565c",
+    ),
+    "clet_chain(900)": (
+        "6b45a9f510945733ed83bf7148ff20d52397cbff71bc55c9bff50f28f2309509",
+        "ba4d8d8e8bb0acc68328ab35532357a056c1daa1668288a004d25d9799900504",
+    ),
 }
 
-SCALING = {f"clgib({n})": (clgib, n) for n in (8, 11, 14)} | {
-    f"cack({n})": (cack, n) for n in (8, 32, 48)
-}
+SCALING = (
+    {f"clgib({n})": (clgib, n) for n in (8, 11, 14)}
+    | {f"cack({n})": (cack, n) for n in (8, 32, 48)}
+    | {f"cpoly({n})": (cpoly, n) for n in (8, 64)}
+    | {"clet_chain(900)": (clet_chain, 900)}
+)
 
 
 def _tree(name):

@@ -28,6 +28,7 @@ from stagelet import (
     alpha_eq,
     cadd,
     capp,
+    cbool,
     ceq,
     cif,
     cint,
@@ -759,9 +760,9 @@ class TestGenlet:
         assert tree.rhs == IntLit(3)
         # and the inner composite really does forward the outer-locus store
         ctx = BuildContext(ShowSemantics())
-        _, vb = seen["inner"](ctx, (1, 1))
-        assert tuple(vb) == ((),)
-        assert (1, 1) not in vb
+        _, vb = seen["inner"](ctx, "_1_1")
+        assert tuple(vb) == ("",)
+        assert "_1_1" not in vb
 
     def test_binding_order_tracks_dependencies(self):
         rng = random.Random(3)
@@ -809,6 +810,30 @@ class TestGenlet:
         assert e.value.loci == ((),)
         with pytest.raises(ResidualBindings):
             run(stray)
+
+    def test_residual_bindings_at_nested_loci_keep_their_indices(self):
+        leaked = {}
+
+        def capture(key):
+            def gen(l):
+                leaked[key] = l
+                return cint(0)
+
+            return gen
+
+        show(clam(lambda v: cadd(with_locus(capture("a")), v)))
+        show(cif(cbool(True), cint(1), with_locus(capture("b"))))
+        one = genlet(leaked["a"], 1, cint(3))
+        two = cadd(one, genlet(leaked["b"], 2, cint(4)))
+        for code, loci, message in (
+            (one, ((1, 1),), "unplaced bindings for loci: [1,1]"),
+            (two, ((1, 1), (3,)), "unplaced bindings for loci: [1,1], [3]"),
+        ):
+            for meaning in (show, run):
+                with pytest.raises(ResidualBindings) as e:
+                    meaning(code)
+                assert e.value.loci == loci
+                assert str(e.value) == message
 
 
 class TestGenletrec:
@@ -867,21 +892,21 @@ def _ack_requests(l):
 class TestCanon:
     def test_all_canonical_is_unchanged(self):
         store = addb(1, Fresh((3,)), canonical_int(5), EMPTY_PER_LOCUS)
-        vb = {(): store}
-        assert canon(vb, ()) is vb
-        assert canon(canon(vb, ()), ()) == canon(vb, ())
+        vb = {"": store}
+        assert canon(vb, "") is vb
+        assert canon(canon(vb, ""), "") == canon(vb, "")
 
     def test_ack_specialization_settles_to_three_classes(self):
         ctx = BuildContext(ShowSemantics())
-        _, vb = _ack_requests(Locus(()))(ctx, (1,))
-        settled = canon(vb, ())
-        store = settled.get((), EMPTY_PER_LOCUS)
+        _, vb = _ack_requests(Locus(""))(ctx, "_1")
+        settled = canon(vb, "")
+        store = settled.get("", EMPTY_PER_LOCUS)
         assert tuple(store) == (2, 1, 0)
         assert all(
             not isinstance(cls.rhs, Pending) for cls in store.values()
         )
         # canonicalization is idempotent once settled
-        assert canon(settled, ()) is settled
+        assert canon(settled, "") is settled
 
     def test_round_limit(self):
         # every forcing of key i requests a fresh key i + 1: never settles
@@ -895,15 +920,30 @@ class TestCanon:
             show(with_locus_rec(gen), canon_limit=5)
         assert e.value.keys  # reports what was still pending
 
+    def test_round_limit_at_a_nested_locus_keeps_its_indices(self):
+        def gen(l):
+            def g(i):
+                return clam(lambda n: capp(genletrec(l, i + 1, g(i + 1)), n))
+
+            return genletrec(l, 0, g(0))
+
+        code = cadd(cint(0), clam(lambda x: with_locus_rec(gen)))
+        with pytest.raises(CanonLimitExceeded) as e:
+            show(code, canon_limit=3)
+        assert (e.value.locus, e.value.keys) == ((2, 1), (3,))
+        assert str(e.value) == (
+            "canonicalization at locus [2,1] did not settle; keys still pending: [3]"
+        )
+
     def test_replay_of_pending_is_stable(self):
         ctx = BuildContext(ShowSemantics())
-        _, vb = _ack_requests(Locus(()))(ctx, (1,))
-        cls = vb.get((), EMPTY_PER_LOCUS)[2]
+        _, vb = _ack_requests(Locus(""))(ctx, "_1")
+        cls = vb.get("", EMPTY_PER_LOCUS)[2]
         d1, v1 = cls.rhs.force()
         d2, v2 = cls.rhs.force()
         assert d1(EMPTY_ENV) == d2(EMPTY_ENV)
         assert tuple(v1) == tuple(v2)
-        s1, s2 = v1.get((), EMPTY_PER_LOCUS), v2.get((), EMPTY_PER_LOCUS)
+        s1, s2 = v1.get("", EMPTY_PER_LOCUS), v2.get("", EMPTY_PER_LOCUS)
         assert tuple(s1) == tuple(s2)
         assert {k: c.name for k, c in s1.items()} == {
             k: c.name for k, c in s2.items()
