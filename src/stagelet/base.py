@@ -202,6 +202,20 @@ class Name:
 
     __slots__ = ()
 
+    @property
+    def path(self):
+        """The name's key in an evaluator's environment (`eval_ast`'s and
+        run's): the name itself.
+
+        `Fresh` overrides it with its location string. A str caches its
+        hash in the object, so a dict probe on a `Fresh` name's key makes
+        no Python-level `__hash__` call. Keys are exact: two `Fresh` names
+        are equal exactly when their location strings are, and a `Source`
+        never equals a str; a user's name class keeps that as long as its
+        names never equal a str. Show's `Env`, `free_vars`, `alpha_eq` and
+        insertion key by names."""
+        return self
+
     def render(self) -> str:
         raise NotImplementedError
 
@@ -239,7 +253,8 @@ class Fresh(Name):
     (`Fresh((1, 2))` is `Fresh("_1_2")`). The optional hint changes only how
     the name renders; equality and hashing are on the location alone, so a
     hinted and an unhinted reference to the same binding site stay
-    interchangeable.
+    interchangeable. The `path` slot overrides `Name.path`, so an
+    evaluator's environment keys the name by its location string.
     """
 
     __slots__ = ("path", "hint", "_hash")
@@ -678,12 +693,21 @@ class _RecCell:
 def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     """Call-by-value evaluation; aborts after step_limit beta/clause steps.
 
-    `env` maps Name to Value. Free names not in `env` raise UnboundVariable.
+    `env` maps Name to Value; a key that is not a Name raises TypeMismatch.
+    Free names not in `env` raise UnboundVariable. Inside, the environment
+    is keyed by each name's `path`, so a variable read or a binding makes
+    no Python-level `__hash__` call; `env` is converted once, here.
     """
     _expect_limit(step_limit)
     budget = _Budget(step_limit)
+    keyed = {}
+    if env:
+        for name, value in dict(env).items():
+            if not isinstance(name, Name):
+                raise TypeMismatch(f"not a name: {name!r}")
+            keyed[name.path] = value
     with _HostStack("evaluation"):
-        return _E[type(ast)](ast, dict(env) if env else {}, budget)
+        return _E[type(ast)](ast, keyed, budget)
 
 
 def _as_int(v):
@@ -694,7 +718,7 @@ def _as_int(v):
 
 def _eval_var(t, env, budget):
     try:
-        v = env[t.name]
+        v = env[t.name.path]
     except KeyError:
         raise UnboundVariable(f"unbound variable {t.name.render()}") from None
     return v.force() if isinstance(v, _RecCell) else v
@@ -726,7 +750,7 @@ def _binary(op, box):
         a = t.left
         if type(a) is IntLit:
             x = a.value
-        elif type(a) is Var and type(v := env.get(a.name)) is VInt:
+        elif type(a) is Var and type(v := env.get(a.name.path)) is VInt:
             x = v.value
         else:
             v = _E[type(a)](a, env, budget)
@@ -736,7 +760,7 @@ def _binary(op, box):
         b = t.right
         if type(b) is IntLit:
             y = b.value
-        elif type(b) is Var and type(v := env.get(b.name)) is VInt:
+        elif type(b) is Var and type(v := env.get(b.name.path)) is VInt:
             y = v.value
         else:
             v = _E[type(b)](b, env, budget)
@@ -760,7 +784,7 @@ def _eval_if(t, env, budget):
 
 
 def _eval_lam(t, env, budget):
-    n, b = t.param, t.body
+    n, b = t.param.path, t.body
 
     def call(arg):
         budget.tick()
@@ -780,13 +804,13 @@ def _eval_app(t, env, budget):
 
 def _eval_let(t, env, budget):
     r, b = t.rhs, t.body
-    return _E[type(b)](b, {**env, t.name: _E[type(r)](r, env, budget)}, budget)
+    return _E[type(b)](b, {**env, t.name.path: _E[type(r)](r, env, budget)}, budget)
 
 
 def _eval_letrec(t, env, budget):
     env2 = dict(env)
     for n, rhs in t.clauses:
-        env2[n] = _RecCell(n, lambda e, r=rhs: _E[type(r)](r, e, budget), env2, budget)
+        env2[n.path] = _RecCell(n, lambda e, r=rhs: _E[type(r)](r, e, budget), env2, budget)
     b = t.body
     return _E[type(b)](b, env2, budget)
 

@@ -4,13 +4,15 @@ A denotation is a pure function from an environment to a semantic value. Two
 builder families share one shape: RunSemantics produces denotations that
 evaluate to run-time values, ShowSemantics produces denotations that build
 syntax trees. Each keeps its own environment. Run's is a plain dict from
-name to value (or the `_RecCell` of a letrec clause). A let or letrec binds
-into the dict it is given; a closure keeps a copy of the dict it is made
-in, and a call binds its parameter into a copy of that. The aliases of a
-binding class go into a table per `RunSemantics`, filled while the code is
-built, and the variable a request returns (`mk_request`) resolves its name
-through that table once. Show's is an `Env` that holds only alias
-redirects, and only a request's variable reads it. Binary operators
+a name's key (`Name.path`: a `Fresh` name's location string, any other
+name itself) to value (or the `_RecCell` of a letrec clause). A let or
+letrec binds into the dict it is given; a closure keeps a copy of the dict
+it is made in, and a call binds its parameter into a copy of that. The
+aliases of a binding class go into a table per `RunSemantics`, keyed by
+names and filled while the code is built, and the variable a request
+returns (`mk_request`) resolves its name through that table once. Show's
+is an `Env` that holds only alias redirects, keyed by names (ROADMAP item
+2 removes it), and only a request's variable reads it. Binary operators
 evaluate the left operand first; final results must not depend on that
 order.
 """
@@ -201,10 +203,10 @@ def _run_request(reps):
     def make(name):
         def den(env):
             nonlocal name
-            v = env.get(name)
+            v = env.get(name.path)
             if v is None:
                 rep = reps.get(name)
-                if rep is None or (v := env.get(rep)) is None:
+                if rep is None or (v := env.get(rep.path)) is None:
                     raise UnboundVariable(f"unbound variable {name.render()}")
                 name = rep
             if type(v) is _RecCell:
@@ -218,7 +220,12 @@ def _run_request(reps):
 
 class RunSemantics:
     """Denotation builders that evaluate: the environment is a dict from
-    names to Values and letrec cells. A let or letrec binds its names into
+    each name's key, `name.path`, to Values and letrec cells. A `Fresh`
+    name's key is its location string, whose hash CPython keeps in the
+    string, so a read or a binding makes no Python-level `__hash__` call;
+    a binder captures its key when it is built, and a variable reads its
+    name's `path` slot when it runs. Keys are as exact as names (see
+    `Name.path`). A let or letrec binds its names into
     the dict it is given, so the binders under one function activation
     share one dict; a closure copies the dict it is made in, and a call
     binds its parameter into a copy of that.
@@ -241,8 +248,10 @@ class RunSemantics:
     goes into this instance's alias table, mapped to its representative, as
     the code is built. An instance serves one build, as in `run`, which
     builds everything before it evaluates anything, so the table is
-    complete by then. A request's variable resolves through
-    the table, which is exact: a build gives each location one name, each
+    complete by then. The table is keyed by names, so filling it hashes
+    each alias once at build time; a request's variable resolves through
+    it on its first miss and then reads its representative's key. That is
+    exact: a build gives each location one name, each
     request name folds into exactly one class at one locus, and the binder
     that binds a representative is the one that bound its aliases, so an
     alias is in scope exactly where its representative is."""
@@ -254,7 +263,7 @@ class RunSemantics:
 
     def mk_var(self, name):
         def den(env):
-            v = env.get(name)
+            v = env.get(name.path)
             if v is None:
                 raise UnboundVariable(f"unbound variable {name.render()}")
             if type(v) is _RecCell:
@@ -291,6 +300,7 @@ class RunSemantics:
 
     def mk_lam(self, name, body):
         budget = self._budget
+        key = name.path
 
         def den(env):
             env = env.copy()  # its activation may bind more before a call
@@ -298,7 +308,7 @@ class RunSemantics:
             def call(arg):
                 budget.tick()
                 inner = env.copy()
-                inner[name] = arg
+                inner[key] = arg
                 return body(inner)
 
             return VFun(call)
@@ -322,9 +332,10 @@ class RunSemantics:
         if aliases:
             # a dict's or set's keys keep their hashes: no Python-level __hash__
             self._reps.update(dict.fromkeys(aliases, name))
+        key = name.path
 
         def den(env):
-            env[name] = d1(env)
+            env[key] = d1(env)
             return d2(env)
 
         return den
@@ -343,7 +354,7 @@ class RunSemantics:
         def den(env):
             size = len(env) + len(clauses)
             for n, rhs in clauses:
-                env[n] = _RecCell(n, _clause, (env, size, rhs), budget)
+                env[n.path] = _RecCell(n, _clause, (env, size, rhs), budget)
             return body(env)
 
         return den

@@ -294,6 +294,19 @@ class TestEval:
         inner = eval_ast(Let(x, IntLit(1), Let(x, IntLit(2), Var(x))), {})
         assert inner == VInt(2)  # innermost binding wins
 
+    def test_env_keys_are_source_and_fresh_names(self):
+        acc = Fresh("_1", hint="acc")
+        tree = Sub(Var(x), Var(Fresh((1,))))
+        assert eval_ast(tree, {x: VInt(7), acc: VInt(2)}) == VInt(5)
+        assert eval_ast(tree, [(acc, VInt(2)), (x, VInt(7))]) == VInt(5)
+
+    @pytest.mark.parametrize("key", ["x", "_1", "v1", 1, ("_1",)])
+    def test_an_env_key_that_is_not_a_name_is_refused(self, key):
+        # a str key would otherwise be taken for a `Fresh` name's location
+        for tree in (IntLit(0), Var(Fresh("_1"))):
+            with pytest.raises(TypeMismatch, match=rf"^not a name: {re.escape(repr(key))}$"):
+                eval_ast(tree, {key: VInt(1)})
+
     def test_gib5_against_direct_recursion(self):
         tree = gib5_ast()
         for xv in range(4):

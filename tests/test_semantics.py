@@ -11,11 +11,13 @@ from stagelet import (
     BinOp,
     Div,
     Eq,
+    Fresh,
     IntLit,
     Lam,
     Let,
     LetRec,
     Mul,
+    Name,
     Source,
     StepLimitExceeded,
     Sub,
@@ -50,7 +52,16 @@ from stagelet import codec, semantics
 from stagelet.codec import ROOT, BuildContext
 from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
-from helpers import ackermann, build_den, cack, clgib, count_lets, gib, random_plan
+from helpers import (
+    ackermann,
+    build_den,
+    cack,
+    clgib,
+    count_lets,
+    cpoly,
+    gib,
+    random_plan,
+)
 
 R = RunSemantics
 S = ShowSemantics
@@ -783,6 +794,161 @@ class TestRunBindsInPlace:
             eval_ast(show(code()))
         with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
             run(code())
+
+
+class TextName(Name):
+    """A user's name class, equal and hashed by its text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return isinstance(other, TextName) and self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def render(self):
+        return self.text
+
+
+def _run_den(t, r):
+    """Tree `t` as the denotation of RunSemantics `r`'s builders."""
+    match t:
+        case IntLit(i):
+            return r.mk_int(i)
+        case Var(name):
+            return r.mk_var(name)
+        case Sub(a, b):
+            return r.mk_binop(Sub, _run_den(a, r), _run_den(b, r))
+        case Lam(param, body):
+            return r.mk_lam(param, _run_den(body, r))
+        case App(fun, arg):
+            return r.mk_app(_run_den(fun, r), _run_den(arg, r))
+        case Let(name, rhs, body):
+            return r.mk_let(name, _run_den(rhs, r), _run_den(body, r))
+        case LetRec(clauses, body):
+            return r.mk_letrec([(c, _run_den(d, r)) for c, d in clauses], _run_den(body, r))
+    raise AssertionError(t)
+
+
+def _both(tree):
+    """The values of `tree` under `eval_ast` and under run's builders."""
+    return eval_ast(tree), _run_den(tree, R())({})
+
+
+class TestEnvironmentKeys:
+    """Both evaluators key a name by `name.path`: a `Fresh` name's location
+    string, and any other name itself."""
+
+    def test_a_fresh_key_is_its_location_and_any_other_key_the_name(self):
+        assert Fresh((1, 2), hint="acc").path == "_1_2"
+        for name in (Source("_1"), TextName("_1")):
+            assert name.path is name and name.path != "_1"
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [
+            (Source("_1"), Fresh("_1")),
+            (Fresh("_1"), Source("_1")),
+            (TextName("_1"), Fresh("_1", hint="v")),
+            (Source("_1"), TextName("_1")),
+        ],
+    )
+    def test_names_with_one_text_stay_two_variables(self, outer, inner):
+        read = Sub(Var(outer), Var(inner))
+        let = Let(outer, IntLit(1), Let(inner, IntLit(2), read))
+        assert _both(let) == (VInt(-1), VInt(-1))
+        lam = Let(outer, IntLit(1), App(Lam(inner, read), IntLit(5)))
+        assert _both(lam) == (VInt(-4), VInt(-4))
+        rec = LetRec(((outer, IntLit(3)), (inner, IntLit(1))), read)
+        assert _both(rec) == (VInt(2), VInt(2))
+
+    def test_a_hinted_and_an_unhinted_name_read_one_binding(self):
+        acc, plain = Fresh("_1", hint="acc"), Fresh((1,))
+        for binder, use in ((acc, plain), (plain, acc)):
+            assert _both(Let(binder, IntLit(4), Var(use))) == (VInt(4), VInt(4))
+            app = App(Lam(binder, Sub(Var(use), IntLit(1))), IntLit(4))
+            assert _both(app) == (VInt(3), VInt(3))
+            rec = LetRec(((binder, IntLit(4)),), Var(use))
+            assert _both(rec) == (VInt(4), VInt(4))
+        assert eval_ast(Var(plain), {acc: VInt(6)}) == VInt(6)
+        r = R()
+        alias = Fresh("_3", hint="alias")
+        d = r.mk_let(acc, r.mk_int(7), r.mk_request(Fresh("_3")), [alias])
+        assert d({}) == VInt(7)
+
+    def test_a_user_name_is_its_own_key(self):
+        a, b = TextName("k"), TextName("k")
+        tree = Let(a, IntLit(8), Sub(Var(b), IntLit(1)))
+        assert _both(tree) == (VInt(7), VInt(7))
+        assert eval_ast(Var(b), {a: VInt(2)}) == VInt(2)
+        r = R()
+        d = r.mk_let(Fresh("_1"), r.mk_int(9), r.mk_request(TextName("m")), [TextName("m")])
+        assert d({}) == VInt(9)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            (Fresh("_2_1", hint="acc"), "acc_2_1"),
+            (Fresh((2, 1)), "v2_1"),
+            (Source("_2_1"), "_2_1"),
+            (TextName("k"), "k"),
+        ],
+    )
+    def test_unbound_messages_render_the_name(self, name, text):
+        message = f"^unbound variable {text}$"
+        bound = {Fresh("_2"): VInt(0)}
+        with pytest.raises(UnboundVariable, match=message):
+            eval_ast(Sub(Var(name), IntLit(0)), bound)
+        with pytest.raises(UnboundVariable, match=message):
+            eval_ast(Var(name), bound)
+        r = R()
+        for den in (r.mk_var(name), r.mk_request(name)):
+            with pytest.raises(UnboundVariable, match=message):
+                den({Fresh("_2").path: VInt(0)})
+
+
+class TestEvaluationHashesNoName:
+    """Evaluating generated code makes no `Fresh.__hash__` call: each
+    evaluator's environment is keyed by location strings, whose hashes
+    CPython keeps in the string."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+        fresh_hash = Fresh.__hash__
+
+        def counting(name):
+            calls.append(name)
+            return fresh_hash(name)
+
+        monkeypatch.setattr(Fresh, "__hash__", counting)
+        return calls
+
+    def test_stage_once_run_many(self, hashes):
+        n = 32
+        code = cpoly(n)
+        value, tree = run(code), show(code)
+        assert hashes  # building does hash names
+        hashes.clear()
+        coeffs = [(-1) ** i * (i % 10) for i in range(n)]
+        for x in (-2, 0, 3):
+            want = VInt(sum(c * x**i for i, c in enumerate(coeffs)))
+            assert apply_ints(value, (x,)) == want
+            assert eval_ast(App(tree, IntLit(x))) == want
+        assert hashes == []
+
+    def test_a_request_resolves_its_alias_once(self, hashes):
+        value = run(cack(2))
+        hashes.clear()
+        assert apply_ints(value, (3,)) == VInt(ackermann(2, 3))
+        assert hashes  # each alias request's first miss reads the table
+        hashes.clear()
+        assert apply_ints(value, (3,)) == VInt(ackermann(2, 3))
+        assert hashes == []
 
 
 def _binop_den(cls, a, b):
