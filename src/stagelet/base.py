@@ -30,7 +30,12 @@ class StepLimitExceeded(StagingError):
 
 class _HostStack:
     """Context manager: host-stack overflow inside the block becomes
-    StepLimitExceeded, so deep trees fail as staging errors."""
+    StepLimitExceeded, so deep trees fail as staging errors. A walk here
+    reading a binder's or a variable's name (`path` or `render`) from
+    something that is not a `Name` becomes TypeMismatch: no node checks its
+    name field, and this test costs a walk nothing until it fails. The
+    error must come from this module, so a generator's own error stays
+    as it is."""
 
     __slots__ = ("what",)
 
@@ -41,8 +46,19 @@ class _HostStack:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, RecursionError):
+        if kind is None:
+            return False
+        if issubclass(kind, RecursionError):
             raise StepLimitExceeded(f"{self.what} recursed past the host stack") from None
+        if (
+            issubclass(kind, AttributeError)
+            and exc.name in ("path", "render")
+            and not isinstance(exc.obj, Name)
+        ):
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            if tb.tb_frame.f_globals is globals():
+                raise TypeMismatch(f"not a name: {exc.obj!r}") from None
         return False
 
 

@@ -70,6 +70,12 @@ class CodeValue:
     def __call__(self, ctx: BuildContext, loc):
         return self._build(ctx, loc)
 
+    def _operand(self, ctx, loc):
+        """What a binary operator passes to `mk_binop` for this operand, and
+        its bindings: the built pair, except that a literal passes its `int`
+        and a variable its `Name`, unbuilt (`_Int`, `_Var`)."""
+        return self._build(ctx, loc)
+
     def __add__(self, other):
         return cadd(self, _lift(other))
 
@@ -107,11 +113,15 @@ class _Node(CodeValue):
     base class's slot. It keeps identity `==` and `hash`, so comparing or
     hashing one never walks the generator tree. A subclass names its
     arguments in `__slots__`; its `__init__`, generated from them, stores
-    its positional arguments in that order."""
+    its positional arguments in that order. A subclass that does not
+    define `_operand` builds as an operand as it builds anywhere, with no
+    frame between."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        if "_operand" not in vars(cls):
+            cls._operand = cls._build
         ns = {}
         exec(
             f"def __init__(self, {', '.join(cls.__slots__)}):"
@@ -152,6 +162,9 @@ class _Int(_Node):
     def _build(self, ctx, loc):
         return ctx.sem.mk_int(self.i), EMPTY_BINDINGS
 
+    def _operand(self, ctx, loc):
+        return self.i, EMPTY_BINDINGS
+
 
 def cint(i: int) -> CodeValue:
     if isinstance(i, bool) or not isinstance(i, int):
@@ -187,8 +200,8 @@ class _BinOp(_Node):
     __slots__ = ("cls", "a", "b")
 
     def _build(self, ctx, loc):
-        d1, v1 = self.a._build(ctx, loc + "_1")
-        d2, v2 = self.b._build(ctx, loc + "_2")
+        d1, v1 = self.a._operand(ctx, loc + "_1")
+        d2, v2 = self.b._operand(ctx, loc + "_2")
         return ctx.sem.mk_binop(self.cls, d1, d2), merge(v1, v2)
 
 
@@ -278,6 +291,11 @@ class _Var(_Node):
 
     def _build(self, ctx, loc):
         return ctx.sem.mk_var(self.name), EMPTY_BINDINGS
+
+    # the one place a variable is passed unbuilt; a scope test on where a
+    # variable is built (ROADMAP item 3) must cover it as well as `_build`
+    def _operand(self, ctx, loc):
+        return self.name, EMPTY_BINDINGS
 
 
 class _Lam(_Node):

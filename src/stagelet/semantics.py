@@ -15,9 +15,16 @@ is an `Env` that holds only alias redirects, keyed by names (ROADMAP item
 2 removes it), and only a request's variable reads it. Binary operators
 evaluate the left operand first; final results must not depend on that
 order.
+
+An operand of `mk_binop` is a denotation, an `int` literal or a bound
+`Name`: the code builder passes a literal or a variable operand unbuilt.
+Show turns it into the `IntLit` or `Var` node its `mk_int` or `mk_var`
+would make; run reads it in place (see `_run_binop`).
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .base import (
     LetRec,
@@ -28,6 +35,7 @@ from .base import (
     App,
     IntLit,
     BoolLit,
+    Name,
     Var,
     VBool,
     VFun,
@@ -140,25 +148,106 @@ EMPTY_ENV = Env()
 def _run_binop(op, box):
     """The run maker of one operator. `op` and `box` are fixed here, so a
     build reads no class attribute; the left operand is checked before the
-    right one is evaluated. The result is made without the Python frame of
-    its record's `__init__` (`_slot_new`)."""
+    right one is read. The result is made without the Python frame of its
+    record's `__init__` (`_slot_new`).
+
+    An operand that is a literal or a name (a leaf, `_run_leaf`) is read in
+    place, with no call: a literal as it is, a name by one probe of its key,
+    used when it holds exactly a `VInt`. Any other value of a name goes
+    through `_var_int`. Each shape (two denotations, a denotation and a
+    leaf, a leaf and a denotation, two leaves) has its own closure, which
+    holds the two operands and nothing else, so a leaf costs the build no
+    more cells than a denotation."""
     new, set_value = _slot_new(box)
 
     def make(d1, d2):
+        if callable(d1):
+            if callable(d2):
+
+                def den(env):
+                    x = d1(env)
+                    if not isinstance(x, VInt):
+                        _as_int(x)  # raises; inline checks spare an integer the call
+                    y = d2(env)
+                    if not isinstance(y, VInt):
+                        _as_int(y)
+                    v = new(box)
+                    set_value(v, op(x.value, y.value))
+                    return v
+
+                return den
+            d2 = _run_leaf(d2)
+
+            def den(env):
+                x = d1(env)
+                if not isinstance(x, VInt):
+                    _as_int(x)
+                if type(d2) is int:
+                    y = d2
+                elif type(v := env.get(d2.path)) is VInt:
+                    y = v.value
+                else:
+                    y = _var_int(d2, env)
+                v = new(box)
+                set_value(v, op(x.value, y))
+                return v
+
+            return den
+        d1 = _run_leaf(d1)
+        if callable(d2):
+
+            def den(env):
+                if type(d1) is int:
+                    x = d1
+                elif type(v := env.get(d1.path)) is VInt:
+                    x = v.value
+                else:
+                    x = _var_int(d1, env)
+                y = d2(env)
+                if not isinstance(y, VInt):
+                    _as_int(y)
+                v = new(box)
+                set_value(v, op(x, y.value))
+                return v
+
+            return den
+        d2 = _run_leaf(d2)
+
         def den(env):
-            x = d1(env)
-            if not isinstance(x, VInt):
-                _as_int(x)  # raises; inline checks spare an integer the call
-            y = d2(env)
-            if not isinstance(y, VInt):
-                _as_int(y)
+            if type(d1) is int:
+                x = d1
+            elif type(v := env.get(d1.path)) is VInt:
+                x = v.value
+            else:
+                x = _var_int(d1, env)
+            if type(d2) is int:
+                y = d2
+            elif type(v := env.get(d2.path)) is VInt:
+                y = v.value
+            else:
+                y = _var_int(d2, env)
             v = new(box)
-            set_value(v, op(x.value, y.value))
+            set_value(v, op(x, y))
             return v
 
         return den
 
     return make
+
+
+def _run_leaf(o):
+    """Run operand `o`, a name or an integer literal, as its closure reads
+    it: a name as it is, a literal as an exact `int`, which is what tells
+    the two apart when the closure runs."""
+    return o if type(o) is int or isinstance(o, Name) else index(o)
+
+
+def _var_int(name, env):
+    """The integer a name operand reads when its value in `env` is not
+    exactly a `VInt`: its `mk_var` denotation raises for an unbound name and
+    forces a letrec cell, and `_as_int` raises for anything but an integer."""
+    v = _run_var(name)(env)
+    return v.value if isinstance(v, VInt) else _as_int(v)
 
 
 _RUN_BINOPS = _Walk({cls: _run_binop(cls.op, cls.box) for cls in _BINOPS})
@@ -210,12 +299,26 @@ def _run_request(reps):
                     raise UnboundVariable(f"unbound variable {name.render()}")
                 name = rep
             if type(v) is _RecCell:
-                return v.force()
+                return v.value if v.done else v.force()
             return v
 
         return den
 
     return make
+
+
+def _run_var(name):
+    """Run's denotation of variable `name` (`RunSemantics.mk_var`)."""
+
+    def den(env):
+        v = env.get(name.path)
+        if v is None:
+            raise UnboundVariable(f"unbound variable {name.render()}")
+        if type(v) is _RecCell:
+            return v.value if v.done else v.force()
+        return v
+
+    return den
 
 
 class RunSemantics:
@@ -254,23 +357,20 @@ class RunSemantics:
     exact: a build gives each location one name, each
     request name folds into exactly one class at one locus, and the binder
     that binds a representative is the one that bound its aliases, so an
-    alias is in scope exactly where its representative is."""
+    alias is in scope exactly where its representative is.
+
+    Run does in place what costs a call per read elsewhere: a binary
+    operator reads a literal or a variable operand itself (`_run_binop`), a
+    call counts its step inline and calls `_Budget.tick` only to raise, and
+    a variable or request reads a forced letrec cell's value, calling
+    `force` only for a cell not yet forced."""
 
     def __init__(self, step_limit=None):
         self._budget = _Budget(step_limit)
         self._reps = {}
         self.mk_request = _run_request(self._reps)
 
-    def mk_var(self, name):
-        def den(env):
-            v = env.get(name.path)
-            if v is None:
-                raise UnboundVariable(f"unbound variable {name.render()}")
-            if type(v) is _RecCell:
-                return v.force()
-            return v
-
-        return den
+    mk_var = staticmethod(_run_var)
 
     def mk_int(self, i):
         v = VInt(i)
@@ -306,7 +406,12 @@ class RunSemantics:
             env = env.copy()  # its activation may bind more before a call
 
             def call(arg):
-                budget.tick()
+                n = budget.remaining
+                if n is not None:
+                    if n > 0:
+                        budget.remaining = n - 1
+                    else:
+                        budget.tick()  # raises
                 inner = env.copy()
                 inner[key] = arg
                 return body(inner)
@@ -360,6 +465,12 @@ class RunSemantics:
         return den
 
 
+def _show_leaf(o):
+    """The node of a literal or a name operand, as `mk_int` or `mk_var`
+    would make it."""
+    return Var(o) if isinstance(o, Name) else IntLit(o)
+
+
 class ShowSemantics:
     """Denotation builders that build trees: Env maps each alias to the
     name of its class, and holds nothing else.
@@ -396,9 +507,20 @@ class ShowSemantics:
         return lambda env: Succ(d(env))
 
     def mk_binop(self, cls, d1, d2):
+        """The node of `cls` over two operands; a literal or a name operand is
+        its `IntLit` or `Var` node, made here, once."""
         if type(cls) is not _Record or _RUN_BINOPS[cls] is _not_a_tree:
             _not_an_operator(cls)
-        return lambda env: cls(d1(env), d2(env))
+        if callable(d1):
+            if callable(d2):
+                return lambda env: cls(d1(env), d2(env))
+            n2 = _show_leaf(d2)
+            return lambda env: cls(d1(env), n2)
+        n1 = _show_leaf(d1)
+        if callable(d2):
+            return lambda env: cls(n1, d2(env))
+        node = cls(n1, _show_leaf(d2))
+        return lambda env: node
 
     def mk_if(self, dc, dt, de):
         return lambda env: If(dc(env), dt(env), de(env))

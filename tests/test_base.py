@@ -35,10 +35,13 @@ from stagelet import (
     VInt,
     Var,
     alpha_eq,
+    apply_ints,
+    clam,
     eval_ast,
     free_vars,
     lookup,
     pretty,
+    run,
     show,
     to_sexp,
 )
@@ -518,6 +521,38 @@ class TestHostStack:
         assert eval_ast(add_chain(900), {}) == VInt(sum(range(900)))
         assert eval_ast(let_chain(900), {}) == VInt(2 * 899)
 
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda: pretty(Var("x")), "x"),
+            (lambda: to_sexp(Var("x")), "x"),
+            (lambda: eval_ast(Var("x")), "x"),
+            (lambda: eval_ast(Lam("x", IntLit(1))), "x"),
+            (lambda: eval_ast(Let(1, IntLit(1), IntLit(2))), 1),
+            (lambda: pretty(Lam(y, Let(IntLit(0), IntLit(1), Var(y)))), IntLit(0)),
+            (lambda: to_sexp(LetRec((("f", IntLit(1)),), IntLit(2))), "f"),
+            (lambda: eval_ast(LetRec(((2, IntLit(1)),), IntLit(2))), 2),
+        ],
+        ids=[
+            "pretty-var", "to_sexp-var", "eval_ast-var", "eval_ast-lam", "eval_ast-let",
+            "pretty-let", "to_sexp-letrec", "eval_ast-letrec",
+        ],
+    )
+    def test_a_name_that_is_not_a_name_is_a_type_mismatch(self, call, bad):
+        with pytest.raises(TypeMismatch, match=f"^not a name: {re.escape(repr(bad))}$"):
+            call()
+
+    def test_other_attribute_errors_pass_through(self):
+        class Broken(Name):
+            def render(self):
+                return self.missing
+
+        with pytest.raises(AttributeError, match="missing"):
+            pretty(Var(Broken()))
+        # a generator's own error, raised while show builds, is not a walk's
+        with pytest.raises(AttributeError, match="render"):
+            show(clam(lambda v: ("s".render(), v)[1]))
+
 
 def add_chain(n):
     """((0 + 1) + 2) ... + (n - 1), n - 1 levels deep."""
@@ -786,6 +821,30 @@ class TestStepBudget:
         a = Source("a")
         tree = let_chain(200, lambda prev: App(Lam(a, Add(Var(a), IntLit(1))), prev))
         assert eval_with_least_budget(tree, 199) == VInt(199)
+
+
+def run_with_least_budget(code, args, limit):
+    """Assert that `limit` is the least step budget in which `run` builds
+    `code` and `apply_ints` applies the value to `args`; the budget is the
+    one `run` was given, shared by both."""
+    with pytest.raises(StepLimitExceeded):
+        apply_ints(run(code, step_limit=limit - 1), args)
+    return apply_ints(run(code, step_limit=limit), args)
+
+
+class TestRunStepBudget:
+    """Pinned least budgets of `run`: inlining its tick or its read of a
+    forced letrec cell must neither drop nor double a step."""
+
+    def test_cack3_on_3(self):
+        assert run_with_least_budget(cack(3), (3,), 2436) == VInt(61)
+
+    def test_cack2_on_3(self):
+        assert run_with_least_budget(lookup("cack2").builder(), (3,), 47) == VInt(9)
+
+    def test_cgib5_on_2_3(self):
+        code = lookup("cgib5").builder()
+        assert run_with_least_budget(code, (2, 3), 2) == VInt(gib(5, 2, 3))
 
 
 class TestExports:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from stagelet import (
     Add,
     App,
     BinOp,
+    BoolLit,
     Div,
     Eq,
     Fresh,
@@ -19,8 +21,10 @@ from stagelet import (
     Mul,
     Name,
     Source,
+    StagingError,
     StepLimitExceeded,
     Sub,
+    Succ,
     TypeMismatch,
     UnboundVariable,
     VBool,
@@ -30,6 +34,8 @@ from stagelet import (
     apply_ints,
     cadd,
     capp,
+    cbool,
+    cdiv,
     ceq,
     cif,
     cint,
@@ -37,6 +43,7 @@ from stagelet import (
     clet,
     cmul,
     csub,
+    csucc,
     eval_ast,
     free_vars,
     genlet,
@@ -988,3 +995,165 @@ class TestOperatorResults:
         for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
             assert type(twin) is type(want) and twin == want
         assert den({}) is not v
+
+
+# Operands of a binary operator, by kind: the operand `mk_binop` takes in
+# semantics `r` (a denotation, an int literal or a name) and the node the
+# reference tree holds. The names are bound by
+# `_operand_scope`: a to 5, b to true, c to a letrec cell holding 4; u is
+# unbound.
+a_, b_, c_, u_ = Source("a"), Source("b"), Source("c"), Source("u")
+_OPERANDS = {
+    "literal": (lambda r: 7, IntLit(7)),
+    "denotation": (lambda r: r.mk_succ(r.mk_int(2)), Succ(IntLit(2))),
+    "int name": (lambda r: a_, Var(a_)),
+    "bool name": (lambda r: b_, Var(b_)),
+    "cell name": (lambda r: c_, Var(c_)),
+    "unbound name": (lambda r: u_, Var(u_)),
+    "bool denotation": (lambda r: r.mk_bool(False), BoolLit(False)),
+}
+
+
+def _operand_scope(r, body):
+    """letrec c = 4 in let a = 5 in let b = true in body, in run's builders
+    when `r` is given, else as a tree."""
+    if r is None:
+        return LetRec(((c_, IntLit(4)),), Let(a_, IntLit(5), Let(b_, BoolLit(True), body)))
+    return r.mk_letrec(
+        [(c_, r.mk_int(4))],
+        r.mk_let(a_, r.mk_int(5), r.mk_let(b_, r.mk_bool(True), body)),
+    )
+
+
+def _outcome(thunk):
+    """The value `thunk` returns, or the class and message it raises."""
+    try:
+        return thunk()
+    except StagingError as e:
+        return type(e), str(e)
+
+
+class TestBinopOperands:
+    """`mk_binop` takes a literal or a name operand unbuilt: run reads it in
+    place and show makes the node `mk_int` or `mk_var` would. Every pair of
+    operand forms gives run's value, error class and message, and least
+    step budget the reference's."""
+
+    @pytest.mark.parametrize("cls", [Add, Sub, Div, Eq])
+    @pytest.mark.parametrize("left", list(_OPERANDS))
+    @pytest.mark.parametrize("right", list(_OPERANDS))
+    def test_run_agrees_with_eval_ast(self, cls, left, right):
+        (op1, node1), (op2, node2) = _OPERANDS[left], _OPERANDS[right]
+        tree = _operand_scope(None, cls(node1, node2))
+        for limit in (0, 1):
+            r = R(limit)
+            den = _operand_scope(r, r.mk_binop(cls, op1(r), op2(r)))
+            want = _outcome(lambda: eval_ast(tree, step_limit=limit))
+            assert _outcome(lambda: den({})) == want
+
+    @pytest.mark.parametrize("left", list(_OPERANDS))
+    @pytest.mark.parametrize("right", list(_OPERANDS))
+    def test_show_makes_the_nodes_of_mk_int_and_mk_var(self, left, right):
+        s = S()
+        (show1, node1), (show2, node2) = _OPERANDS[left], _OPERANDS[right]
+        d = s.mk_binop(Mul, show1(s), show2(s))
+        for _ in range(2):
+            assert d(EMPTY_ENV) == Mul(node1, node2)
+
+    def test_a_cell_operand_is_forced_once_and_ticks_once(self):
+        r = R(1)
+        den = _operand_scope(r, r.mk_binop(Add, c_, c_))
+        assert den({}) == VInt(8)
+        with pytest.raises(StepLimitExceeded):
+            _operand_scope(R(0), R(0).mk_binop(Add, 1, c_))({})
+
+    def test_an_int_subclass_literal_reads_as_its_int(self):
+        class Small(int):
+            pass
+
+        code = cadd(cint(Small(3)), cint(4))
+        assert run(code) == VInt(7) and type(run(code).value) is int
+        assert show(code) == Add(IntLit(Small(3)), IntLit(4))
+
+
+def _hoisted(make):
+    """`with_locus(let v = 1 in g 0)` where g = fun x -> make(v, x) is
+    requested at the locus, so it is bound above v's let: v is unbound
+    when g runs, and x is 0."""
+    return with_locus(
+        lambda l: clet(
+            cint(1),
+            lambda v: capp(genlet(l, 1, clam(lambda x: make(v, x))), cint(0)),
+        )
+    )
+
+
+class TestOperandErrors:
+    """The operand paths raise in `run` what `eval_ast(show(...))` raises,
+    and only when the code runs."""
+
+    def _both_raise(self, code, error, message):
+        for thunk in (lambda: run(code), lambda: eval_ast(show(code))):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                thunk()
+
+    def test_left_operand_is_checked_first(self):
+        code = _hoisted(lambda v, x: cadd(cbool(True), v))
+        self._both_raise(code, TypeMismatch, "expected an integer, got VBool(value=True)")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v, x: cadd(v, cint(1)),
+            lambda v, x: cadd(cint(1), v),
+            lambda v, x: cmul(x, v),
+            lambda v, x: csub(v, x),
+            lambda v, x: ceq(v, v),
+            lambda v, x: cadd(csucc(x), v),
+        ],
+        ids=["left-of-literal", "right-of-literal", "right-of-name", "left-of-name", "both", "right-of-denotation"],
+    )
+    def test_extruded_operand_names_itself(self, make):
+        code = _hoisted(make)
+        (free,) = free_vars(show(code))
+        self._both_raise(code, UnboundVariable, f"unbound variable {free.render()}")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda b: cadd(b, cint(1)), lambda b: cadd(cint(1), b), lambda b: csub(b, b)],
+        ids=["left", "right", "both"],
+    )
+    def test_bool_operand(self, make):
+        code = clet(cbool(True), make)
+        self._both_raise(code, TypeMismatch, "expected an integer, got VBool(value=True)")
+
+    @pytest.mark.parametrize(
+        "make", [lambda x: cdiv(x, cint(0)), lambda x: cdiv(cint(1), cint(0))], ids=["name", "literal"]
+    )
+    def test_division_by_zero_raises_only_when_applied(self, make):
+        code = clam(make, hint="x")
+        value, shown = run(code), eval_ast(show(code))
+        for f in (value, shown):
+            with pytest.raises(TypeMismatch, match="^division by zero$"):
+                apply_ints(f, (5,))
+
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (lambda x: csub(cint(10), x), lambda k: 10 - k),
+            (lambda x: csub(x, cint(10)), lambda k: k - 10),
+            (lambda x: cdiv(cint(-7), x), lambda k: int(-7 / k)),
+            (lambda x: ceq(cint(2), x), lambda k: k == 2),
+        ],
+        ids=["literal-left", "literal-right", "div-literal-left", "eq-literal-left"],
+    )
+    def test_literal_on_either_side(self, make, want):
+        code = clam(make)
+        _agree_over(code, [(k,) for k in (-3, 2, 7)])
+        for k in (-3, 2, 7):
+            v = apply_ints(run(code), (k,))
+            assert v.value == want(k)
+
+    def test_no_constant_folding(self):
+        assert pretty(show(cadd(cint(1), cint(2)))) == "(1 + 2)"
+        assert run(cadd(cint(1), cint(2))) == VInt(3)
