@@ -32,10 +32,10 @@ class _HostStack:
     """Context manager: host-stack overflow inside the block becomes
     StepLimitExceeded, so deep trees fail as staging errors. A walk here
     reading a binder's or a variable's name (`path` or `render`) from
-    something that is not a `Name` becomes TypeMismatch: no node checks its
-    name field, and this test costs a walk nothing until it fails. The
-    error must come from this module, so a generator's own error stays
-    as it is."""
+    something that is not a `Name` becomes TypeMismatch: no node but
+    `LetRec` checks its name fields, and this test costs a walk nothing
+    until it fails. The error must come from this module, so a generator's
+    own error stays as it is."""
 
     __slots__ = ("what",)
 
@@ -98,9 +98,8 @@ class _Record(type):
     descriptor, where a frozen dataclass's calls `object.__setattr__` per
     field. A subclass of a record is a record, and may be decorated with
     `@dataclass(frozen=True)` as a subclass of a frozen dataclass may; its
-    field defaults hold for it and for its subclasses. A field written as
-    `dataclasses.field(...)` may give a default or a default factory and
-    nothing else: its other options would be dropped, so they are refused.
+    field defaults hold for it and for its subclasses. A default is a plain
+    value: a field written as `dataclasses.field(...)` is refused.
 
     Slots can only be declared when a class is created. A class decorator
     gets a class that exists already and must build a second one; the first
@@ -115,11 +114,8 @@ class _Record(type):
         # fields
         defaults = {f: ns.pop(f) for f in fields if f in ns}
         for f, default in defaults.items():
-            if isinstance(default, dataclasses.Field) and not _plain_field(default):
-                raise TypeError(
-                    f"record field {name}.{f} may give only a default or a "
-                    "default_factory"
-                )
+            if isinstance(default, dataclasses.Field):
+                raise TypeError(f"record field {name}.{f} may give only a plain default")
         ns = {
             "__reduce__": _rebuild,
             **ns,
@@ -127,7 +123,8 @@ class _Record(type):
             "__record_defaults__": defaults,
         }
         cls = super().__new__(mcls, name, bases, ns)
-        dataclasses.dataclass(frozen=True)(cls)
+        # no dataclass `__init__`: `_slot_init` below makes the one kept
+        dataclasses.dataclass(frozen=True, init=False)(cls)
         # `@dataclass(frozen=True)` refuses a class whose own body holds
         # `__setattr__` or `__delattr__`, so a record below the top of its
         # hierarchy keeps none and inherits the top one's, which refuses
@@ -145,18 +142,8 @@ class _Record(type):
         # and finds the slot there; give the fields the held-back defaults
         if name == "__dataclass_fields__":
             for f, default in cls.__dict__["__record_defaults__"].items():
-                if isinstance(default, dataclasses.Field):
-                    value[f].default = default.default
-                    value[f].default_factory = default.default_factory
-                else:
-                    value[f].default = default
+                value[f].default = default
         super().__setattr__(name, value)
-
-
-def _plain_field(f):
-    """Whether `dataclasses.field` was given nothing but a default."""
-    options = (f.init, f.repr, f.hash, f.compare, f.metadata, f.kw_only)
-    return options == (True, True, None, True, {}, dataclasses.MISSING)
 
 
 def _frozen_setattr(self, name, value):
@@ -176,18 +163,16 @@ def _rebuild(self):
 def _slot_init(cls):
     """The `__init__` of record class `cls`: each argument, or its default,
     set through its slot's descriptor, then `__post_init__` if any."""
-    ns = {"MISSING": dataclasses.MISSING}
-    params, body = [], []
+    ns, params, body = {}, [], []
     for f in dataclasses.fields(cls):
         n = f.name
         ns[f"set_{n}"] = getattr(cls, n).__set__
         if f.default is not dataclasses.MISSING:
             ns[f"default_{n}"] = f.default
             params.append(f"{n}=default_{n}")
-        elif f.default_factory is not dataclasses.MISSING:
-            ns[f"factory_{n}"] = f.default_factory
-            params.append(f"{n}=MISSING")
-            body.append(f"    if {n} is MISSING: {n} = factory_{n}()")
+        elif params and "=" in params[-1]:
+            # the check a dataclass `__init__` would have made
+            raise TypeError(f"non-default argument {n!r} follows default argument")
         else:
             params.append(n)
         body.append(f"    set_{n}(self, {n})")
@@ -252,31 +237,28 @@ class Source(Name, metaclass=_Record):
 ROOT = ""
 
 
-def location(steps) -> str:
-    """The location reached from the root through child indices `steps`."""
-    return "".join(f"_{i}" for i in steps)
-
-
-def location_steps(loc) -> tuple:
-    """The child indices, from the root, of location `loc`."""
-    return tuple(int(i) for i in loc.split("_")[1:])
+def render_location(loc) -> str:
+    """Location `loc` as its child indices in brackets: `[1,2]` for
+    `"_1_2"`, `[]` for the root."""
+    return "[" + loc[1:].replace("_", ",") + "]"
 
 
 class Fresh(Name):
     """Generator-created name, identified by its tree location.
 
-    `path` is the location string; `Fresh` also takes the child indices
-    (`Fresh((1, 2))` is `Fresh("_1_2")`). The optional hint changes only how
-    the name renders; equality and hashing are on the location alone, so a
-    hinted and an unhinted reference to the same binding site stay
-    interchangeable. The `path` slot overrides `Name.path`, so an
+    `path` is the location string (`Fresh("_1_2")`); anything else is
+    refused. The optional hint changes only how the name renders; equality
+    and hashing are on the location alone, so a hinted and an unhinted
+    reference to the same binding site stay interchangeable. The `path` slot overrides `Name.path`, so an
     evaluator's environment keys the name by its location string.
     """
 
     __slots__ = ("path", "hint", "_hash")
 
     def __init__(self, path, hint=None):
-        self.path = path if type(path) is str else location(path)
+        if type(path) is not str:
+            raise TypeMismatch(f"not a location: {path!r}")
+        self.path = path
         self.hint = hint
         self._hash = None
 
@@ -299,7 +281,7 @@ class Fresh(Name):
         return self.hint + self.path
 
     def __repr__(self):
-        return f"Fresh({list(location_steps(self.path))})"
+        return f"Fresh({self.path!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +418,9 @@ class LetRec(BaseAst):
         if not self.clauses:
             raise ValueError("letrec needs at least one clause")
         names = [n for n, _ in self.clauses]
+        for n in names:
+            if not isinstance(n, Name):
+                raise TypeMismatch(f"not a name: {n!r}")
         if len(set(names)) != len(names):
             raise ValueError("letrec clause names must be distinct")
 

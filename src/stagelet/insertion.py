@@ -13,30 +13,26 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .base import StagingError, _Record, location_steps
+from .base import StagingError, _Record, render_location
 
 DEFAULT_CANON_LIMIT = 10_000
 
 
 class ResidualBindings(StagingError):
     """A generator finished with bindings still floating (locus never opened).
-
-    Made from the locations of those loci; `loci` holds each as its tuple of
-    child indices."""
+    `loci` holds the location strings of those loci."""
 
     def __init__(self, loci):
-        loci = tuple(loci)
-        self.loci = tuple(map(location_steps, loci))
-        rendered = ", ".join(map(render_location, loci))
+        self.loci = tuple(loci)
+        rendered = ", ".join(map(render_location, self.loci))
         super().__init__(f"unplaced bindings for loci: {rendered}")
 
 
 class CanonLimitExceeded(StagingError):
-    """Made from the location of the locus; `locus` holds it as its tuple of
-    child indices."""
+    """`locus` holds the location string of the locus that did not settle."""
 
     def __init__(self, locus, keys):
-        self.locus = location_steps(locus)
+        self.locus = locus
         self.keys = tuple(keys)
         super().__init__(
             f"canonicalization at locus {render_location(locus)} did not settle; "
@@ -46,11 +42,6 @@ class CanonLimitExceeded(StagingError):
 
 class PendingBinding(StagingError):
     """A letrec-requested binding reached a plain let locus."""
-
-
-def render_location(loc) -> str:
-    """Location `loc` as its child indices in brackets: `[1,2]`."""
-    return "[" + ",".join(map(str, location_steps(loc))) + "]"
 
 
 class Locus(metaclass=_Record):

@@ -87,6 +87,21 @@ def check_record(obj, fields):
 
 
 # ---------------------------------------------------------------------------
+# Locations, spelled here apart from the library
+
+
+def location_of(steps):
+    """The location string reached from the root through child indices
+    `steps`: `"_1_2"` for `(1, 2)`, `""` for `()`."""
+    return "".join(f"_{i}" for i in steps)
+
+
+def bracketed(steps):
+    """Child indices `steps` as messages render a location: `[1,2]`."""
+    return "[" + ",".join(map(str, steps)) + "]"
+
+
+# ---------------------------------------------------------------------------
 # Independent oracles
 
 

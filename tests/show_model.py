@@ -4,7 +4,9 @@ The model reads a generator plan (the tuples `helpers.build_code` realizes)
 straight into the syntax tree `show` should build. It shares nothing with the
 library's denotations, environments or binding stores: it uses only the
 syntax nodes and `Fresh` names of `stagelet.base`. Each combinator occupies
-the location its `codec` namesake does, so the names come out the same.
+the location its `codec` namesake does, so the names come out the same. A
+location here is a tuple of child indices, spelled as the library's location
+string only where a name is made (`_fresh`).
 
 The bindings of a subtree are explicit: a dict from locus location to store,
 a store a dict from memo key to a class `(name, rhs, aliases)` in first
@@ -64,22 +66,22 @@ def _build(plan, loc, env, loci, rec):
             (t, vt), (e, ve) = at((2,), t), at((3,), e)
             return If(Eq(a, b), t, e), _merge(_merge(_merge(va, vb), vt), ve)
         case ("lam", body, *hint):
-            name = Fresh(loc, *hint)
+            name = _fresh(loc, *hint)
             b, vb = at((1,), body, env=env + (name,))
             return Lam(name, b), vb
         case ("app", body, arg):
             # `capp` at loc of a `clam` at (1,)
-            name = Fresh(loc + (1,))
+            name = _fresh(loc + (1,))
             b, vb = at((1, 1), body, env=env + (name,))
             a, va = at((2,), arg)
             return App(Lam(name, b), a), _merge(vb, va)
         case ("let", rhs, body):
-            name = Fresh(loc)
+            name = _fresh(loc)
             r, vr = at((1,), rhs)
             b, vb = at((2,), body, env=env + (name,))
             return Let(name, r, b), _merge(vr, vb)
         case ("genlet", key, rhs, *up):
-            name = Fresh(loc)
+            name = _fresh(loc)
             r, vr = at((2,), rhs)
             target = loci[-1 - sum(up)]
             out = dict(vr)
@@ -95,7 +97,7 @@ def _build(plan, loc, env, loci, rec):
         case ("ref", j):
             # `genletrec` at loc of clause j, a `clam` built at (2,) on demand
             at_rec, defs = rec
-            name, param = Fresh(loc), Fresh(loc + (2,))
+            name, param = _fresh(loc), _fresh(loc + (2,))
 
             def force():
                 b, vb = at((2, 1), defs[j], env=(param,))
@@ -106,6 +108,13 @@ def _build(plan, loc, env, loci, rec):
             (f, vf), (a, va) = at((1,), ("ref", j)), at((2,), arg)
             return App(f, a), _merge(vf, va)
     raise AssertionError(f"not a plan: {plan!r}")
+
+
+def _fresh(loc, *hint):
+    """The name made at location `loc`, a tuple of child indices here,
+    spelled as the location string the library uses (`"_1_2"` for
+    `(1, 2)`)."""
+    return Fresh("".join(f"_{i}" for i in loc), *hint)
 
 
 def _fold(old, name, rhs, aliases):

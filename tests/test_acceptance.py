@@ -154,7 +154,7 @@ def test_c05_shared_sums_worked_example():
 
         # unit-style replay of the intermediate stores
         s = ShowSemantics()
-        n2, n4, n6 = Fresh((2,)), Fresh((4,)), Fresh((6,))
+        n2, n4, n6 = Fresh("_2"), Fresh("_4"), Fresh("_6")
         d3 = s.mk_binop(Add, s.mk_int(6), s.mk_int(7))
         d4 = s.mk_binop(Add, s.mk_var(n2), s.mk_int(20))
         d6 = s.mk_binop(Add, s.mk_var(n2), s.mk_int(30))
@@ -283,7 +283,7 @@ def test_c10_run_show_coherence():
 def test_c11_machinery_algebra():
     with criterion(11, "machinery algebra"):
         # merge identity
-        store = addb(1, Fresh((3,)), ShowSemantics().mk_int(1), EMPTY_PER_LOCUS)
+        store = addb(1, Fresh("_3"), ShowSemantics().mk_int(1), EMPTY_PER_LOCUS)
         nu = {(): store}
         assert merge(nu, EMPTY_BINDINGS) == nu
         assert merge(EMPTY_BINDINGS, nu) == nu
@@ -295,7 +295,7 @@ def test_c11_machinery_algebra():
             st = EMPTY_PER_LOCUS
             nkeys = rng.randrange(1, 6)
             for i in range(rng.randrange(1, 10)):
-                st = addb(rng.randrange(nkeys), Fresh((i,)), can, st)
+                st = addb(rng.randrange(nkeys), Fresh(f"_{i}"), can, st)
             by_class = {id(cls): k for k, cls in st.items()}
             got = tuple(by_class[id(cls)] for cls in ordered(st))
             assert got == tuple(st)
@@ -305,7 +305,7 @@ def test_c11_machinery_algebra():
             for seq in itertools.product((1, 2, 3), repeat=length):
                 st = EMPTY_PER_LOCUS
                 for pos, key in enumerate(seq):
-                    name = Fresh((pos + 20,))
+                    name = Fresh(f"_{pos + 20}")
                     before = st
                     st = addb(key, name, can, st)
                     if key in before:

@@ -13,6 +13,7 @@ from stagelet import (
     BaseAst,
     BinOp,
     BoolLit,
+    CanonLimitExceeded,
     Div,
     Eq,
     Fresh,
@@ -23,6 +24,7 @@ from stagelet import (
     LetRec,
     Mul,
     Name,
+    ResidualBindings,
     Source,
     StepLimitExceeded,
     Sub,
@@ -45,13 +47,15 @@ from stagelet import (
     show,
     to_sexp,
 )
-from stagelet.base import _slot_new, location, location_steps
+from stagelet.base import _slot_new, render_location
 
 from helpers import (
+    bracketed,
     bruteforce_free,
     cack,
     check_record,
     gib,
+    location_of,
     random_term,
     records_of,
     rename_bound,
@@ -69,6 +73,18 @@ def index_tuples(seed, count=300):
         tuple(rng.choice(alphabet) for _ in range(rng.randrange(6)))
         for _ in range(count)
     ]
+
+
+def index_paths(seed, count=150):
+    """Random child-index paths of depth 0 to 50, then every third one
+    again, so that some paths repeat."""
+    rng = random.Random(seed)
+    alphabet = [0, 1, 2, 10, 11, 12, 101]
+    paths = [
+        tuple(rng.choice(alphabet) for _ in range(rng.randrange(51)))
+        for _ in range(count)
+    ]
+    return paths + paths[::3]
 
 
 def gib5_ast():
@@ -90,32 +106,32 @@ def gib5_ast():
 
 class TestNames:
     def test_source_and_fresh_never_equal(self):
-        assert Source("v1") != Fresh((1,))
-        assert Fresh((1,)) != Source("v1")
+        assert Source("v1") != Fresh("_1")
+        assert Fresh("_1") != Source("v1")
 
     def test_fresh_equality_is_location_equality(self):
-        assert Fresh((1, 2)) == Fresh([1, 2])
-        assert Fresh((1, 2)) != Fresh((2, 1))
-        assert hash(Fresh((1, 2))) == hash(Fresh((1, 2)))
+        assert Fresh("_1_2") == Fresh("_1_2")
+        assert Fresh("_1_2") != Fresh("_2_1")
+        assert hash(Fresh("_1_2")) == hash(Fresh("_1_2"))
 
     def test_hint_does_not_affect_equality(self):
-        name = Fresh((1, 2), hint="acc")
-        assert name == Fresh((1, 2))
-        assert hash(name) == hash(name) == hash(Fresh((1, 2)))
+        name = Fresh("_1_2", hint="acc")
+        assert name == Fresh("_1_2")
+        assert hash(name) == hash(name) == hash(Fresh("_1_2"))
 
     def test_rendering(self):
-        assert Fresh((1, 2)).render() == "v1_2"
-        assert Fresh(()).render() == "v"
-        assert Fresh((3,), hint="acc").render() == "acc_3"
-        assert Fresh((), hint="acc").render() == "acc"
+        assert Fresh("_1_2").render() == "v1_2"
+        assert Fresh("").render() == "v"
+        assert Fresh("_3", hint="acc").render() == "acc_3"
+        assert Fresh("", hint="acc").render() == "acc"
         assert Source("loop").render() == "loop"
 
     def test_rendering_twice_gives_equal_text(self):
-        name = Fresh((4, 0, 17), hint="acc")
+        name = Fresh("_4_0_17", hint="acc")
         assert name.render() == name.render() == "acc_4_0_17"
 
     def test_rendered_hint_stays_on_its_own_object(self):
-        hinted, plain = Fresh((1, 2), hint="acc"), Fresh((1, 2))
+        hinted, plain = Fresh("_1_2", hint="acc"), Fresh("_1_2")
         assert (hinted.render(), plain.render()) == ("acc_1_2", "v1_2")
         assert hinted == plain and hash(hinted) == hash(plain)
         keys = {hinted: 1, plain: 2}
@@ -124,7 +140,7 @@ class TestNames:
 
     def test_names_are_equal_exactly_when_their_indices_are(self):
         tuples = index_tuples(1)
-        names = [Fresh(t) for t in tuples]
+        names = [Fresh(location_of(t)) for t in tuples]
         assert len(set(tuples)) < len(tuples)  # some draws repeat
         for a, na in zip(tuples, names):
             for b, nb in zip(tuples, names):
@@ -133,24 +149,61 @@ class TestNames:
                     assert hash(na) == hash(nb)
 
     def test_indices_list_and_location_string_make_one_name(self):
+        # two location strings built apart from one index list: equal, not
+        # the same object
         for t in index_tuples(2):
-            name = Fresh(t)
-            assert name == Fresh(list(t)) == Fresh(location(t))
-            assert hash(name) == hash(Fresh(list(t))) == hash(Fresh(location(t)))
-            assert location_steps(location(t)) == t
-            assert repr(name) == f"Fresh({list(t)})"
+            loc = location_of(t)
+            name, again = Fresh(loc), Fresh("".join("_" + str(i) for i in list(t)))
+            assert name == again == Fresh(loc)
+            assert hash(name) == hash(again) == hash(Fresh(loc))
+            assert render_location(name.path) == bracketed(t)
+            assert repr(name) == f"Fresh({loc!r})"
 
     def test_rendering_joins_the_indices(self):
         for t in index_tuples(3):
             joined = "_".join(map(str, t))
-            assert Fresh(t).render() == "v" + joined
+            assert Fresh(location_of(t)).render() == "v" + joined
             want = "acc" if not t else f"acc_{joined}"
-            assert Fresh(t, hint="acc").render() == want
+            assert Fresh(location_of(t), hint="acc").render() == want
 
     def test_sexp_first_then_pretty_reads_as_pretty_alone(self):
         tree = show(cack(3))
         to_sexp(tree)
         assert pretty(tree) == pretty(show(cack(3)))
+
+
+class TestLocations:
+    def test_messages_and_names_agree_with_the_indices(self):
+        paths = index_paths(4)
+        assert len(set(paths)) < len(paths)  # some paths repeat
+        names = [Fresh(location_of(t)) for t in paths]
+        for t, name in zip(paths, names):
+            loc = location_of(t)
+            assert render_location(loc) == bracketed(t)
+            e = CanonLimitExceeded(loc, [3])
+            assert e.locus == loc
+            assert str(e) == (
+                f"canonicalization at locus {bracketed(t)} did not settle; "
+                "keys still pending: [3]"
+            )
+            joined = "_".join(map(str, t))
+            assert name.render() == "v" + joined
+            assert Fresh(loc, hint="acc").render() == (f"acc_{joined}" if t else "acc")
+            for u, other in zip(paths, names):
+                assert (name == other) is (t == u)
+                if t == u:
+                    assert hash(name) == hash(other)
+        for a, b in zip(paths, paths[1:]):
+            e = ResidualBindings([location_of(a), location_of(b)])
+            assert e.loci == (location_of(a), location_of(b))
+            assert str(e) == f"unplaced bindings for loci: {bracketed(a)}, {bracketed(b)}"
+
+    @pytest.mark.parametrize(
+        "path", [5, (1,), None, [1, 2], b"_1"], ids=["int", "tuple", "none", "list", "bytes"]
+    )
+    def test_a_path_that_is_not_a_location_string_is_refused(self, path):
+        with pytest.raises(TypeMismatch, match=f"^not a location: {re.escape(repr(path))}$"):
+            Fresh(path)
 
 
 class TestPretty:
@@ -164,7 +217,7 @@ class TestPretty:
 
     def test_variables_and_literals(self):
         assert pretty(Var(x)) == "x"
-        assert pretty(Var(Fresh((1, 2)))) == "v1_2"
+        assert pretty(Var(Fresh("_1_2"))) == "v1_2"
         assert pretty(IntLit(42)) == "42"
         assert pretty(BoolLit(True)) == "true"
         assert pretty(BoolLit(False)) == "false"
@@ -236,7 +289,7 @@ class TestAlphaEq:
         assert alpha_eq(Lam(x, Var(x)), Lam(y, Var(y)))
         assert not alpha_eq(Lam(x, Lam(y, Var(x))), Lam(x, Lam(y, Var(y))))
         assert not alpha_eq(Var(x), Var(y))  # free names must match exactly
-        assert alpha_eq(Lam(Fresh((1,)), Var(Fresh((1,)))), Lam(x, Var(x)))
+        assert alpha_eq(Lam(Fresh("_1"), Var(Fresh("_1"))), Lam(x, Var(x)))
 
     def test_letrec_positional(self):
         a = LetRec(((x, Var(y)), (y, Var(x))), Var(x))
@@ -299,7 +352,7 @@ class TestEval:
 
     def test_env_keys_are_source_and_fresh_names(self):
         acc = Fresh("_1", hint="acc")
-        tree = Sub(Var(x), Var(Fresh((1,))))
+        tree = Sub(Var(x), Var(Fresh("_1")))
         assert eval_ast(tree, {x: VInt(7), acc: VInt(2)}) == VInt(5)
         assert eval_ast(tree, [(acc, VInt(2)), (x, VInt(7))]) == VInt(5)
 
@@ -730,6 +783,11 @@ class TestRecords:
         with pytest.raises(ValueError, match="distinct"):
             LetRec([(x, IntLit(1)), (x, IntLit(2))], Var(x))
 
+    @pytest.mark.parametrize("bad", [["f"], "f", 2], ids=["list", "str", "int"])
+    def test_letrec_refuses_a_clause_name_that_is_not_a_name(self, bad):
+        with pytest.raises(TypeMismatch, match=f"^not a name: {re.escape(repr(bad))}$"):
+            LetRec(((bad, IntLit(1)),), IntLit(2))
+
     def test_a_subclass_of_a_record_is_a_record(self):
         check_record(MyAdd(Var(x), IntLit(2)), ["left", "right"])
 
@@ -754,27 +812,43 @@ class TestRecords:
             assert [f.default for f in dataclasses.fields(cls)][1] == 2
         check_record(Scaled3(IntLit(1), 4), ["arg", "factor"])
 
-    def test_a_field_default_or_factory_is_kept(self):
-        class Tagged(BaseAst):
-            arg: object = dataclasses.field(default=1)
-            tags: list = dataclasses.field(default_factory=list)
-
-        assert Tagged() == Tagged(1, [])
-        assert Tagged().tags is not Tagged().tags
-
     @pytest.mark.parametrize(
-        "options",
-        [{"compare": False, "repr": False}, {"kw_only": True}],
-        ids=["compare-repr", "kw_only"],
+        "field",
+        [
+            lambda: dataclasses.field(default=1, compare=False, repr=False),
+            lambda: dataclasses.field(default=1, kw_only=True),
+            lambda: dataclasses.field(default=1),
+            lambda: dataclasses.field(default_factory=list),
+        ],
+        ids=["compare-repr", "kw_only", "default", "default_factory"],
     )
-    def test_other_field_options_are_refused_by_name(self, options):
-        # a frozen dataclass would honour them: R(1) == R(2) and repr "R()",
-        # or a keyword-only `a` after a positional `b`
-        with pytest.raises(TypeError, match=r"record field R\.a "):
+    def test_other_field_options_are_refused_by_name(self, field):
+        # any `field(...)` default is refused: a record's default is a plain
+        # value. A frozen dataclass would honour the options (R(1) == R(2)
+        # and repr "R()", or a keyword-only `a` after a positional `b`) and
+        # call a factory per instance
+        with pytest.raises(TypeError, match=r"^record field R\.a may give only a plain default$"):
 
             class R(BaseAst):
-                a: int = dataclasses.field(default=1, **options)
+                a: int = field()
                 b: int = 0
+
+    def test_a_field_without_a_default_after_one_with_is_refused(self):
+        with pytest.raises(TypeError, match="^non-default argument 'b' follows default argument$"):
+
+            class R(BaseAst):
+                a: int = 0
+                b: int
+
+    def test_the_one_init_is_the_slot_init(self):
+        # dataclass makes no `__init__` for a record; for a decorated
+        # subclass it makes one but keeps the record's
+        decorated = {DecoratedMul, Neg, Scaled}
+        for cls in (IntLit, Lam, LetRec, VInt, Source, Scaled3, *decorated):
+            params = cls.__dataclass_params__
+            assert params.frozen and params.init is (cls in decorated)
+            first = dataclasses.fields(cls)[0].name
+            assert f"set_{first}" in cls.__init__.__code__.co_names
 
     def test_slot_new_makes_a_one_field_record_and_refuses_others(self):
         new, set_value = _slot_new(VInt)

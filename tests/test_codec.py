@@ -63,6 +63,7 @@ from helpers import (
     binders,
     build_code,
     gib,
+    location_of,
     random_plan,
 )
 
@@ -248,8 +249,8 @@ class TestBinders:
         code = cadd(cint(0), clam(lambda v: clet(cint(1), lambda w: cadd(v, w), hint="acc")))
         tree = show(code)
         lam, let = tree.right, tree.right.body
-        assert lam.param == Fresh((2,)) and let.name == Fresh((2, 1))
-        assert let.body == Add(Var(Fresh((2,))), Var(Fresh([2, 1])))
+        assert lam.param == Fresh("_2") and let.name == Fresh("_2_1")
+        assert let.body == Add(Var(Fresh("_2")), Var(Fresh("_2_1")))
         assert pretty(tree) == "(0 + (fun v2 -> (let acc_2_1 = 1 in (v2 + acc_2_1))))"
 
 
@@ -291,7 +292,7 @@ class TestHints:
         texts = {}
         for hint in [None, "x", "v", "x_", "a_1b", "acc"]:
             for path in paths:
-                text = Fresh(path, hint).render()
+                text = Fresh(location_of(path), hint).render()
                 assert texts.setdefault(text, path) == path, text
 
 
@@ -522,7 +523,7 @@ def _ident(v):
 
 # each maker takes the previous code value, so the operators chain; every
 # argument other than that one is made beforehand
-_LOCUS, _NAME = Locus(""), Fresh((1,))
+_LOCUS, _NAME = Locus(""), Fresh("_1")
 RECORD_MAKERS = {
     "cint": lambda c: cint(7),
     "cbool": lambda c: cbool(True),

@@ -88,21 +88,21 @@ def canonical_int(i):
 
 class TestAddb:
     def test_first_insertion(self):
-        name = Fresh((2,))
+        name = Fresh("_2")
         rhs = canonical_int(3)
         v2 = addb(1, name, rhs, EMPTY_PER_LOCUS)
         assert tuple(v2) == (1,)
         assert v2 == {1: BindingClass(name, rhs, frozenset())}
 
     def test_new_key_becomes_latest(self):
-        n2, n4 = Fresh((2,)), Fresh((4,))
+        n2, n4 = Fresh("_2"), Fresh("_4")
         v2 = addb(1, n2, canonical_int(3), EMPTY_PER_LOCUS)
         v4 = addb(2, n4, canonical_int(20), v2)
         assert tuple(v4) == (1, 2)
         assert set(v4) == {1, 2}
 
     def test_existing_key_gains_alias_and_keeps_rhs(self):
-        n2, other = Fresh((2,)), Fresh((9,))
+        n2, other = Fresh("_2"), Fresh("_9")
         rhs = canonical_int(3)
         v2 = addb(1, n2, rhs, EMPTY_PER_LOCUS)
         v = addb(1, other, canonical_int(99), v2)
@@ -114,13 +114,13 @@ class TestAddb:
         assert tuple(v) == (1,)
 
     def test_reinserting_the_representative_is_a_noop_alias(self):
-        n = Fresh((2,))
+        n = Fresh("_2")
         v = addb(1, n, canonical_int(3), EMPTY_PER_LOCUS)
         v = addb(1, n, canonical_int(3), v)
         assert v[1].aliases == frozenset()
 
     def test_representative_readded_with_canonical_rhs_replaces_pending(self):
-        n, other = Fresh((2,)), Fresh((9,))
+        n, other = Fresh("_2"), Fresh("_9")
         pen, can = Pending(lambda: None), canonical_int(3)
         store = addb(1, other, pen, addb(1, n, pen, EMPTY_PER_LOCUS))
         after = addb(1, n, can, store)
@@ -135,7 +135,7 @@ class TestAddb:
         keys = (1, 2, 3)
         for length in (1, 2, 3):
             for seq in itertools.product(keys, repeat=length):
-                names = [Fresh((i + 10,)) for i in range(length)]
+                names = [Fresh(f"_{i + 10}") for i in range(length)]
                 store = EMPTY_PER_LOCUS
                 # naive replay of the two-case definition
                 classes, seen = {}, []
@@ -175,7 +175,7 @@ def model_merge(v1, v2):
 
 
 # a random bindings map over two loci, four keys and four names
-NAMES = [Fresh((i,)) for i in range(4)]
+NAMES = [Fresh(f"_{i}") for i in range(4)]
 LOCS = [(), (1,)]
 
 
@@ -203,14 +203,14 @@ def grow(rng, v, steps):
 
 class TestMerge:
     def test_identities(self):
-        n = Fresh((2,))
+        n = Fresh("_2")
         v = {(): addb(1, n, canonical_int(3), EMPTY_PER_LOCUS)}
         assert merge(v, EMPTY_BINDINGS) == v
         assert merge(EMPTY_BINDINGS, v) == v
 
     def test_worked_three_key_merge(self):
         # two stores sharing key 1, merged at one locus
-        n2, n4, n6 = Fresh((2,)), Fresh((4,)), Fresh((6,))
+        n2, n4, n6 = Fresh("_2"), Fresh("_4"), Fresh("_6")
         d3, d4, d6 = (canonical_int(i) for i in (3, 20, 30))
         v2 = addb(1, n2, d3, EMPTY_PER_LOCUS)
         v4 = addb(2, n4, d4, v2)
@@ -224,7 +224,7 @@ class TestMerge:
         assert v5[3] == BindingClass(n6, d6, frozenset())
 
     def test_rhs_collision_rules(self):
-        rep, inc = Fresh((1,)), Fresh((2,))
+        rep, inc = Fresh("_1"), Fresh("_2")
         can1, can2 = canonical_int(1), canonical_int(2)
         pen1, pen2 = Pending(lambda: None), Pending(lambda: None)
 
@@ -242,11 +242,11 @@ class TestMerge:
         assert merged(pen1, pen2) is pen1  # pending keeps first
 
     def test_store_into_bindings_lacking_its_locus_is_the_fold_into_empty(self):
-        n1, n2, n3 = Fresh((1,)), Fresh((2,)), Fresh((3,))
+        n1, n2, n3 = Fresh("_1"), Fresh("_2"), Fresh("_3")
         incoming = EMPTY_PER_LOCUS
         for key, name, i in [(1, n1, 3), (1, n2, 4), (2, n3, 5)]:
             incoming = addb(key, name, canonical_int(i), incoming)
-        v1 = {(7,): addb(1, Fresh((8,)), canonical_int(0), EMPTY_PER_LOCUS)}
+        v1 = {(7,): addb(1, Fresh("_8"), canonical_int(0), EMPTY_PER_LOCUS)}
         got = merge(v1, {(6,): incoming})
         at6 = got.get((6,), EMPTY_PER_LOCUS)
         assert at6 == model_merge(EMPTY_BINDINGS, {(6,): incoming})[(6,)]
@@ -256,7 +256,7 @@ class TestMerge:
 
     def test_matches_the_fold_rule_on_random_stores(self):
         rng = random.Random(8)
-        names = [Fresh((i,)) for i in range(4)]
+        names = [Fresh(f"_{i}") for i in range(4)]
         rhss = [canonical_int(0), canonical_int(1), Pending(lambda: None)]
 
         def grow(v, steps):
@@ -278,8 +278,8 @@ class TestMerge:
             ]
 
     def test_distinct_loci_stay_separate(self):
-        a = {(1,): addb(1, Fresh((5,)), canonical_int(0), EMPTY_PER_LOCUS)}
-        b = {(2,): addb(1, Fresh((6,)), canonical_int(0), EMPTY_PER_LOCUS)}
+        a = {(1,): addb(1, Fresh("_5"), canonical_int(0), EMPTY_PER_LOCUS)}
+        b = {(2,): addb(1, Fresh("_6"), canonical_int(0), EMPTY_PER_LOCUS)}
         both = merge(a, b)
         assert set(both) == {(1,), (2,)}
 
@@ -321,7 +321,7 @@ class TestFoldLog:
                 assert all(got[loc][key] is cls for key, cls in store.items())
 
     def test_aliases_come_in_request_order(self):
-        a, b, c, d, e = (Fresh((i,)) for i in range(5))
+        a, b, c, d, e = (Fresh(f"_{i}") for i in range(5))
         can = canonical_int(0)
         left = addb(0, c, can, addb(0, b, can, addb(0, a, can, EMPTY_PER_LOCUS)))
         right = addb(0, a, can, addb(0, e, can, addb(0, d, can, EMPTY_PER_LOCUS)))
@@ -335,7 +335,7 @@ class TestFoldLog:
     @pytest.mark.parametrize("how", ["addb", "merge into", "merge from"])
     def test_a_hundred_thousand_folds_flatten(self, how):
         can = canonical_int(0)
-        names = [Fresh((i,)) for i in range(10**5)]
+        names = [Fresh(f"_{i}") for i in range(10**5)]
         if how == "addb":
             store = EMPTY_PER_LOCUS
             for name in names:
@@ -358,7 +358,7 @@ class TestFoldLog:
 
     def test_repr_and_eq_of_a_hundred_thousand_folds(self):
         can = canonical_int(0)
-        names = [Fresh((i,)) for i in range(10**5)]
+        names = [Fresh(f"_{i}") for i in range(10**5)]
 
         def folded(names):
             store = EMPTY_PER_LOCUS
@@ -371,11 +371,11 @@ class TestFoldLog:
         assert a == b
         assert a != folded(names[:-1])
         # differs at the deepest fold only
-        assert a != folded([names[0], Fresh((-1,)), *names[2:]])
+        assert a != folded([names[0], Fresh("_-1"), *names[2:]])
         assert repr(a) == f"BindingClass(name={names[0]!r}, rhs={can!r}, aliases={names[1:]!r})"
 
     def test_a_class_is_its_names_not_its_fold_order(self):
-        a, b, c, d = (Fresh((i,)) for i in range(4))
+        a, b, c, d = (Fresh(f"_{i}") for i in range(4))
         can = canonical_int(0)
 
         def folded(*names):
@@ -426,7 +426,7 @@ class TestFoldLog:
 
 
 RECORDS = {
-    Locus: (Locus((1, 2)), ["location"]),
+    Locus: (Locus("_1_2"), ["location"]),
     BindingClass: (
         BindingClass(Source("a"), IntLit(1), frozenset({Source("b")})),
         ["name", "rhs", "log"],
@@ -449,7 +449,7 @@ class TestRecords:
         check_record(*RECORDS[cls])
 
     def test_repr(self):
-        assert repr(Locus((1, 2))) == "Locus(location=(1, 2))"
+        assert repr(Locus("_1_2")) == "Locus(location='_1_2')"
         assert repr(RECORDS[BindingClass][0]) == (
             "BindingClass(name=Source('a'), rhs=IntLit(value=1), "
             "aliases=[Source('b')])"
@@ -471,10 +471,10 @@ class TestStoreInvariants:
             store = EMPTY_PER_LOCUS
             requested = [rng.randrange(5) for _ in range(rng.randrange(1, 10))]
             for i, k in enumerate(requested):
-                store = addb(k, Fresh((i,)), can, store)
+                store = addb(k, Fresh(f"_{i}"), can, store)
             if rng.random() < 0.5:
                 requested.append(rng.randrange(5))
-                other = addb(requested[-1], Fresh((99,)), can, EMPTY_PER_LOCUS)
+                other = addb(requested[-1], Fresh("_99"), can, EMPTY_PER_LOCUS)
                 store = merge({(): store}, {(): other}).get((), EMPTY_PER_LOCUS)
             assert tuple(store) == tuple(dict.fromkeys(requested))
             for cls in store.values():
@@ -489,7 +489,7 @@ class TestStoreInvariants:
         for part in range(8):
             store = EMPTY_PER_LOCUS
             for i in range(250):
-                key, name = rng.randrange(1200), Fresh((part, i))
+                key, name = rng.randrange(1200), Fresh(f"_{part}_{i}")
                 store = addb(key, name, can, store)
                 if key in first:
                     others[key].add(name)
@@ -507,7 +507,7 @@ class TestStoreInvariants:
         assert EMPTY_BINDINGS.get((1, 2), EMPTY_PER_LOCUS) is EMPTY_PER_LOCUS
 
     def test_empty_stores_are_dropped(self):
-        store = addb(1, Fresh((2,)), canonical_int(1), EMPTY_PER_LOCUS)
+        store = addb(1, Fresh("_2"), canonical_int(1), EMPTY_PER_LOCUS)
         assert not without({(1,): store}, (1,))
         assert without(EMPTY_BINDINGS, (1,)) is EMPTY_BINDINGS
 
@@ -592,11 +592,11 @@ class TestImmutability:
 
     def test_the_shared_empty_store_is_read_only(self):
         with pytest.raises(TypeError):
-            EMPTY_PER_LOCUS[1] = BindingClass(Fresh((1,)), canonical_int(0))
+            EMPTY_PER_LOCUS[1] = BindingClass(Fresh("_1"), canonical_int(0))
         assert not EMPTY_PER_LOCUS
 
     def test_the_shared_empty_bindings_are_read_only(self):
-        store = addb(1, Fresh((2,)), canonical_int(1), EMPTY_PER_LOCUS)
+        store = addb(1, Fresh("_2"), canonical_int(1), EMPTY_PER_LOCUS)
         with pytest.raises(TypeError):
             EMPTY_BINDINGS[(1,)] = store
         assert not EMPTY_BINDINGS
@@ -607,13 +607,13 @@ class TestOrdered:
         assert ordered(EMPTY_PER_LOCUS) == []
 
     def test_insertion_order_is_respected(self):
-        v = addb(7, Fresh((1,)), canonical_int(0), EMPTY_PER_LOCUS)
-        v = addb(5, Fresh((2,)), canonical_int(0), v)
-        assert [c.name for c in ordered(v)] == [Fresh((1,)), Fresh((2,))]
+        v = addb(7, Fresh("_1"), canonical_int(0), EMPTY_PER_LOCUS)
+        v = addb(5, Fresh("_2"), canonical_int(0), v)
+        assert [c.name for c in ordered(v)] == [Fresh("_1"), Fresh("_2")]
 
     def test_tie_break_by_insertion_seq(self):
-        c1 = BindingClass(Fresh((1,)), canonical_int(0))
-        c2 = BindingClass(Fresh((2,)), canonical_int(0))
+        c1 = BindingClass(Fresh("_1"), canonical_int(0))
+        c2 = BindingClass(Fresh("_2"), canonical_int(0))
         store = {2: c2, 1: c1}
         assert ordered(store) == [c2, c1]
 
@@ -624,7 +624,7 @@ class TestOrdered:
             nkeys = rng.randrange(1, 6)
             for i in range(rng.randrange(1, 9)):
                 store = addb(
-                    rng.randrange(nkeys), Fresh((i,)), canonical_int(i), store
+                    rng.randrange(nkeys), Fresh(f"_{i}"), canonical_int(i), store
                 )
             keys = [
                 next(k for k, c in store.items() if c is cls)
@@ -807,7 +807,7 @@ class TestGenlet:
         stray = genlet(leaked["locus"], 1, cadd(cint(3), cint(4)))
         with pytest.raises(ResidualBindings) as e:
             show(stray)
-        assert e.value.loci == ((),)
+        assert e.value.loci == ("",)
         with pytest.raises(ResidualBindings):
             run(stray)
 
@@ -826,8 +826,8 @@ class TestGenlet:
         one = genlet(leaked["a"], 1, cint(3))
         two = cadd(one, genlet(leaked["b"], 2, cint(4)))
         for code, loci, message in (
-            (one, ((1, 1),), "unplaced bindings for loci: [1,1]"),
-            (two, ((1, 1), (3,)), "unplaced bindings for loci: [1,1], [3]"),
+            (one, ("_1_1",), "unplaced bindings for loci: [1,1]"),
+            (two, ("_1_1", "_3"), "unplaced bindings for loci: [1,1], [3]"),
         ):
             for meaning in (show, run):
                 with pytest.raises(ResidualBindings) as e:
@@ -891,7 +891,7 @@ def _ack_requests(l):
 
 class TestCanon:
     def test_all_canonical_is_unchanged(self):
-        store = addb(1, Fresh((3,)), canonical_int(5), EMPTY_PER_LOCUS)
+        store = addb(1, Fresh("_3"), canonical_int(5), EMPTY_PER_LOCUS)
         vb = {"": store}
         assert canon(vb, "") is vb
         assert canon(canon(vb, ""), "") == canon(vb, "")
@@ -930,7 +930,7 @@ class TestCanon:
         code = cadd(cint(0), clam(lambda x: with_locus_rec(gen)))
         with pytest.raises(CanonLimitExceeded) as e:
             show(code, canon_limit=3)
-        assert (e.value.locus, e.value.keys) == ((2, 1), (3,))
+        assert (e.value.locus, e.value.keys) == ("_2_1", (3,))
         assert str(e.value) == (
             "canonicalization at locus [2,1] did not settle; keys still pending: [3]"
         )

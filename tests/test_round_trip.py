@@ -59,6 +59,6 @@ def test_acceptance_plans(plans):
 
 def test_a_capture_would_show():
     # hand-built past the hint rule: (fun v1 -> (fun v1 -> v1))
-    outer, inner = Fresh((), "v1"), Fresh((1,))
+    outer, inner = Fresh("", "v1"), Fresh("_1")
     with pytest.raises(AssertionError):
         check_round_trip(Lam(outer, Lam(inner, Var(outer))))

@@ -198,7 +198,7 @@ class TestMkVar:
     def test_show_unbound_stays_literal(self):
         from stagelet import Fresh
 
-        name = Fresh((2, 1))
+        name = Fresh("_2_1")
         assert S().mk_var(name)(EMPTY_ENV) == Var(name)
 
     def test_run_unbound_raises(self):
@@ -851,7 +851,7 @@ class TestEnvironmentKeys:
     string, and any other name itself."""
 
     def test_a_fresh_key_is_its_location_and_any_other_key_the_name(self):
-        assert Fresh((1, 2), hint="acc").path == "_1_2"
+        assert Fresh("_1_2", hint="acc").path == "_1_2"
         for name in (Source("_1"), TextName("_1")):
             assert name.path is name and name.path != "_1"
 
@@ -874,7 +874,7 @@ class TestEnvironmentKeys:
         assert _both(rec) == (VInt(2), VInt(2))
 
     def test_a_hinted_and_an_unhinted_name_read_one_binding(self):
-        acc, plain = Fresh("_1", hint="acc"), Fresh((1,))
+        acc, plain = Fresh("_1", hint="acc"), Fresh("_1")
         for binder, use in ((acc, plain), (plain, acc)):
             assert _both(Let(binder, IntLit(4), Var(use))) == (VInt(4), VInt(4))
             app = App(Lam(binder, Sub(Var(use), IntLit(1))), IntLit(4))
@@ -900,7 +900,7 @@ class TestEnvironmentKeys:
         "name, text",
         [
             (Fresh("_2_1", hint="acc"), "acc_2_1"),
-            (Fresh((2, 1)), "v2_1"),
+            (Fresh("_2_1"), "v2_1"),
             (Source("_2_1"), "_2_1"),
             (TextName("k"), "k"),
         ],
