@@ -78,10 +78,21 @@ class _Budget:
             raise StepLimitExceeded("step limit exceeded")
 
 
+def _expect_int(x, what="an integer"):
+    """`x` as an exact `int`; TypeMismatch("not {what}: …") unless it is an
+    `int` that is not a `bool`. An `int` subclass (an `IntEnum` member, say)
+    becomes the `int` it stands for, so no later step prints or computes
+    with the subclass. The one statement of the rule: a caller on a hot
+    path tests `type(x) is int` inline and calls this for anything else."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeMismatch(f"not {what}: {x!r}")
+    return int.__index__(x)
+
+
 def _expect_limit(limit):
     """Raise TypeMismatch unless `limit` is an int or None (no limit)."""
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
-        raise TypeMismatch(f"not a limit: {limit!r}")
+    if limit is not None:
+        _expect_int(limit, "a limit")
 
 
 # ---------------------------------------------------------------------------

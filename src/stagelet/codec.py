@@ -25,6 +25,7 @@ from .base import (
     Value,
     _HostStack,
     _Record,
+    _expect_int,
     _expect_limit,
 )
 from .insertion import (
@@ -167,9 +168,7 @@ class _Int(_Node):
 
 
 def cint(i: int) -> CodeValue:
-    if isinstance(i, bool) or not isinstance(i, int):
-        raise TypeMismatch(f"not an integer: {i!r}")
-    return _Int(i)
+    return _Int(i if type(i) is int else _expect_int(i))
 
 
 class _Bool(_Node):

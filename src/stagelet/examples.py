@@ -26,6 +26,7 @@ from .base import (
     Var,
     _HostStack,
     _Record,
+    _expect_int,
 )
 from .codec import (
     cadd,
@@ -231,13 +232,12 @@ def lookup(name: str):
 
 def apply_ints(value: Value, args) -> Value:
     """Fold integer arguments into a (curried) function value; an argument
-    is an `int` that is not a `bool`, as `cint` takes."""
+    is an `int` that is not a `bool`, as `cint` takes, and is applied as
+    the exact `int` it stands for."""
     result = value
     with _HostStack("evaluation"):
         for a in args:
             if not isinstance(result, VFun):
                 raise TypeMismatch(f"cannot apply an argument to {result!r}")
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise TypeMismatch(f"not an integer: {a!r}")
-            result = result.fn(VInt(a))
+            result = result.fn(VInt(a if type(a) is int else _expect_int(a)))
     return result

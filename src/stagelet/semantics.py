@@ -16,15 +16,13 @@ is an `Env` that holds only alias redirects, keyed by names (ROADMAP item
 evaluate the left operand first; final results must not depend on that
 order.
 
-An operand of `mk_binop` is a denotation, an `int` literal or a bound
-`Name`: the code builder passes a literal or a variable operand unbuilt.
-Show turns it into the `IntLit` or `Var` node its `mk_int` or `mk_var`
-would make; run reads it in place (see `_run_binop`).
+An operand of `mk_binop` is a denotation, an exact `int` literal (`cint`
+stores one) or a bound `Name`: the code builder passes a literal or a
+variable operand unbuilt. Show turns it into the `IntLit` or `Var` node its
+`mk_int` or `mk_var` would make; run reads it in place (see `_run_binop`).
 """
 
 from __future__ import annotations
-
-from operator import index
 
 from .base import (
     LetRec,
@@ -151,10 +149,11 @@ def _run_binop(op, box):
     right one is read. The result is made without the Python frame of its
     record's `__init__` (`_slot_new`).
 
-    An operand that is a literal or a name (a leaf, `_run_leaf`) is read in
-    place, with no call: a literal as it is, a name by one probe of its key,
-    used when it holds exactly a `VInt`. Any other value of a name goes
-    through `_var_int`. Each shape (two denotations, a denotation and a
+    An operand that is a literal or a name (a leaf) is read in place, with
+    no call: a literal as it is, a name by one probe of its key, used when
+    it holds exactly a `VInt`. A literal is an exact `int`, which is what
+    tells the two apart when the closure runs. Any other value of a name
+    goes through `_var_int`. Each shape (two denotations, a denotation and a
     leaf, a leaf and a denotation, two leaves) has its own closure, which
     holds the two operands and nothing else, so a leaf costs the build no
     more cells than a denotation."""
@@ -176,7 +175,6 @@ def _run_binop(op, box):
                     return v
 
                 return den
-            d2 = _run_leaf(d2)
 
             def den(env):
                 x = d1(env)
@@ -193,7 +191,6 @@ def _run_binop(op, box):
                 return v
 
             return den
-        d1 = _run_leaf(d1)
         if callable(d2):
 
             def den(env):
@@ -211,7 +208,6 @@ def _run_binop(op, box):
                 return v
 
             return den
-        d2 = _run_leaf(d2)
 
         def den(env):
             if type(d1) is int:
@@ -233,13 +229,6 @@ def _run_binop(op, box):
         return den
 
     return make
-
-
-def _run_leaf(o):
-    """Run operand `o`, a name or an integer literal, as its closure reads
-    it: a name as it is, a literal as an exact `int`, which is what tells
-    the two apart when the closure runs."""
-    return o if type(o) is int or isinstance(o, Name) else index(o)
 
 
 def _var_int(name, env):

@@ -705,8 +705,8 @@ class TestDispatch:
     @pytest.mark.parametrize("walk", WALKS, ids=str)
     @pytest.mark.parametrize(
         "junk",
-        [42, None, VInt(1), BinOp(IntLit(1), IntLit(2))],
-        ids=["int", "None", "VInt", "BinOp"],
+        [42, None, VInt(1), BinOp(IntLit(1), IntLit(2)), "x"],
+        ids=["int", "None", "VInt", "BinOp", "str"],
     )
     def test_non_node_is_a_type_mismatch(self, walk, junk):
         message = f"not a syntax tree: {junk!r}"

@@ -1,3 +1,4 @@
+import enum
 import gc
 import itertools
 import operator
@@ -75,6 +76,10 @@ def bindings_at(code, loc):
     return vb
 
 
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
 class TestLiterals:
     def test_cint(self):
         assert show(cint(3)) == IntLit(3)
@@ -87,6 +92,11 @@ class TestLiterals:
         c = cadd(cint(1), cmul(cint(2), cint(3)))
         for loc in ("", "_1", "_2_1", "_3_1_2"):
             assert not bindings_at(c, loc)
+
+    def test_cint_stores_an_exact_int_itself(self):
+        big = 10**30
+        assert cint(big).i is big
+        assert type(cint(_Three.THREE).i) is int and cint(_Three.THREE).i == 3
 
     @pytest.mark.parametrize("bad", ["x", None, True, 1.0], ids=repr)
     def test_cint_takes_only_an_int(self, bad):

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from stagelet import (
     PendingBinding,
     ResidualBindings,
     Source,
+    TypeMismatch,
     UnboundVariable,
     VInt,
     Var,
@@ -454,6 +456,17 @@ class TestRecords:
             "BindingClass(name=Source('a'), rhs=IntLit(value=1), "
             "aliases=[Source('b')])"
         )
+
+    @pytest.mark.parametrize("location", [(1, 2), 5, None], ids=["tuple", "int", "none"])
+    def test_a_locus_takes_only_a_location_string(self, location):
+        # refused where it is made, so a forged locus never reaches a build
+        # or a message that reads its location
+        with pytest.raises(TypeMismatch, match=f"^not a location: {re.escape(repr(location))}$"):
+            Locus(location)
+
+    @pytest.mark.parametrize("location", ["", "_1_2"], ids=["root", "child"])
+    def test_a_locus_of_a_location_string_is_a_record(self, location):
+        check_record(Locus(location), ["location"])
 
     def test_defaults(self):
         assert BindingClass(Source("a"), None).aliases == frozenset()

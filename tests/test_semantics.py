@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import pickle
 import random
 import re
@@ -52,6 +53,7 @@ from stagelet import (
     pretty,
     run,
     show,
+    to_sexp,
     with_locus,
     with_locus_rec,
 )
@@ -1033,6 +1035,17 @@ def _outcome(thunk):
         return type(e), str(e)
 
 
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+class _Spelled(int):
+    """An `int` subclass that prints as its own text."""
+
+    def __str__(self):
+        return "three"
+
+
 class TestBinopOperands:
     """`mk_binop` takes a literal or a name operand unbuilt: run reads it in
     place and show makes the node `mk_int` or `mk_var` would. Every pair of
@@ -1068,12 +1081,29 @@ class TestBinopOperands:
             _operand_scope(R(0), R(0).mk_binop(Add, 1, c_))({})
 
     def test_an_int_subclass_literal_reads_as_its_int(self):
-        class Small(int):
-            pass
-
-        code = cadd(cint(Small(3)), cint(4))
-        assert run(code) == VInt(7) and type(run(code).value) is int
-        assert show(code) == Add(IntLit(Small(3)), IntLit(4))
+        # Python 3.10's `str` of an `IntEnum` member is `_Color.RED`, and
+        # `_Spelled` prints its own text on every version: a literal prints
+        # and computes as the `int` it stands for, alone, as either operand,
+        # beside a variable and bound by a let
+        for three in (_Color.RED, _Spelled(3)):
+            for code, text, sexp, value in [
+                (cint(three), "3", "(int 3)", 3),
+                (cadd(cint(three), cint(4)), "(3 + 4)", "(add (int 3) (int 4))", 7),
+                (csub(cint(4), cint(three)), "(4 - 3)", "(sub (int 4) (int 3))", 1),
+                (
+                    clet(cint(three), lambda y: cmul(y, cadd(cint(three), y))),
+                    "(let v = 3 in (v * (3 + v)))",
+                    "(let v (int 3) (mul (var v) (add (int 3) (var v))))",
+                    18,
+                ),
+            ]:
+                tree = show(code)
+                assert pretty(tree) == text and to_sexp(tree) == sexp
+                for v in (run(code), eval_ast(tree)):
+                    assert v == VInt(value) and type(v.value) is int
+            for f in (run(clam(lambda x: x)), eval_ast(show(clam(lambda x: x)))):
+                v = apply_ints(f, [three])
+                assert v == VInt(3) and type(v.value) is int
 
 
 def _hoisted(make):
