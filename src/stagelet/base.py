@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import re
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
@@ -235,6 +236,10 @@ class Name:
 class Source(Name, metaclass=_Record):
     text: str
 
+    def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise TypeMismatch(f"not a name text: {self.text!r}")
+
     def render(self) -> str:
         return self.text
 
@@ -246,6 +251,16 @@ class Source(Name, metaclass=_Record):
 # `loc` is `loc + "_" + str(i)`, so making a child is one copy in C however
 # deep `loc` is, and a name's text is its location with a prefix.
 ROOT = ""
+_LOCATION = re.compile(r"(?:_[0-9]+)*")
+
+
+def _expect_location(loc):
+    """Raise TypeMismatch unless `loc` is a location string: "" or a run of
+    `_<n>` segments. A full check costs a regular-expression match, so only
+    what is made once per locus (`insertion.Locus`) makes it; `Fresh`, made
+    once per binder and request, tests only that its path is a `str`."""
+    if type(loc) is not str or _LOCATION.fullmatch(loc) is None:
+        raise TypeMismatch(f"not a location: {loc!r}")
 
 
 def render_location(loc) -> str:
@@ -289,6 +304,8 @@ class Fresh(Name):
         # hint, `_` and the digits
         if self.hint is None:
             return "v" + self.path[1:]
+        if not isinstance(self.hint, str):
+            raise TypeMismatch(f"not a name hint: {self.hint!r}")
         return self.hint + self.path
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .base import StagingError, TypeMismatch, _Record, render_location
+from .base import StagingError, _Record, _expect_location, render_location
 
 DEFAULT_CANON_LIMIT = 10_000
 
@@ -47,13 +47,12 @@ class PendingBinding(StagingError):
 class Locus(metaclass=_Record):
     """Marks where requested bindings materialize; opaque to generators.
     `location` is the locus's location string, in the format `base` states
-    at `ROOT`; anything else is refused, as `Fresh` refuses it."""
+    at `ROOT`; anything else is refused."""
 
     location: str
 
     def __post_init__(self):
-        if type(self.location) is not str:
-            raise TypeMismatch(f"not a location: {self.location!r}")
+        _expect_location(self.location)
 
 
 class Pending:

@@ -16,6 +16,12 @@ is an `Env` that holds only alias redirects, keyed by names (ROADMAP item
 evaluate the left operand first; final results must not depend on that
 order.
 
+Run's booleans are two shared values, `TRUE` and `FALSE`: a comparison and
+a boolean literal evaluate to one of them, and an `if` tests its condition
+by identity before it falls back to any other `VBool`. A function whose
+body is an `if` evaluates that `if` in its own call, one host frame fewer
+per application (see `RunSemantics`).
+
 An operand of `mk_binop` is a denotation, an exact `int` literal (`cint`
 stores one) or a bound `Name`: the code builder passes a literal or a
 variable operand unbuilt. Show turns it into the `IntLit` or `Var` node its
@@ -142,6 +148,19 @@ class Env:
 
 EMPTY_ENV = Env()
 
+# run's two booleans: a comparison and a boolean literal evaluate to one of
+# them, so an `if` tests its condition by identity
+TRUE, FALSE = VBool(True), VBool(False)
+
+
+def _branch(c, dt, de):
+    """The branch of an `if` whose condition `c` is neither `TRUE` nor
+    `FALSE`: any other `VBool` (a host `VFun` may return one) picks by its
+    value, and anything else raises."""
+    if not isinstance(c, VBool):
+        raise TypeMismatch(f"if condition must be a boolean, got {c!r}")
+    return dt if c.value else de
+
 
 def _run_binop(op, box):
     """The run maker of one operator. `op` and `box` are fixed here, so a
@@ -156,7 +175,10 @@ def _run_binop(op, box):
     goes through `_var_int`. Each shape (two denotations, a denotation and a
     leaf, a leaf and a denotation, two leaves) has its own closure, which
     holds the two operands and nothing else, so a leaf costs the build no
-    more cells than a denotation."""
+    more cells than a denotation.
+
+    A comparison (`box` is `VBool`) makes no value: it returns `TRUE` or
+    `FALSE`, which `mk_if` tests by identity."""
     new, set_value = _slot_new(box)
 
     def make(d1, d2):
@@ -170,6 +192,8 @@ def _run_binop(op, box):
                     y = d2(env)
                     if not isinstance(y, VInt):
                         _as_int(y)
+                    if box is VBool:
+                        return TRUE if op(x.value, y.value) else FALSE
                     v = new(box)
                     set_value(v, op(x.value, y.value))
                     return v
@@ -186,6 +210,8 @@ def _run_binop(op, box):
                     y = v.value
                 else:
                     y = _var_int(d2, env)
+                if box is VBool:
+                    return TRUE if op(x.value, y) else FALSE
                 v = new(box)
                 set_value(v, op(x.value, y))
                 return v
@@ -203,6 +229,8 @@ def _run_binop(op, box):
                 y = d2(env)
                 if not isinstance(y, VInt):
                     _as_int(y)
+                if box is VBool:
+                    return TRUE if op(x, y.value) else FALSE
                 v = new(box)
                 set_value(v, op(x, y.value))
                 return v
@@ -222,6 +250,8 @@ def _run_binop(op, box):
                 y = v.value
             else:
                 y = _var_int(d2, env)
+            if box is VBool:
+                return TRUE if op(x, y) else FALSE
             v = new(box)
             set_value(v, op(x, y))
             return v
@@ -262,6 +292,38 @@ def _clause(letrec):
     while len(env) > size:  # bound after the letrec, in the same activation
         env.popitem()
     return rhs(env)
+
+
+def _run_lam_if(budget, key, dc, dt, de):
+    """Run's denotation of a function whose body is `if dc then dt else de`:
+    its call ticks and binds its parameter as `mk_lam`'s does, then
+    evaluates the `if` itself, as `mk_if`'s denotation would. It holds the
+    condition and branches, not the `if`'s denotation, which the build can
+    then drop. The tick and the binding are written out in both, not
+    shared: a shared step would cost the frame this saves."""
+
+    def den(env):
+        env = env.copy()  # its activation may bind more before a call
+
+        def call(arg):
+            n = budget.remaining
+            if n is not None:
+                if n > 0:
+                    budget.remaining = n - 1
+                else:
+                    budget.tick()  # raises
+            inner = env.copy()
+            inner[key] = arg
+            c = dc(inner)
+            if c is TRUE:
+                return dt(inner)
+            if c is FALSE:
+                return de(inner)
+            return _branch(c, dt, de)(inner)
+
+        return VFun(call)
+
+    return den
 
 
 def _run_request(reps):
@@ -352,11 +414,29 @@ class RunSemantics:
     operator reads a literal or a variable operand itself (`_run_binop`), a
     call counts its step inline and calls `_Budget.tick` only to raise, and
     a variable or request reads a forced letrec cell's value, calling
-    `force` only for a cell not yet forced."""
+    `force` only for a cell not yet forced. A comparison returns `TRUE` or
+    `FALSE` and makes no value, and an `if` tests its condition against the
+    two by identity; only another `VBool` (a host `VFun` may return one)
+    or a non-boolean reaches `_branch`, which picks by value or raises.
+
+    A function whose body is an `if` runs in one frame: `mk_if` keeps the
+    `if` it built last, with its condition and branches, in one slot, and
+    when `mk_lam`'s body is that very denotation, the function's call
+    (`_run_lam_if`) ticks, binds its parameter and evaluates the `if`
+    itself instead of calling the body. The code builder builds a
+    function's body just before the function, so the slot holds the body
+    whenever the body is an `if`; the identity test keeps any other body
+    on the plain path. The fused call evaluates what the body would, in the
+    same order, so ticks, values and errors are unchanged; it saves one
+    call and one host frame per application, so recursion also goes deeper
+    before the host stack runs out."""
 
     def __init__(self, step_limit=None):
         self._budget = _Budget(step_limit)
         self._reps = {}
+        # the `if` built last, with its condition and branches: mk_lam's one
+        # slot for the branch it may evaluate in its call
+        self._last_if = None, None, None, None
         self.mk_request = _run_request(self._reps)
 
     mk_var = staticmethod(_run_var)
@@ -366,7 +446,7 @@ class RunSemantics:
         return lambda env: v
 
     def mk_bool(self, b):
-        v = VBool(b)
+        v = TRUE if b else FALSE
         return lambda env: v
 
     def mk_succ(self, d):
@@ -381,15 +461,23 @@ class RunSemantics:
     def mk_if(self, dc, dt, de):
         def den(env):
             c = dc(env)
-            if not isinstance(c, VBool):
-                raise TypeMismatch(f"if condition must be a boolean, got {c!r}")
-            return dt(env) if c.value else de(env)
+            if c is TRUE:
+                return dt(env)
+            if c is FALSE:
+                return de(env)
+            return _branch(c, dt, de)(env)
 
+        self._last_if = den, dc, dt, de
         return den
 
     def mk_lam(self, name, body):
+        """A function of `name`; when `body` is the `if` this instance built
+        last, the function is `_run_lam_if`'s (see `RunSemantics`)."""
         budget = self._budget
         key = name.path
+        last, dc, dt, de = self._last_if
+        if last is body:
+            return _run_lam_if(budget, key, dc, dt, de)
 
         def den(env):
             env = env.copy()  # its activation may bind more before a call

@@ -126,6 +126,20 @@ class TestNames:
         assert Fresh("", hint="acc").render() == "acc"
         assert Source("loop").render() == "loop"
 
+    @pytest.mark.parametrize("text", [5, None, b"x"], ids=["int", "none", "bytes"])
+    def test_a_source_takes_only_a_string(self, text):
+        with pytest.raises(TypeMismatch, match=f"^not a name text: {re.escape(repr(text))}$"):
+            Source(text)
+
+    @pytest.mark.parametrize("hint", [5, ("a",)], ids=["int", "tuple"])
+    def test_a_hint_that_is_not_a_string_fails_to_render(self, hint):
+        # a `Fresh` is made once per binder and request, unchecked; its hint
+        # is tested where it is read
+        name = Fresh("_1", hint)
+        for thunk in (name.render, lambda: pretty(Var(name))):
+            with pytest.raises(TypeMismatch, match=f"^not a name hint: {re.escape(repr(hint))}$"):
+                thunk()
+
     def test_rendering_twice_gives_equal_text(self):
         name = Fresh("_4_0_17", hint="acc")
         assert name.render() == name.render() == "acc_4_0_17"
@@ -907,8 +921,9 @@ def run_with_least_budget(code, args, limit):
 
 
 class TestRunStepBudget:
-    """Pinned least budgets of `run`: inlining its tick or its read of a
-    forced letrec cell must neither drop nor double a step."""
+    """Pinned least budgets of `run`: inlining its tick, its read of a
+    forced letrec cell or a branching body into a function's call must
+    neither drop nor double a step."""
 
     def test_cack3_on_3(self):
         assert run_with_least_budget(cack(3), (3,), 2436) == VInt(61)

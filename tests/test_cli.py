@@ -47,6 +47,12 @@ class TestRun:
         code, out, _ = invoke(capsys, "run", "csq", "-3")
         assert (code, out) == (0, "9\n")
 
+    def test_deep_recursion(self, capsys):
+        # ack(2, 150) = 303 recurses about 300 Ackermann call levels deep:
+        # within the host stack only because run evaluates a function whose
+        # body is an `if` in the function's own call
+        assert invoke(capsys, "run", "cack2", "150") == (0, "303\n", "")
+
 
 class TestCheck:
     def test_extruded_reports_free_names(self, capsys):

@@ -119,17 +119,19 @@ class TestCounterparts:
         assert _result(lookup("cack2"), [10]) == VInt(23)
         assert _result(lookup("ack2"), [6]) == VInt(2 * 6 + 3)
 
+    def test_run_cack2_on_150(self):
+        code = lookup("cack2").builder()  # ackermann(2, n) is 2n + 3
+        assert apply_ints(run(code), [150]) == VInt(303)
+
     @pytest.mark.xfail(
         strict=True,
         raises=StepLimitExceeded,
-        reason="both evaluators recurse once per Ackermann call level and "
-        "pass the host stack (CHANGES.md FOUND line on `stagelet run cack2 "
-        "150`; ROADMAP items 5 and 6)",
+        reason="eval_ast spends four host frames per Ackermann call level "
+        "and passes the host stack (ROADMAP items 4 and 5)",
     )
-    def test_cack2_on_150(self):
-        code = lookup("cack2").builder  # ackermann(2, n) is 2n + 3
-        assert apply_ints(run(code()), [150]) == VInt(303)
-        assert apply_ints(eval_ast(show(code())), [150]) == VInt(303)
+    def test_eval_ast_cack2_on_150(self):
+        code = lookup("cack2").builder()
+        assert apply_ints(eval_ast(show(code)), [150]) == VInt(303)
 
 
 class TestShapes:

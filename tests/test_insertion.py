@@ -457,14 +457,19 @@ class TestRecords:
             "aliases=[Source('b')])"
         )
 
-    @pytest.mark.parametrize("location", [(1, 2), 5, None], ids=["tuple", "int", "none"])
+    @pytest.mark.parametrize(
+        "location",
+        [(1, 2), 5, None, "abc", "_", "_1_", "1_2", "_1a", "_-1"],
+        ids=["tuple", "int", "none", "letters", "bare-separator", "trailing-separator",
+             "no-leading-separator", "letter-in-index", "negative"],
+    )
     def test_a_locus_takes_only_a_location_string(self, location):
         # refused where it is made, so a forged locus never reaches a build
         # or a message that reads its location
         with pytest.raises(TypeMismatch, match=f"^not a location: {re.escape(repr(location))}$"):
             Locus(location)
 
-    @pytest.mark.parametrize("location", ["", "_1_2"], ids=["root", "child"])
+    @pytest.mark.parametrize("location", ["", "_1_2", "_0_17"], ids=["root", "child", "wide"])
     def test_a_locus_of_a_location_string_is_a_record(self, location):
         check_record(Locus(location), ["location"])
 

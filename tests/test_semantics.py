@@ -971,8 +971,10 @@ def _succ_den(a):
 
 
 class TestOperatorResults:
-    """Run makes a binary operator's result without its record's `__init__`,
-    and succ's with it; each is an exact, fresh, frozen record."""
+    """Run makes an integer operator's result without its record's
+    `__init__`, and succ's with it; each is an exact, fresh, frozen record. A
+    comparison's result is one of run's two shared booleans, an exact
+    frozen record too."""
 
     @pytest.mark.parametrize(
         "den, want",
@@ -996,7 +998,11 @@ class TestOperatorResults:
             v.value = 0
         for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
             assert type(twin) is type(want) and twin == want
-        assert den({}) is not v
+        if type(want) is VBool:
+            assert v is (semantics.TRUE if want.value else semantics.FALSE)
+            assert den({}) is v
+        else:
+            assert den({}) is not v
 
 
 # Operands of a binary operator, by kind: the operand `mk_binop` takes in
@@ -1187,3 +1193,61 @@ class TestOperandErrors:
     def test_no_constant_folding(self):
         assert pretty(show(cadd(cint(1), cint(2)))) == "(1 + 2)"
         assert run(cadd(cint(1), cint(2))) == VInt(3)
+
+
+class TestBranchingBody:
+    """Run's booleans are two shared values, and a function whose body is an
+    `if` evaluates the `if` in its own call (`RunSemantics.mk_lam`); values
+    and errors stay those of `eval_ast`."""
+
+    def test_a_comparison_is_a_shared_boolean(self):
+        assert run(ceq(cint(1), cint(1))) == VBool(True)
+        assert run(ceq(cint(1), cint(1))) is semantics.TRUE
+        assert run(ceq(cint(1), cint(2))) is semantics.FALSE
+        assert run(cbool(True)) is semantics.TRUE
+        assert run(cbool(False)) is semantics.FALSE
+
+    def test_a_body_that_branches_on_a_non_boolean_raises_as_eval_ast(self):
+        code = clam(lambda v: cif(v, cint(1), cint(2)))
+        for f in (run(code), eval_ast(show(code))):
+            with pytest.raises(
+                TypeMismatch, match=r"^if condition must be a boolean, got VInt\(value=5\)$"
+            ):
+                apply_ints(f, (5,))
+
+    @pytest.mark.parametrize("b, want", [(True, 1), (False, 2)], ids=["true", "false"])
+    def test_a_fresh_boolean_from_a_host_function_picks_by_value(self, b, want):
+        code = clam(lambda g: cif(capp(g, cint(0)), cint(1), cint(2)))
+        host = VFun(lambda a: VBool(b))
+        # a fresh value, so neither identity test takes it
+        assert host.fn(None) is not (semantics.TRUE if b else semantics.FALSE)
+        for f in (run(code), eval_ast(show(code))):
+            assert f.fn(host) == VInt(want)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            # the body is a let over an `if`, not the `if` built last
+            clam(lambda v: clet(cif(ceq(v, cint(0)), cint(1), cint(2)), lambda w: cadd(w, v))),
+            # a fused function inside a branch of a fused function
+            clam(
+                lambda a: cif(
+                    ceq(a, cint(0)),
+                    cint(7),
+                    capp(clam(lambda b: cif(ceq(b, a), cint(8), cint(9))), cint(2)),
+                )
+            ),
+            # only the inner function's body is an `if`
+            clam(lambda a: capp(clam(lambda b: cif(ceq(a, b), a, b)), cint(3))),
+        ],
+        ids=["let-over-if", "nested", "inner-only"],
+    )
+    def test_fused_and_plain_functions_agree_with_eval_ast(self, code):
+        _agree_over(code, [(k,) for k in (0, 2, 3)])
+
+    def test_an_extruded_variable_in_a_branch_stays_unbound(self):
+        code = _hoisted(lambda v, x: cif(ceq(x, cint(0)), v, cint(1)))
+        (free,) = free_vars(show(code))
+        for thunk in (lambda: run(code), lambda: eval_ast(show(code))):
+            with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+                thunk()
