@@ -225,8 +225,8 @@ class Name:
         no Python-level `__hash__` call. Keys are exact: two `Fresh` names
         are equal exactly when their location strings are, and a `Source`
         never equals a str; a user's name class keeps that as long as its
-        names never equal a str. Show's `Env`, `free_vars`, `alpha_eq` and
-        insertion key by names."""
+        names never equal a str. `free_vars` and `alpha_eq` key by it
+        too; Show's `Env` and insertion key by names."""
         return self
 
     def render(self) -> str:
@@ -589,42 +589,95 @@ _S = _Walk(
 
 
 def free_vars(ast: BaseAst) -> set:
-    """Names with a free occurrence; binders scope lexically."""
+    """Names with a free occurrence; binders scope lexically.
+
+    One walk fills one result set. It counts the binders in scope by key
+    (`name.path`, as `eval_ast` does): a binder adds one on entry and puts
+    the count back on exit, and a variable is free when its key counts
+    zero. So a closed tree of `Fresh` names makes no Python-level
+    `__hash__` call, and a name field that is not a `Name` raises
+    TypeMismatch. A redex `App(Lam, arg)` is walked in one frame, as
+    `eval_ast` runs it. Children are visited left to right, a letrec's
+    body before its clauses, and of two equal free names (a hinted and an
+    unhinted `Fresh`, say) the set keeps the one met first.
+    """
+    free = set()
     with _HostStack("free_vars"):
-        return _F[type(ast)](ast)
+        _F[type(ast)](ast, {}, free)
+    return free
 
 
-def _fv_if(t):
+def _fv_var(t, bound, free):
+    if not bound.get(t.name.path):
+        free.add(t.name)
+
+
+def _fv_binop(t, bound, free):
+    a, b = t.left, t.right
+    _F[type(a)](a, bound, free)
+    _F[type(b)](b, bound, free)
+
+
+def _fv_if(t, bound, free):
     c, a, b = t.cond, t.then, t.orelse
-    return _F[type(c)](c) | _F[type(a)](a) | _F[type(b)](b)
+    _F[type(c)](c, bound, free)
+    _F[type(a)](a, bound, free)
+    _F[type(b)](b, bound, free)
 
 
-def _fv_let(t):
-    r, b = t.rhs, t.body
-    return _F[type(r)](r) | (_F[type(b)](b) - {t.name})
+def _fv_lam(t, bound, free):
+    n, b = t.param.path, t.body
+    k = bound.get(n, 0)
+    bound[n] = k + 1
+    _F[type(b)](b, bound, free)
+    bound[n] = k
 
 
-def _fv_letrec(t):
-    bound = {n for n, _ in t.clauses}
+def _fv_app(t, bound, free):
+    f, a = t.fun, t.arg
+    if type(f) is Lam:
+        n, b = f.param.path, f.body
+        k = bound.get(n, 0)
+        bound[n] = k + 1
+        _F[type(b)](b, bound, free)
+        bound[n] = k
+    else:
+        _F[type(f)](f, bound, free)
+    _F[type(a)](a, bound, free)
+
+
+def _fv_let(t, bound, free):
+    n, r, b = t.name.path, t.rhs, t.body
+    _F[type(r)](r, bound, free)
+    k = bound.get(n, 0)
+    bound[n] = k + 1
+    _F[type(b)](b, bound, free)
+    bound[n] = k
+
+
+def _fv_letrec(t, bound, free):
+    # clause names are distinct `Name`s (`LetRec` checks both when made)
+    keys = [n.path for n, _ in t.clauses]
+    for n in keys:
+        bound[n] = bound.get(n, 0) + 1
     b = t.body
-    acc = _F[type(b)](b)
-    for _, rhs in t.clauses:
-        acc |= _F[type(rhs)](rhs)
-    return acc - bound
+    _F[type(b)](b, bound, free)
+    for _, r in t.clauses:
+        _F[type(r)](r, bound, free)
+    for n in keys:
+        bound[n] -= 1
 
 
 _F = _Walk(
     {
-        IntLit: lambda t: set(),
-        BoolLit: lambda t: set(),
-        Var: lambda t: {t.name},
-        Succ: lambda t: _F[type(t.arg)](t.arg),
-        **dict.fromkeys(
-            _BINOPS, lambda t: _F[type(t.left)](t.left) | _F[type(t.right)](t.right)
-        ),
+        IntLit: lambda t, bound, free: None,
+        BoolLit: lambda t, bound, free: None,
+        Var: _fv_var,
+        Succ: lambda t, bound, free: _F[type(t.arg)](t.arg, bound, free),
+        **dict.fromkeys(_BINOPS, _fv_binop),
         If: _fv_if,
-        Lam: lambda t: _F[type(t.body)](t.body) - {t.param},
-        App: lambda t: _F[type(t.fun)](t.fun) | _F[type(t.arg)](t.arg),
+        Lam: _fv_lam,
+        App: _fv_app,
         Let: _fv_let,
         LetRec: _fv_letrec,
     }
@@ -632,7 +685,9 @@ _F = _Walk(
 
 
 def alpha_eq(a: BaseAst, b: BaseAst) -> bool:
-    """Equality up to consistent renaming of bound names."""
+    """Equality up to consistent renaming of bound names. Names are
+    compared by key (`name.path`), so a name field that is not a `Name`
+    raises TypeMismatch."""
     with _HostStack("alpha_eq"):
         return _alpha(a, b, {}, {})
 
@@ -642,6 +697,7 @@ def _alpha(a, b, ab, ba):
         case (IntLit(x), IntLit(y)) | (BoolLit(x), BoolLit(y)):
             return x == y
         case (Var(n), Var(m)):
+            n, m = n.path, m.path
             if n in ab or m in ba:
                 return ab.get(n) == m and ba.get(m) == n
             return n == m
@@ -658,8 +714,10 @@ def _alpha(a, b, ab, ba):
                 and _alpha(e1, e2, ab, ba)
             )
         case (Lam(n, x), Lam(m, y)):
+            n, m = n.path, m.path
             return _alpha(x, y, {**ab, n: m}, {**ba, m: n})
         case (Let(n, r1, b1), Let(m, r2, b2)):
+            n, m = n.path, m.path
             return _alpha(r1, r2, ab, ba) and _alpha(
                 b1, b2, {**ab, n: m}, {**ba, m: n}
             )
@@ -668,8 +726,8 @@ def _alpha(a, b, ab, ba):
                 return False
             ab2, ba2 = dict(ab), dict(ba)
             for (n, _), (m, _) in zip(c1, c2):
-                ab2[n] = m
-                ba2[m] = n
+                ab2[n.path] = m.path
+                ba2[m.path] = n.path
             return all(
                 _alpha(r1, r2, ab2, ba2) for (_, r1), (_, r2) in zip(c1, c2)
             ) and _alpha(b1, b2, ab2, ba2)
@@ -726,6 +784,17 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     Free names not in `env` raise UnboundVariable. Inside, the environment
     is keyed by each name's `path`, so a variable read or a binding makes
     no Python-level `__hash__` call; `env` is converted once, here.
+
+    Binding is shallow, with restore on exit (Baker, "Shallow Binding in
+    Lisp 1.5", 1978): one dict serves a whole function activation. A `Let`,
+    and a redex `App(Lam, arg)`, which runs as a let, writes its name into
+    that dict, evaluates its body there, and on leaving, by a return or an
+    exception, puts back the entry it shadowed or deletes the key. That is
+    exact, the same values, errors and ticks as a fresh dict per binder,
+    because a binder's entry is never read after it leaves: every binder
+    restores on exit, a lambda snapshots the dict when it is made, and
+    letrec cells read a dict no body binds into. So a let chain copies
+    nothing, where a copy per let made it quadratic in its depth.
     """
     _expect_limit(step_limit)
     budget = _Budget(step_limit)
@@ -737,6 +806,11 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
             keyed[name.path] = value
     with _HostStack("evaluation"):
         return _E[type(ast)](ast, keyed, budget)
+
+
+# what a let or a redex finds under a key that is unbound; it deletes the key
+# on exit
+_UNBOUND = object()
 
 
 def _as_int(v):
@@ -813,6 +887,16 @@ def _eval_if(t, env, budget):
 
 
 def _eval_lam(t, env, budget):
+    """A closure over a snapshot of `env` taken now, since the lets and
+    redexes around the lambda go on rebinding `env` in place after it is
+    made. A call copies the snapshot once more and binds its parameter in
+    the copy: a letrec's functions share one dict (`_eval_letrec`), so no
+    call may write into the dict it closes over."""
+    return _closure(t, dict(env), budget)
+
+
+def _closure(t, env, budget):
+    """The function value of `Lam` `t` over `env`, a dict nothing writes."""
     n, b = t.param.path, t.body
 
     def call(arg):
@@ -824,6 +908,22 @@ def _eval_lam(t, env, budget):
 
 def _eval_app(t, env, budget):
     f, a = t.fun, t.arg
+    if type(f) is Lam:
+        # a redex runs as a let: its parameter's key, the argument, the
+        # call's tick, then the body in `env` itself, with no function
+        # value, no copy and no frame for a call
+        n, b = f.param.path, f.body
+        v = _E[type(a)](a, env, budget)
+        budget.tick()
+        shadowed = env.get(n, _UNBOUND)
+        env[n] = v
+        try:
+            return _E[type(b)](b, env, budget)
+        finally:
+            if shadowed is _UNBOUND:
+                del env[n]
+            else:
+                env[n] = shadowed
     fv = _E[type(f)](f, env, budget)
     av = _E[type(a)](a, env, budget)
     if not isinstance(fv, VFun):
@@ -832,16 +932,37 @@ def _eval_app(t, env, budget):
 
 
 def _eval_let(t, env, budget):
-    r, b = t.rhs, t.body
-    return _E[type(b)](b, {**env, t.name.path: _E[type(r)](r, env, budget)}, budget)
+    # the key is read first, so a binder that is not a name fails before
+    # its right-hand side runs. The redex case of `_eval_app` binds the
+    # same way, written out rather than shared: a helper would cost a host
+    # frame per level
+    n, r, b = t.name.path, t.rhs, t.body
+    v = _E[type(r)](r, env, budget)
+    shadowed = env.get(n, _UNBOUND)
+    env[n] = v
+    try:
+        return _E[type(b)](b, env, budget)
+    finally:
+        if shadowed is _UNBOUND:
+            del env[n]
+        else:
+            env[n] = shadowed
 
 
 def _eval_letrec(t, env, budget):
+    """The clause cells go into `env2`, a copy of `env` that nothing writes
+    after: a `Lam` clause closes over `env2` as it is, any other clause is
+    forced in a copy of it, and the body runs in a copy. So no cell sees a
+    let of the body or of another clause."""
     env2 = dict(env)
-    for n, rhs in t.clauses:
-        env2[n.path] = _RecCell(n, lambda e, r=rhs: _E[type(r)](r, e, budget), env2, budget)
+    for n, r in t.clauses:
+        if type(r) is Lam:
+            rhs = lambda e, r=r: _closure(r, e, budget)
+        else:
+            rhs = lambda e, r=r: _E[type(r)](r, dict(e), budget)
+        env2[n.path] = _RecCell(n, rhs, env2, budget)
     b = t.body
-    return _E[type(b)](b, env2, budget)
+    return _E[type(b)](b, dict(env2), budget)
 
 
 _E = _Walk(

@@ -24,7 +24,12 @@ from stagelet import (
     Source,
     Sub,
     Succ,
+    TypeMismatch,
+    UnboundVariable,
     Var,
+    VBool,
+    VFun,
+    VInt,
     cadd,
     capp,
     ceq,
@@ -40,7 +45,16 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
-from stagelet.base import _Record
+from stagelet.base import (
+    DEFAULT_STEP_LIMIT,
+    _as_int,
+    _Budget,
+    _expect_limit,
+    _HostStack,
+    _RecCell,
+    _Record,
+    _Walk,
+)
 from stagelet.codec import CodeValue
 from stagelet.insertion import EMPTY_BINDINGS, merge
 
@@ -272,27 +286,158 @@ def bruteforce_free(tree):
 
 
 # ---------------------------------------------------------------------------
+# Copying models of the check walks: `eval_ast` with a fresh environment dict
+# at every let and call, and `free_vars` as a union of one set per node, as
+# both were before they bound in place and filled one set. The walks in
+# `base` must agree with them exactly.
+
+
+def model_eval_ast(ast, env=None, step_limit=DEFAULT_STEP_LIMIT):
+    """`eval_ast` with copying environments: a let evaluates its body in
+    `{**env, name: value}`, a lambda closes over the dict it was made in,
+    and a call evaluates the body in that dict plus its parameter."""
+    _expect_limit(step_limit)
+    budget = _Budget(step_limit)
+    keyed = {name.path: value for name, value in dict(env or {}).items()}
+    with _HostStack("evaluation"):
+        return _ME[type(ast)](ast, keyed, budget)
+
+
+def _model_var(t, env, budget):
+    try:
+        v = env[t.name.path]
+    except KeyError:
+        raise UnboundVariable(f"unbound variable {t.name.render()}") from None
+    return v.force() if isinstance(v, _RecCell) else v
+
+
+def _model_binary(op, box):
+    def handler(t, env, budget):
+        x = _as_int(_ME[type(t.left)](t.left, env, budget))
+        return box(op(x, _as_int(_ME[type(t.right)](t.right, env, budget))))
+
+    return handler
+
+
+def _model_if(t, env, budget):
+    cond = _ME[type(t.cond)](t.cond, env, budget)
+    if not isinstance(cond, VBool):
+        raise TypeMismatch(f"if condition must be a boolean, got {cond!r}")
+    b = t.then if cond.value else t.orelse
+    return _ME[type(b)](b, env, budget)
+
+
+def _model_lam(t, env, budget):
+    n, b = t.param.path, t.body
+
+    def call(arg):
+        budget.tick()
+        return _ME[type(b)](b, {**env, n: arg}, budget)
+
+    return VFun(call)
+
+
+def _model_app(t, env, budget):
+    fv = _ME[type(t.fun)](t.fun, env, budget)
+    av = _ME[type(t.arg)](t.arg, env, budget)
+    if not isinstance(fv, VFun):
+        raise TypeMismatch(f"cannot apply non-function {fv!r}")
+    return fv.fn(av)
+
+
+def _model_let(t, env, budget):
+    r, b = t.rhs, t.body
+    return _ME[type(b)](b, {**env, t.name.path: _ME[type(r)](r, env, budget)}, budget)
+
+
+def _model_letrec(t, env, budget):
+    env2 = dict(env)
+    for n, rhs in t.clauses:
+        env2[n.path] = _RecCell(n, lambda e, r=rhs: _ME[type(r)](r, e, budget), env2, budget)
+    return _ME[type(t.body)](t.body, env2, budget)
+
+
+_ME = _Walk(
+    {
+        IntLit: lambda t, env, budget: VInt(t.value),
+        BoolLit: lambda t, env, budget: VBool(t.value),
+        Var: _model_var,
+        Succ: lambda t, env, budget: VInt(_as_int(_ME[type(t.arg)](t.arg, env, budget)) + 1),
+        **{cls: _model_binary(cls.op, cls.box) for cls in (Add, Sub, Mul, Div, Eq)},
+        If: _model_if,
+        Lam: _model_lam,
+        App: _model_app,
+        Let: _model_let,
+        LetRec: _model_letrec,
+    }
+)
+
+
+def model_free_vars(ast):
+    """`free_vars` as a union of the children's sets at every node."""
+    with _HostStack("free_vars"):
+        return _MF[type(ast)](ast)
+
+
+def _model_fv_letrec(t):
+    acc = _MF[type(t.body)](t.body)
+    for _, rhs in t.clauses:
+        acc |= _MF[type(rhs)](rhs)
+    return acc - {n for n, _ in t.clauses}
+
+
+_MF = _Walk(
+    {
+        IntLit: lambda t: set(),
+        BoolLit: lambda t: set(),
+        Var: lambda t: {t.name},
+        Succ: lambda t: _MF[type(t.arg)](t.arg),
+        **dict.fromkeys(
+            (Add, Sub, Mul, Div, Eq),
+            lambda t: _MF[type(t.left)](t.left) | _MF[type(t.right)](t.right),
+        ),
+        If: lambda t: (
+            _MF[type(t.cond)](t.cond) | _MF[type(t.then)](t.then) | _MF[type(t.orelse)](t.orelse)
+        ),
+        Lam: lambda t: _MF[type(t.body)](t.body) - {t.param},
+        App: lambda t: _MF[type(t.fun)](t.fun) | _MF[type(t.arg)](t.arg),
+        Let: lambda t: _MF[type(t.rhs)](t.rhs) | (_MF[type(t.body)](t.body) - {t.name}),
+        LetRec: _model_fv_letrec,
+    }
+)
+
+
+# ---------------------------------------------------------------------------
 # Random object-language terms (possibly open, possibly ill-typed)
 
 
-def random_term(rng, depth, scope=(), counter=None):
+def random_term(rng, depth, scope=(), counter=None, pool=None):
+    """A random term whose variables name binders in `scope` or around
+    them. Every binder gets a name of its own, unless `pool` is given: then
+    binders draw their names from `pool`, so an inner one may shadow an
+    outer one, a variable may name any name of `pool`, bound or free, and
+    three more cases make a redex `App(Lam, arg)`, a division and an
+    equality test."""
     counter = counter if counter is not None else [0]
     if depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
-        if scope and roll < 0.5:
-            return Var(rng.choice(scope))
+        names = scope if pool is None else scope + tuple(pool)
+        if names and roll < 0.5:
+            return Var(rng.choice(names))
         if roll < 0.75:
             return IntLit(rng.randrange(10))
         return BoolLit(rng.random() < 0.5)
 
     def sub(extra=()):
-        return random_term(rng, depth - 1, scope + extra, counter)
+        return random_term(rng, depth - 1, scope + extra, counter, pool)
 
     def fresh_name():
+        if pool is not None:
+            return rng.choice(pool)
         counter[0] += 1
         return Source(f"n{counter[0]}")
 
-    match rng.randrange(8):
+    match rng.randrange(8 if pool is None else 11):
         case 0:
             return Add(sub(), sub())
         case 1:
@@ -310,10 +455,18 @@ def random_term(rng, depth, scope=(), counter=None):
             n = fresh_name()
             return Let(n, sub(), sub((n,)))
         case 7:
-            names = [fresh_name() for _ in range(rng.randrange(1, 3))]
+            # clause names are distinct
+            names = dict.fromkeys(fresh_name() for _ in range(rng.randrange(1, 3)))
             bound = tuple(names)
             clauses = tuple((n, sub(bound)) for n in names)
             return LetRec(clauses, sub(bound))
+        case 8:
+            n = fresh_name()
+            return App(Lam(n, sub((n,))), sub())
+        case 9:
+            return Div(sub(), sub())
+        case 10:
+            return Eq(sub(), sub())
 
 
 def rename_bound(term, counter=None):

@@ -26,6 +26,7 @@ from stagelet import (
     Name,
     ResidualBindings,
     Source,
+    StagingError,
     StepLimitExceeded,
     Sub,
     Succ,
@@ -56,6 +57,8 @@ from helpers import (
     check_record,
     gib,
     location_of,
+    model_eval_ast,
+    model_free_vars,
     random_term,
     records_of,
     rename_bound,
@@ -439,6 +442,154 @@ class TestEval:
         assert render_value(eval_ast(Lam(x, Var(x)), {})) == "<fun>"
 
 
+# names for terms with shadowing: two `Source`s, and two equal `Fresh` names
+# that render differently next to a third, so a walk that keeps the wrong
+# one of two equal names shows it in the rendered result
+SHADOWING_POOL = (
+    Source("a"), Source("b"), Fresh("_1", hint="h"), Fresh("_1"), Fresh("_2"),
+)
+
+
+def outcome(thunk, applications=2):
+    """What `thunk()` gives: a value; a StagingError's class and message; or,
+    for a function, the outcomes of applying it to 0 and to true, so a
+    closure is still exercised after its evaluation has returned."""
+    try:
+        v = thunk()
+    except StagingError as e:
+        return type(e), str(e)
+    if isinstance(v, VFun):
+        if not applications:
+            return "<fun>"
+        return tuple(
+            outcome(lambda a=a: v.fn(a), applications - 1) for a in (VInt(0), VBool(True))
+        )
+    return v
+
+
+class TestCheckWalksMatchTheirModels:
+    """`eval_ast` binds in place and `free_vars` fills one set; the copying
+    models in `helpers` are what they must equal: values, error classes and
+    messages, and the least step budget, which agrees when the outcomes
+    agree under every budget up to it."""
+
+    BUDGETS = (*range(30), 60)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_eval_ast_on_terms_with_shadowing(self, seed):
+        rng = random.Random(seed)
+        kinds = set()
+        for i in range(150):
+            t = random_term(rng, 5, pool=SHADOWING_POOL)
+            env = {SHADOWING_POOL[0]: VInt(3)} if i % 2 else {}
+            for budget in self.BUDGETS:
+                got = outcome(lambda: eval_ast(t, env, step_limit=budget))
+                assert got == outcome(lambda: model_eval_ast(t, env, step_limit=budget)), (
+                    t, budget,
+                )
+                if not isinstance(got, tuple):
+                    kinds.add(type(got))
+                elif isinstance(got[0], type):
+                    kinds.add(got[0])
+                else:
+                    kinds.add(VFun)
+        # the terms reach values, functions and every error class
+        assert kinds == {VInt, VBool, VFun, UnboundVariable, TypeMismatch, StepLimitExceeded}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_free_vars_on_terms_with_shadowing(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            t = random_term(rng, 5, pool=SHADOWING_POOL)
+            got, want = free_vars(t), model_free_vars(t)
+            assert got == want == bruteforce_free(t)
+            # of two equal names, the same object is kept
+            assert sorted(n.render() for n in got) == sorted(n.render() for n in want)
+
+    def test_a_closure_keeps_the_binding_it_was_made_under(self):
+        # let y = 5 in let f = fun _ -> y in let y = 1 in f 0
+        f = Source("f")
+        tree = Let(
+            y, IntLit(5), Let(f, Lam(z, Var(y)), Let(y, IntLit(1), App(Var(f), IntLit(0))))
+        )
+        assert eval_ast(tree) == model_eval_ast(tree) == VInt(5)
+
+    @pytest.mark.parametrize(
+        "tree, name",
+        [
+            # letrec f = fun _ -> y in let y = 1 in f 0
+            (
+                LetRec(
+                    ((Source("f"), Lam(z, Var(y))),),
+                    Let(y, IntLit(1), App(Var(Source("f")), IntLit(0))),
+                ),
+                "y",
+            ),
+            # letrec a = let y = 1 in f 0 and f = fun _ -> y in a
+            (
+                LetRec(
+                    (
+                        (Source("a"), Let(y, IntLit(1), App(Var(Source("f")), IntLit(0)))),
+                        (Source("f"), Lam(z, Var(y))),
+                    ),
+                    Var(Source("a")),
+                ),
+                "y",
+            ),
+            # letrec f = fun y -> g 0 and g = fun _ -> y in f 1: both
+            # functions close over one dict, so a call binds its parameter
+            # in a copy
+            (
+                LetRec(
+                    (
+                        (Source("f"), Lam(y, App(Var(Source("g")), IntLit(0)))),
+                        (Source("g"), Lam(z, Var(y))),
+                    ),
+                    App(Var(Source("f")), IntLit(1)),
+                ),
+                "y",
+            ),
+            # (let x = 1 in x) + x
+            (Add(Let(x, IntLit(1), Var(x)), Var(x)), "x"),
+        ],
+        ids=["letrec-body-let", "letrec-clause-let", "letrec-parameter", "let-body"],
+    )
+    def test_a_name_is_unbound_outside_its_binder(self, tree, name):
+        for evaluate in (eval_ast, model_eval_ast):
+            with pytest.raises(UnboundVariable, match=f"^unbound variable {name}$"):
+                evaluate(tree)
+
+    def test_a_host_function_that_catches_an_error_sees_the_outer_binding(self):
+        caught = []
+
+        def host(fail):
+            def then_read(read):
+                try:
+                    fail.fn(VInt(0))
+                except StagingError as e:
+                    caught.append(str(e))
+                return read.fn(VInt(0))
+
+            return VFun(then_read)
+
+        h = Source("h")
+        # let x = 5 in h (fun _ -> let x = 1 in x / 0) (fun _ -> x) + x
+        tree = Let(
+            x,
+            IntLit(5),
+            Add(
+                App(
+                    App(Var(h), Lam(z, Let(x, IntLit(1), Div(Var(x), IntLit(0))))),
+                    Lam(z, Var(x)),
+                ),
+                Var(x),
+            ),
+        )
+        for evaluate in (eval_ast, model_eval_ast):
+            assert evaluate(tree, {h: VFun(host)}) == VInt(10)
+        assert caught == ["division by zero"] * 2
+
+
 class MyVar(Var):
     """A user's subclass of `Var`: evaluated through the walk table."""
 
@@ -574,19 +725,33 @@ class TestHostStack:
             fn(tree)
 
     # Under pytest every walk handles chains of about 950; a walk that spends
-    # two host frames per tree level stops near 500.
+    # two host frames per tree level stops near 500. `eval_ast` and
+    # `free_vars` walk a redex `App(Lam, arg)`, two tree levels, in one frame.
+    WALKS = {
+        "pretty": pretty,
+        "to_sexp": to_sexp,
+        "free_vars": free_vars,
+        "alpha_eq": lambda t: alpha_eq(t, t),
+        "eval_ast": lambda t: eval_ast(t, {}),
+    }
+
     @pytest.mark.parametrize(
-        "fn",
-        [pretty, to_sexp, free_vars, lambda t: alpha_eq(t, t), lambda t: eval_ast(t, {})],
-        ids=["pretty", "to_sexp", "free_vars", "alpha_eq", "eval_ast"],
+        "chain, walk",
+        [
+            (c, w)
+            for c in ("add", "let")
+            for w in ("pretty", "to_sexp", "free_vars", "alpha_eq", "eval_ast")
+        ]
+        + [("redex", "free_vars"), ("redex", "eval_ast")],
+        ids=lambda p: p,
     )
-    @pytest.mark.parametrize("chain", ["add", "let"])
-    def test_depth_floor(self, fn, chain):
-        fn(add_chain(900) if chain == "add" else let_chain(900))
+    def test_depth_floor(self, chain, walk):
+        self.WALKS[walk]({"add": add_chain, "let": let_chain, "redex": redex_chain}[chain](900))
 
     def test_depth_floor_values(self):
         assert eval_ast(add_chain(900), {}) == VInt(sum(range(900)))
         assert eval_ast(let_chain(900), {}) == VInt(2 * 899)
+        assert eval_ast(redex_chain(900), {}) == VInt(2 * 899)
 
     @pytest.mark.parametrize(
         "call, bad",
@@ -599,10 +764,17 @@ class TestHostStack:
             (lambda: pretty(Lam(y, Let(IntLit(0), IntLit(1), Var(y)))), IntLit(0)),
             (lambda: to_sexp(LetRec((("f", IntLit(1)),), IntLit(2))), "f"),
             (lambda: eval_ast(LetRec(((2, IntLit(1)),), IntLit(2))), 2),
+            # the binder's key is read before its right-hand side runs
+            (lambda: eval_ast(Let(1, Div(IntLit(1), IntLit(0)), IntLit(2))), 1),
+            (lambda: eval_ast(App(Lam("x", IntLit(1)), Div(IntLit(1), IntLit(0)))), "x"),
+            (lambda: free_vars(Var("x")), "x"),
+            (lambda: free_vars(Lam("x", IntLit(1))), "x"),
+            (lambda: alpha_eq(Var("x"), Var("x")), "x"),
         ],
         ids=[
             "pretty-var", "to_sexp-var", "eval_ast-var", "eval_ast-lam", "eval_ast-let",
-            "pretty-let", "to_sexp-letrec", "eval_ast-letrec",
+            "pretty-let", "to_sexp-letrec", "eval_ast-letrec", "eval_ast-let-first",
+            "eval_ast-redex-first", "free_vars-var", "free_vars-lam", "alpha_eq-var",
         ],
     )
     def test_a_name_that_is_not_a_name_is_a_type_mismatch(self, call, bad):
@@ -636,6 +808,16 @@ def let_chain(n, step=lambda prev: Add(prev, IntLit(2))):
     for i in reversed(range(1, n)):
         tree = Let(names[i], step(Var(names[i - 1])), tree)
     return Let(names[0], IntLit(0), tree)
+
+
+def redex_chain(n, step=lambda prev: Add(prev, IntLit(2))):
+    """`let_chain(n, step)` with each let written as a redex: `(fun v0 ->
+    (fun v1 -> ... v(n-1)) (step(v0))) 0`."""
+    names = [Source(f"v{i}") for i in range(n)]
+    tree = Var(names[-1])
+    for i in reversed(range(1, n)):
+        tree = App(Lam(names[i], tree), step(Var(names[i - 1])))
+    return App(Lam(names[0], tree), IntLit(0))
 
 
 def concrete_node_classes():

@@ -40,6 +40,16 @@ class TestRun:
         assert invoke(capsys, "run", "t1") == (0, "3\n", "")
         assert invoke(capsys, "run", "ack2", "4") == (0, "11\n", "")
 
+    def test_least_step_budget_of_a_base_program(self, capsys):
+        # a base program runs on eval_ast, whose least budget for ack2 on 3
+        # is 89; the CLI-as-a-process CI step pins the same figure
+        assert invoke(capsys, "--step-limit", "89", "run", "ack2", "3") == (0, "9\n", "")
+        assert invoke(capsys, "--step-limit", "88", "run", "ack2", "3") == (
+            4,
+            "",
+            "error: step limit exceeded\n",
+        )
+
     def test_function_result(self, capsys):
         assert invoke(capsys, "run", "cgib5") == (0, "<fun>\n", "")
 
@@ -55,6 +65,9 @@ class TestRun:
 
 
 class TestCheck:
+    def test_letrec_code_is_closed(self, capsys):
+        assert invoke(capsys, "check", "cack2") == (0, "closed\n", "")
+
     def test_extruded_reports_free_names(self, capsys):
         code, out, err = invoke(capsys, "check", "clgib5-extruded")
         assert code == 2
