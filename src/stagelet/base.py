@@ -222,11 +222,12 @@ class Name:
 
         `Fresh` overrides it with its location string. A str caches its
         hash in the object, so a dict probe on a `Fresh` name's key makes
-        no Python-level `__hash__` call. Keys are exact: two `Fresh` names
-        are equal exactly when their location strings are, and a `Source`
-        never equals a str; a user's name class keeps that as long as its
-        names never equal a str. `free_vars` and `alpha_eq` key by it
-        too; Show's `Env` and insertion key by names."""
+        no Python-level `__hash__` call, and `Fresh.__hash__` returns that
+        same cached hash. Keys are exact: two `Fresh` names are equal
+        exactly when their location strings are, and a `Source` never
+        equals a str; a user's name class keeps that as long as its names
+        never equal a str. `free_vars` and `alpha_eq` key by it too; Show's
+        `Env` and insertion key by names."""
         return self
 
     def render(self) -> str:
@@ -275,29 +276,25 @@ class Fresh(Name):
     `path` is the location string (`Fresh("_1_2")`); anything else is
     refused. The optional hint changes only how the name renders; equality
     and hashing are on the location alone, so a hinted and an unhinted
-    reference to the same binding site stay interchangeable. The `path` slot overrides `Name.path`, so an
+    reference to the same binding site stay interchangeable. A name holds
+    these two slots and nothing else: its hash is its path's, which the str
+    computes once and keeps. The `path` slot overrides `Name.path`, so an
     evaluator's environment keys the name by its location string.
     """
 
-    __slots__ = ("path", "hint", "_hash")
+    __slots__ = ("path", "hint")
 
     def __init__(self, path, hint=None):
         if type(path) is not str:
             raise TypeMismatch(f"not a location: {path!r}")
         self.path = path
         self.hint = hint
-        self._hash = None
 
     def __eq__(self, other):
         return isinstance(other, Fresh) and self.path == other.path
 
     def __hash__(self):
-        # cached in a slot: a name meets a dict at every store, alias table
-        # and environment, and the slot read is cheaper than calling `hash`
-        # on the path each time
-        if self._hash is None:
-            self._hash = hash(self.path)
-        return self._hash
+        return hash(self.path)
 
     def render(self) -> str:
         # `v` and the location's digits, the bare hint at the root, or the
@@ -445,6 +442,9 @@ class LetRec(BaseAst):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         if not self.clauses:
             raise ValueError("letrec needs at least one clause")
+        for c in self.clauses:
+            if len(c) != 2:
+                raise TypeMismatch(f"not a letrec clause: {c!r}")
         names = [n for n, _ in self.clauses]
         for n in names:
             if not isinstance(n, Name):
@@ -780,7 +780,8 @@ class _RecCell:
 def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     """Call-by-value evaluation; aborts after step_limit beta/clause steps.
 
-    `env` maps Name to Value; a key that is not a Name raises TypeMismatch.
+    `env` maps Name to Value, as a mapping or pairs; anything else, or a key
+    that is not a Name, raises TypeMismatch.
     Free names not in `env` raise UnboundVariable. Inside, the environment
     is keyed by each name's `path`, so a variable read or a binding makes
     no Python-level `__hash__` call; `env` is converted once, here.
@@ -800,7 +801,11 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     budget = _Budget(step_limit)
     keyed = {}
     if env:
-        for name, value in dict(env).items():
+        try:
+            env = dict(env)
+        except (TypeError, ValueError):
+            raise TypeMismatch(f"not an environment: {env!r}") from None
+        for name, value in env.items():
             if not isinstance(name, Name):
                 raise TypeMismatch(f"not a name: {name!r}")
             keyed[name.path] = value

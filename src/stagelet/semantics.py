@@ -11,10 +11,10 @@ it is made in, and a call binds its parameter into a copy of that. The
 aliases of a binding class go into a table per `RunSemantics`, keyed by
 names and filled while the code is built, and the variable a request
 returns (`mk_request`) resolves its name through that table once. Show's
-is an `Env` that holds only alias redirects, keyed by names (ROADMAP item
-2 removes it), and only a request's variable reads it. Binary operators
-evaluate the left operand first; final results must not depend on that
-order.
+is an `Env` that holds only alias redirects, keyed by names, each entry the
+target name itself (ROADMAP item 2 removes it), and only a request's
+variable reads it. Binary operators evaluate the left operand first; final
+results must not depend on that order.
 
 Run's booleans are two shared values, `TRUE` and `FALSE`: a comparison and
 a boolean literal evaluate to one of them, and an `if` tests its condition
@@ -59,21 +59,13 @@ from .base import (
 MISSING = object()
 
 
-class _Redirect:
-    """Alias entry: lookups of the alias resolve to the target name."""
-
-    __slots__ = ("target",)
-
-    def __init__(self, target):
-        self.target = target
-
-    def __repr__(self):
-        return f"_Redirect({self.target!r})"
-
-
 class Env:
     """Immutable finite map from names to semantic values; Show uses it as
     its alias map, Run not at all.
+
+    A redirect's entry is its target name itself, and `extend` boxes its
+    value in a one-element tuple. A target is always a `Name`, never a
+    tuple, so `lookup` tells the two apart by type.
 
     Extension and redirection return new maps; the original is unchanged.
     `extend` copies the map once. `redirect` copies nothing: it returns a
@@ -88,14 +80,6 @@ class Env:
     def __init__(self):
         self._entries = {}
         self._parent = self._key = self._value = None
-
-    @classmethod
-    def _of(cls, entries):
-        """An env over `entries`, which the caller hands over uncopied."""
-        env = object.__new__(cls)
-        env._entries = entries
-        env._parent = env._key = env._value = None
-        return env
 
     def _flat(self):
         """This env's entries as one dict, flattened and cached on first use."""
@@ -115,16 +99,16 @@ class Env:
         return entries
 
     def extend(self, name, value) -> "Env":
-        new = dict(self._flat())
-        new[name] = value
-        return Env._of(new)
+        env = Env()
+        env._entries = {**self._flat(), name: (value,)}
+        return env
 
     def redirect(self, alias, representative) -> "Env":
         env = object.__new__(Env)
         env._entries = None
         env._parent = self
         env._key = alias
-        env._value = _Redirect(representative)
+        env._value = representative
         return env
 
     def lookup(self, name):
@@ -137,10 +121,11 @@ class Env:
             entries = self._flat()
         while True:
             v = entries.get(name, MISSING)
-            if isinstance(v, _Redirect):
-                name = v.target
-                continue
-            return name, v
+            if v is MISSING:
+                return name, v
+            if type(v) is tuple:
+                return name, v[0]
+            name = v
 
     def __repr__(self):
         return f"Env({self._flat()!r})"

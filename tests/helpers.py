@@ -32,6 +32,7 @@ from stagelet import (
     VInt,
     cadd,
     capp,
+    cdiv,
     ceq,
     cif,
     cint,
@@ -177,6 +178,55 @@ def cack(depth):
         return genletrec(l, depth, ack(depth))
 
     return with_locus_rec(gen)
+
+
+def cdfa(delta, accept):
+    """A staged automaton over decimal digits: one mutually recursive clause
+    per state under one letrec locus, keyed by the state, so its call graph
+    has the automaton's cycles. The clause of state s, on n, returns 1 if n
+    is 0 and s is in `accept`, 0 if n is 0 otherwise, and else reads n's
+    lowest digit d as `n - n / 10 * 10` and calls the clause of state
+    `delta[s][d]` on `n / 10`. The code is the clause of state 0; `dfa` is
+    its host reference."""
+
+    def gen(l):
+        def state(s):
+            def step(q, d, i):
+                call = capp(genletrec(l, delta[s][i], state(delta[s][i])), q)
+                if i == len(delta[s]) - 1:
+                    return call
+                return cif(ceq(d, cint(i)), call, step(q, d, i + 1))
+
+            return clam(
+                lambda n: cif(
+                    ceq(n, cint(0)),
+                    cint(int(s in accept)),
+                    clet(
+                        cdiv(n, cint(10)),
+                        lambda q: clet(csub(n, cmul(q, cint(10))), lambda d: step(q, d, 0)),
+                    ),
+                )
+            )
+
+        return genletrec(l, 0, state(0))
+
+    return with_locus_rec(gen)
+
+
+def dfa(delta, accept, n):
+    """What `cdfa(delta, accept)` computes on n, as a host loop."""
+    s = 0
+    while n:
+        n, d = divmod(n, 10)
+        s = delta[s][d]
+    return int(s in accept)
+
+
+def random_dfa(rng, states):
+    """A random 10-symbol transition table over `states` states and a random
+    set of accepting states."""
+    delta = [[rng.randrange(states) for _ in range(10)] for _ in range(states)]
+    return delta, {s for s in range(states) if rng.random() < 0.5}
 
 
 def cpoly(n):

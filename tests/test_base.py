@@ -122,6 +122,13 @@ class TestNames:
         assert name == Fresh("_1_2")
         assert hash(name) == hash(name) == hash(Fresh("_1_2"))
 
+    def test_a_fresh_name_is_its_path_and_hint_and_hashes_as_its_path(self):
+        assert Fresh.__slots__ == ("path", "hint")
+        for path in ("", "_1", "_4_0_17"):
+            hinted, plain = Fresh(path, hint="acc"), Fresh(path)
+            assert hash(plain) == hash(path)
+            assert hinted == plain and hash(hinted) == hash(plain)
+
     def test_rendering(self):
         assert Fresh("_1_2").render() == "v1_2"
         assert Fresh("").render() == "v"
@@ -379,6 +386,11 @@ class TestEval:
         for tree in (IntLit(0), Var(Fresh("_1"))):
             with pytest.raises(TypeMismatch, match=rf"^not a name: {re.escape(repr(key))}$"):
                 eval_ast(tree, {key: VInt(1)})
+
+    @pytest.mark.parametrize("env", [[1], 5, [(x, VInt(1), 2)]], ids=["list", "int", "triple"])
+    def test_an_env_that_is_not_a_mapping_is_refused(self, env):
+        with pytest.raises(TypeMismatch, match=f"^not an environment: {re.escape(repr(env))}$"):
+            eval_ast(Var(x), env)
 
     def test_gib5_against_direct_recursion(self):
         tree = gib5_ast()
@@ -978,6 +990,15 @@ class TestRecords:
             LetRec([], Var(x))
         with pytest.raises(ValueError, match="distinct"):
             LetRec([(x, IntLit(1)), (x, IntLit(2))], Var(x))
+
+    @pytest.mark.parametrize(
+        "clause",
+        [(x,), (x, IntLit(1), IntLit(2)), ()],
+        ids=["one item", "three items", "empty"],
+    )
+    def test_letrec_refuses_a_clause_that_is_not_a_pair(self, clause):
+        with pytest.raises(TypeMismatch, match=f"^not a letrec clause: {re.escape(repr(clause))}$"):
+            LetRec((clause,), IntLit(1))
 
     @pytest.mark.parametrize("bad", [["f"], "f", 2], ids=["list", "str", "int"])
     def test_letrec_refuses_a_clause_name_that_is_not_a_name(self, bad):

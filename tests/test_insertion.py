@@ -28,6 +28,7 @@ from stagelet import (
     VInt,
     Var,
     alpha_eq,
+    apply_ints,
     cadd,
     capp,
     cbool,
@@ -72,10 +73,13 @@ from helpers import (
     binders,
     build_code,
     cack,
+    cdfa,
     check_record,
     clgib,
+    dfa,
     count_lets,
     gib,
+    random_dfa,
     random_plan,
     records_of,
 )
@@ -1060,3 +1064,44 @@ class TestAliasClasses:
             body = random_plan(rng, rng.randrange(2, 6), in_locus=True, allow_locus=True)
             show(build_code(("locus", body), LEFT_FIRST))
         assert self.check(binds) > 0
+
+
+def _reachable(delta):
+    """The states reachable from state 0 of transition table `delta`."""
+    seen, todo = {0}, [0]
+    while todo:
+        for t in delta[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+class TestStagedAutomata:
+    """`cdfa`: cyclic mutual recursion at one letrec locus, one clause per
+    reachable state, against the host loop `dfa`."""
+
+    def test_run_agrees_with_the_host_at_a_thousand_states(self):
+        rng = random.Random(5)
+        delta, accept = random_dfa(rng, 1000)
+        value = run(cdfa(delta, accept))
+        for _ in range(200):
+            n = rng.randrange(10 ** rng.randrange(1, 9))
+            assert apply_ints(value, (n,)) == VInt(dfa(delta, accept, n)), n
+
+    @pytest.mark.parametrize("states", [20, 50])
+    def test_run_show_and_the_host_agree(self, states):
+        rng = random.Random(states)
+        delta, accept = random_dfa(rng, states)
+        value = run(cdfa(delta, accept))
+        tree = show(cdfa(delta, accept))
+        assert type(tree) is LetRec
+        assert len(tree.clauses) == len(_reachable(delta))
+        assert free_vars(tree) == set()
+        shown = eval_ast(tree)
+        wants = set()
+        for n in [0, 9, 10, *(rng.randrange(10**8) for _ in range(100))]:
+            want = VInt(dfa(delta, accept, n))
+            assert value.fn(VInt(n)) == shown.fn(VInt(n)) == want, n
+            wants.add(want)
+        assert wants == {VInt(0), VInt(1)}

@@ -94,6 +94,20 @@ class TestEnv:
         e = EMPTY_ENV.extend(x, VInt(9)).redirect(y, x)
         assert e.lookup(y) == (x, VInt(9))
 
+    @pytest.mark.parametrize("value", [y, (y,), None], ids=["name", "tuple", "none"])
+    def test_an_extended_value_is_never_followed(self, value):
+        # a value that is a name or a tuple reads back as itself, never as a
+        # redirect to follow or a box to open, and None is not MISSING
+        def reads(env, name):
+            got_name, got = env.lookup(name)
+            assert got_name == x and got is value
+
+        e = EMPTY_ENV.extend(x, value)
+        reads(e, x)
+        reads(e.redirect(f, x).redirect(n, f), n)
+        reads(EMPTY_ENV.redirect(x, y).extend(x, value), x)
+        reads(EMPTY_ENV.extend(y, VInt(1)).redirect(x, y).extend(x, value), x)
+
     def test_equal_envs(self):
         # built along different paths, two envs read alike on every name
         e1 = EMPTY_ENV.extend(x, VInt(1)).extend(y, VInt(2))
