@@ -439,7 +439,9 @@ class LetRec(BaseAst):
     body: BaseAst
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        # `clauses` itself goes through `_clause` too, so a non-iterable
+        # one is refused like a non-iterable clause
+        object.__setattr__(self, "clauses", tuple(map(_clause, _clause(self.clauses))))
         if not self.clauses:
             raise ValueError("letrec needs at least one clause")
         for c in self.clauses:
@@ -451,6 +453,15 @@ class LetRec(BaseAst):
                 raise TypeMismatch(f"not a name: {n!r}")
         if len(set(names)) != len(names):
             raise ValueError("letrec clause names must be distinct")
+
+
+def _clause(c):
+    """Letrec clause `c` as a tuple, or a TypeMismatch if it is not
+    iterable."""
+    try:
+        return tuple(c)
+    except TypeError:
+        raise TypeMismatch(f"not a letrec clause: {c!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +698,40 @@ _F = _Walk(
 def alpha_eq(a: BaseAst, b: BaseAst) -> bool:
     """Equality up to consistent renaming of bound names. Names are
     compared by key (`name.path`), so a name field that is not a `Name`
-    raises TypeMismatch."""
+    raises TypeMismatch.
+
+    The two renaming maps, `ab` from a's keys to b's and `ba` back, are
+    bound in place, as `eval_ast` binds its environment: a binder writes
+    its pair into both, compares what it scopes, and on leaving puts back
+    the entries it shadowed (`_unbind`). So a chain of binders copies
+    nothing, where a copy of both maps per binder made it quadratic in its
+    depth. An exception leaves the maps as they are, since nothing reads
+    them after one."""
     with _HostStack("alpha_eq"):
         return _alpha(a, b, {}, {})
+
+
+def _bind(ab, ba, pairs):
+    """Bind each key pair (n, m) of `pairs`, n to m in `ab` and m to n in
+    `ba`; the entries they shadow, for `_unbind`."""
+    saved = [(n, ab.get(n, _UNBOUND), m, ba.get(m, _UNBOUND)) for n, m in pairs]
+    for n, m in pairs:
+        ab[n] = m
+        ba[m] = n
+    return saved
+
+
+def _unbind(ab, ba, saved):
+    """Put back what `_bind` shadowed, deleting a key it found unbound."""
+    for n, old_m, m, old_n in reversed(saved):
+        if old_m is _UNBOUND:
+            del ab[n]
+        else:
+            ab[n] = old_m
+        if old_n is _UNBOUND:
+            del ba[m]
+        else:
+            ba[m] = old_n
 
 
 def _alpha(a, b, ab, ba):
@@ -713,24 +755,31 @@ def _alpha(a, b, ab, ba):
                 and _alpha(t1, t2, ab, ba)
                 and _alpha(e1, e2, ab, ba)
             )
+        # a binder binds, compares and unbinds in its own frame, so a
+        # chain of binders takes one host frame per level
         case (Lam(n, x), Lam(m, y)):
-            n, m = n.path, m.path
-            return _alpha(x, y, {**ab, n: m}, {**ba, m: n})
+            saved = _bind(ab, ba, ((n.path, m.path),))
+            same = _alpha(x, y, ab, ba)
+            _unbind(ab, ba, saved)
+            return same
         case (Let(n, r1, b1), Let(m, r2, b2)):
-            n, m = n.path, m.path
-            return _alpha(r1, r2, ab, ba) and _alpha(
-                b1, b2, {**ab, n: m}, {**ba, m: n}
-            )
+            pair = n.path, m.path
+            if not _alpha(r1, r2, ab, ba):
+                return False
+            saved = _bind(ab, ba, (pair,))
+            same = _alpha(b1, b2, ab, ba)
+            _unbind(ab, ba, saved)
+            return same
         case (LetRec(c1, b1), LetRec(c2, b2)):
             if len(c1) != len(c2):
                 return False
-            ab2, ba2 = dict(ab), dict(ba)
-            for (n, _), (m, _) in zip(c1, c2):
-                ab2[n.path] = m.path
-                ba2[m.path] = n.path
-            return all(
-                _alpha(r1, r2, ab2, ba2) for (_, r1), (_, r2) in zip(c1, c2)
-            ) and _alpha(b1, b2, ab2, ba2)
+            pairs = [(n.path, m.path) for (n, _), (m, _) in zip(c1, c2)]
+            saved = _bind(ab, ba, pairs)
+            same = all(
+                _alpha(r1, r2, ab, ba) for (_, r1), (_, r2) in zip(c1, c2)
+            ) and _alpha(b1, b2, ab, ba)
+            _unbind(ab, ba, saved)
+            return same
     # different kinds, or a side the walks reject (a bare `BinOp` too)
     for t in (a, b):
         if _P[type(t)] is _not_a_tree:
@@ -780,8 +829,9 @@ class _RecCell:
 def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     """Call-by-value evaluation; aborts after step_limit beta/clause steps.
 
-    `env` maps Name to Value, as a mapping or pairs; anything else, or a key
-    that is not a Name, raises TypeMismatch.
+    `env` maps Name to Value, as a mapping or pairs, and None is no
+    environment; anything else, or a key that is not a Name, raises
+    TypeMismatch.
     Free names not in `env` raise UnboundVariable. Inside, the environment
     is keyed by each name's `path`, so a variable read or a binding makes
     no Python-level `__hash__` call; `env` is converted once, here.
@@ -800,7 +850,7 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     _expect_limit(step_limit)
     budget = _Budget(step_limit)
     keyed = {}
-    if env:
+    if env is not None:
         try:
             env = dict(env)
         except (TypeError, ValueError):

@@ -32,9 +32,15 @@ from .insertion import (
     DEFAULT_CANON_LIMIT,
     EMPTY_BINDINGS,
     EMPTY_PER_LOCUS,
+    BindingClass,
     Locus,
     Pending,
     ResidualBindings,
+    _EMPTY_LOG,
+    _new,
+    _set_log,
+    _set_name,
+    _set_rhs,
     addb,
     bind_letrec,
     bind_lets,
@@ -351,8 +357,14 @@ class _GenLet(_Node):
         name = Fresh(loc, self.hint)
         d, v = self.code._build(ctx, loc + "_2")
         at = self.locus.location
-        # a dict also when `v` is the read-only EMPTY_BINDINGS, and cheaper
-        # than spreading that mapping into a dict display
+        if not v:
+            # nothing to fold into: the one-class store, made as `addb`
+            # makes its class, without a frame
+            cls = _new(BindingClass)
+            _set_name(cls, name)
+            _set_rhs(cls, d)
+            _set_log(cls, _EMPTY_LOG)
+            return ctx.sem.mk_request(name), {at: {self.key: cls}}
         bindings = v.copy()
         bindings[at] = addb(self.key, name, d, v.get(at, EMPTY_PER_LOCUS))
         return ctx.sem.mk_request(name), bindings

@@ -7,6 +7,13 @@ insertion-ordered dict from memo key to `BindingClass`. The bindings of a
 code value are an insertion-ordered dict from locus location to store, and no
 store in it is empty. Both are immutable by convention: every operation
 returns a new dict and never writes into one it was given.
+
+The fold rule, by which a request for a key already present becomes an
+alias of that key's class, is written once, in `_fold`: one loop that folds
+a store into a dict in place, making each folded class without a Python
+frame. `addb`, `merge` and `canon` all fold through it. `canon` finds the
+next class to force with one forward cursor over its locus's keys, so a
+letrec locus costs time linear in its clauses.
 """
 
 from __future__ import annotations
@@ -114,13 +121,15 @@ class BindingClass(metaclass=_Record):
 
 def _requests(cls: BindingClass):
     """The aliases of `cls` as the keys of a dict, in request order: a fold
-    node's earlier log, then its request name, then the incoming log. Each
-    node is visited once, so a log shared by two folded classes is read
-    once; a frozenset log is returned as it is."""
+    node's earlier log, then its request name, then the incoming log. The
+    walk is iterative and visits each node once, so a log shared by two
+    folded classes is read once; it lists the names as it meets them and
+    drops repeats once, at the end (`dict.fromkeys`). A frozenset log is
+    returned as it is."""
     node = cls.log
     if type(node) is frozenset:
         return node
-    names, seen, stack = {}, set(), []
+    names, seen, stack = [], set(), []
     while True:
         # descend the earlier logs to the first request not yet read
         while type(node) is tuple and id(node) not in seen:
@@ -128,45 +137,71 @@ def _requests(cls: BindingClass):
             stack.append(node)
             node = node[2]
         if type(node) is frozenset:
-            for n in node:
-                names[n] = None
+            names.extend(node)
         if not stack:
             break
         name, node, _ = stack.pop()
-        names[name] = None
+        names.append(name)
+    names = dict.fromkeys(names)
     names.pop(cls.name, None)
     return names
+
+
+# `BindingClass(name, rhs, log)` without the Python frame of its `__init__`:
+# `_new(BindingClass)`, then the three slot setters. A build makes one class
+# per request and one per fold, so the frame is worth saving
+_new = object.__new__
+_set_name = BindingClass.name.__set__
+_set_rhs = BindingClass.rhs.__set__
+_set_log = BindingClass.log.__set__
+
+
+def _fold(classes, incoming):
+    """Fold store `incoming` into the dict `classes`, in place, in
+    `incoming`'s order: the fold rule's one writer. A new key enters last;
+    a class already there keeps its name, logs the incoming name and log
+    after its own log as the node `(name, incoming log, earlier log)`, and
+    keeps its right-hand side unless only the incoming one is forced. A
+    class found on both sides is kept as it is: folding it into itself adds
+    no name."""
+    for key, cls in incoming.items():
+        existing = classes.get(key)
+        if existing is None:
+            classes[key] = cls
+        elif existing is not cls:
+            folded = _new(BindingClass)
+            _set_name(folded, existing.name)
+            rhs = existing.rhs
+            if isinstance(rhs, Pending) and not isinstance(cls.rhs, Pending):
+                rhs = cls.rhs
+            _set_rhs(folded, rhs)
+            _set_log(folded, (cls.name, cls.log, existing.log))
+            classes[key] = folded
 
 
 # the store of a locus with no requests; shared, so read-only
 EMPTY_PER_LOCUS = MappingProxyType({})
 
 
-def _fold(existing: BindingClass, name, rhs, log) -> BindingClass:
-    """`existing` after absorbing a class with the given fields: it keeps its
-    name, logs the incoming name and log after its own log, and keeps its
-    right-hand side unless only the incoming one is forced."""
-    if isinstance(existing.rhs, Pending) and not isinstance(rhs, Pending):
-        kept = rhs
-    else:
-        kept = existing.rhs
-    return BindingClass(existing.name, kept, (name, log, existing.log))
-
-
 def addb(key, name, rhs, store):
-    """Add one requested binding of `name` to `rhs` under memo key `key`.
+    """Add one requested binding of `name` to `rhs` under memo key `key`: a
+    new class, made without a frame, entered into a copy of `store`, or
+    folded into the class there by `_fold`.
 
     An existing class for the key logs the name as an alias and keeps its
     own right-hand side; a new key enters greater than everything present.
     So the key order is the whole binding preorder: the bindings a
     right-hand side requested were inserted before its own key.
     """
-    existing = store.get(key)
+    cls = _new(BindingClass)
+    _set_name(cls, name)
+    _set_rhs(cls, rhs)
+    _set_log(cls, _EMPTY_LOG)
     classes = dict(store)
-    if existing is None:
-        classes[key] = BindingClass(name, rhs)
+    if key in classes:
+        _fold(classes, {key: cls})
     else:
-        classes[key] = _fold(existing, name, rhs, _EMPTY_LOG)
+        classes[key] = cls
     return classes
 
 
@@ -184,10 +219,9 @@ def without(bindings, loc):
 
 
 def merge(v1, v2):
-    """Fold the classes of v2 into v1, locus by locus, each locus traversed
-    in v2's binding order, so v2's newcomers end up after everything in v1.
-    A class found in both is kept as it is: folding it into itself adds no
-    name."""
+    """Fold the classes of v2 into v1, locus by locus (`_fold` on a copy of
+    v1's store), each locus traversed in v2's binding order, so v2's
+    newcomers end up after everything in v1."""
     if not v2:
         return v1
     if not v1:
@@ -199,12 +233,7 @@ def merge(v1, v2):
             stores[loc] = incoming
             continue
         classes = dict(store)
-        for key, cls in incoming.items():
-            existing = classes.get(key)
-            if existing is None:
-                classes[key] = cls
-            elif existing is not cls:
-                classes[key] = _fold(existing, cls.name, cls.rhs, cls.log)
+        _fold(classes, incoming)
         stores[loc] = classes
     return stores
 
@@ -250,24 +279,47 @@ def canon(bindings, loc, round_limit=DEFAULT_CANON_LIMIT):
     """Force pending right-hand sides at `loc` until all classes there are
     canonical, merging whatever bindings each forcing produces.
 
-    Forcing a pending class may request the same key again; the merge folds
-    that re-occurrence into the now-canonical class, which is what lets the
-    process terminate. Picks the earliest pending key in insertion order;
-    aborts after `round_limit` forcings, or never if it is None.
+    Forcing a pending class may request the same key again; the fold logs
+    that re-occurrence in the now-canonical class, which is what lets the
+    process terminate. Each round forces the earliest pending key in
+    insertion order; aborts after `round_limit` forcings, or never if it is
+    None. Returns `bindings` itself when nothing at `loc` is pending.
+
+    One forward cursor finds that key. The store of `loc` is copied once;
+    each round folds the classes it produced at `loc` into that copy in
+    place (`_fold`), appending new keys to the key list, and passes those
+    produced for other loci through `merge`. A forced class stays forced,
+    since a fold keeps a forced right-hand side over a pending one, and a
+    new key enters last: so no pending key ever lies behind the cursor, and
+    a locus of n clauses costs O(n) besides the forcings.
     """
-    current = bindings
+    store = bindings.get(loc, EMPTY_PER_LOCUS)
+    keys = list(store)
+    i, n = 0, len(keys)
+    while i < n and not isinstance(store[keys[i]].rhs, Pending):
+        i += 1
+    if i == n:
+        return bindings
+    classes = dict(store)
+    current = {**bindings, loc: classes}
     rounds = 0
-    while True:
-        store = current.get(loc, EMPTY_PER_LOCUS)
-        pending_keys = [k for k, cls in store.items() if isinstance(cls.rhs, Pending)]
-        if not pending_keys:
-            return current
+    while i < n:
         if round_limit is not None and rounds >= round_limit:
-            raise CanonLimitExceeded(loc, pending_keys)
-        key = pending_keys[0]
-        cls = store[key]
+            pending = [k for k in keys[i:] if isinstance(classes[k].rhs, Pending)]
+            raise CanonLimitExceeded(loc, pending)
+        key = keys[i]
+        cls = classes[key]
         den, produced = cls.rhs.force()
-        classes = dict(store)
         classes[key] = BindingClass(cls.name, den, cls.log)
-        current = merge({**current, loc: classes}, produced)
+        incoming = produced.get(loc)
+        if incoming is not None:
+            keys.extend(k for k in incoming if k not in classes)
+            n = len(keys)
+            _fold(classes, incoming)
+            produced = without(produced, loc)
+        # the other loci, once a round: `current` keeps `classes` at `loc`
+        current = merge(current, produced)
         rounds += 1
+        while i < n and not isinstance(classes[keys[i]].rhs, Pending):
+            i += 1
+    return current

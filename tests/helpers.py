@@ -11,6 +11,7 @@ import pytest
 from stagelet import (
     Add,
     App,
+    BinOp,
     BoolLit,
     Div,
     Eq,
@@ -46,18 +47,29 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
+from stagelet import insertion
 from stagelet.base import (
     DEFAULT_STEP_LIMIT,
     _as_int,
     _Budget,
     _expect_limit,
     _HostStack,
+    _P,
     _RecCell,
     _Record,
     _Walk,
+    _not_a_tree,
 )
 from stagelet.codec import CodeValue
-from stagelet.insertion import EMPTY_BINDINGS, merge
+from stagelet.insertion import (
+    DEFAULT_CANON_LIMIT,
+    EMPTY_BINDINGS,
+    EMPTY_PER_LOCUS,
+    BindingClass,
+    CanonLimitExceeded,
+    Pending,
+    merge,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +225,40 @@ def cdfa(delta, accept):
     return with_locus_rec(gen)
 
 
+def _balanced_sum(terms):
+    """The sum of code values `terms` as a balanced tree of `cadd`s, so its
+    depth is logarithmic in their number."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return cadd(_balanced_sum(terms[:mid]), _balanced_sum(terms[mid:]))
+
+
+def cwide(n):
+    """n clauses under one letrec locus inside a function of x: clause i is
+    `fun y -> y + i`, and an odd clause also adds its call of clause i - 1
+    on y. The body is the balanced sum of every clause applied to x, keyed
+    by its index; `wide` is its host reference."""
+
+    def gen(l, x):
+        def clause(i):
+            if i % 2 == 0:
+                return clam(lambda y: cadd(y, cint(i)))
+            return clam(
+                lambda y: cadd(cadd(y, cint(i)), capp(genletrec(l, i - 1, clause(i - 1)), y))
+            )
+
+        return _balanced_sum([capp(genletrec(l, i, clause(i)), x) for i in range(n)])
+
+    return clam(lambda x: with_locus_rec(lambda l: gen(l, x)))
+
+
+def wide(n, x):
+    """What `cwide(n)` computes on x: each clause is x + i, and an odd one
+    adds x + i - 1."""
+    return sum(x + i if i % 2 == 0 else 2 * x + 2 * i - 1 for i in range(n))
+
+
 def dfa(delta, accept, n):
     """What `cdfa(delta, accept)` computes on n, as a host loop."""
     s = 0
@@ -337,9 +383,10 @@ def bruteforce_free(tree):
 
 # ---------------------------------------------------------------------------
 # Copying models of the check walks: `eval_ast` with a fresh environment dict
-# at every let and call, and `free_vars` as a union of one set per node, as
-# both were before they bound in place and filled one set. The walks in
-# `base` must agree with them exactly.
+# at every let and call, `free_vars` as a union of one set per node, and
+# `alpha_eq` with renaming maps copied at every binder, as each was before it
+# bound in place or filled one set. The walks in `base` must agree with them
+# exactly.
 
 
 def model_eval_ast(ast, env=None, step_limit=DEFAULT_STEP_LIMIT):
@@ -455,6 +502,85 @@ _MF = _Walk(
         LetRec: _model_fv_letrec,
     }
 )
+
+
+def model_alpha_eq(a, b):
+    """`alpha_eq` with copied renaming maps: a binder compares what it
+    scopes under `{**ab, n: m}` and `{**ba, m: n}`."""
+    with _HostStack("alpha_eq"):
+        return _model_alpha(a, b, {}, {})
+
+
+def _model_alpha(a, b, ab, ba):
+    match a, b:
+        case (IntLit(x), IntLit(y)) | (BoolLit(x), BoolLit(y)):
+            return x == y
+        case (Var(n), Var(m)):
+            n, m = n.path, m.path
+            if n in ab or m in ba:
+                return ab.get(n) == m and ba.get(m) == n
+            return n == m
+        case (Succ(x), Succ(y)):
+            return _model_alpha(x, y, ab, ba)
+        case (BinOp(x1, x2), BinOp(y1, y2)) | (App(x1, x2), App(y1, y2)) if (
+            type(a) is type(b) and _P[type(a)] is not _not_a_tree
+        ):
+            return _model_alpha(x1, y1, ab, ba) and _model_alpha(x2, y2, ab, ba)
+        case (If(c1, t1, e1), If(c2, t2, e2)):
+            return (
+                _model_alpha(c1, c2, ab, ba)
+                and _model_alpha(t1, t2, ab, ba)
+                and _model_alpha(e1, e2, ab, ba)
+            )
+        case (Lam(n, x), Lam(m, y)):
+            n, m = n.path, m.path
+            return _model_alpha(x, y, {**ab, n: m}, {**ba, m: n})
+        case (Let(n, r1, b1), Let(m, r2, b2)):
+            n, m = n.path, m.path
+            return _model_alpha(r1, r2, ab, ba) and _model_alpha(
+                b1, b2, {**ab, n: m}, {**ba, m: n}
+            )
+        case (LetRec(c1, b1), LetRec(c2, b2)):
+            if len(c1) != len(c2):
+                return False
+            ab2, ba2 = dict(ab), dict(ba)
+            for (n, _), (m, _) in zip(c1, c2):
+                ab2[n.path] = m.path
+                ba2[m.path] = n.path
+            return all(
+                _model_alpha(r1, r2, ab2, ba2) for (_, r1), (_, r2) in zip(c1, c2)
+            ) and _model_alpha(b1, b2, ab2, ba2)
+    for t in (a, b):
+        if _P[type(t)] is _not_a_tree:
+            _not_a_tree(t)
+    return False
+
+
+# ---------------------------------------------------------------------------
+# The rescanning `canon`, as it was before it walked one cursor: each round
+# scans the whole store for its earliest pending key and copies the store and
+# the map of loci. `insertion.canon` must agree with it exactly. It calls
+# `merge` through the module, as the library does, so a patch of
+# `insertion.merge` counts its calls too.
+
+
+def model_canon(bindings, loc, round_limit=DEFAULT_CANON_LIMIT):
+    current = bindings
+    rounds = 0
+    while True:
+        store = current.get(loc, EMPTY_PER_LOCUS)
+        pending_keys = [k for k, cls in store.items() if isinstance(cls.rhs, Pending)]
+        if not pending_keys:
+            return current
+        if round_limit is not None and rounds >= round_limit:
+            raise CanonLimitExceeded(loc, pending_keys)
+        key = pending_keys[0]
+        cls = store[key]
+        den, produced = cls.rhs.force()
+        classes = dict(store)
+        classes[key] = BindingClass(cls.name, den, cls.log)
+        current = insertion.merge({**current, loc: classes}, produced)
+        rounds += 1
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,13 @@ from helpers import (
     check_record,
     gib,
     location_of,
+    model_alpha_eq,
     model_eval_ast,
     model_free_vars,
     random_term,
     records_of,
     rename_bound,
+    subtrees,
 )
 
 x, y, z = Source("x"), Source("y"), Source("z")
@@ -392,6 +394,19 @@ class TestEval:
         with pytest.raises(TypeMismatch, match=f"^not an environment: {re.escape(repr(env))}$"):
             eval_ast(Var(x), env)
 
+    @pytest.mark.parametrize("env", [0, False, 0.0], ids=["zero", "false", "float"])
+    def test_a_falsy_env_that_is_not_a_mapping_is_refused(self, env):
+        # only None means no environment; a falsy value is checked as any
+        # other
+        with pytest.raises(TypeMismatch, match=f"^not an environment: {re.escape(repr(env))}$"):
+            eval_ast(IntLit(1), env)
+
+    @pytest.mark.parametrize("env", [None, {}, [], ()], ids=["none", "dict", "list", "tuple"])
+    def test_no_environment_and_the_empty_ones(self, env):
+        assert eval_ast(IntLit(1), env) == VInt(1)
+        with pytest.raises(UnboundVariable):
+            eval_ast(Var(x), env)
+
     def test_gib5_against_direct_recursion(self):
         tree = gib5_ast()
         for xv in range(4):
@@ -507,6 +522,41 @@ class TestCheckWalksMatchTheirModels:
                     kinds.add(VFun)
         # the terms reach values, functions and every error class
         assert kinds == {VInt, VBool, VFun, UnboundVariable, TypeMismatch, StepLimitExceeded}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_alpha_eq_on_terms_with_shadowing(self, seed):
+        # a pair drawn from one seed over two orderings of the pool has one
+        # shape, its names swapped by a bijection: alpha-equal when only
+        # bound names differ
+        rng = random.Random(seed)
+        swapped = SHADOWING_POOL[::-1]
+        answers, letrecs, previous = [], 0, IntLit(0)
+        for _ in range(300):
+            draw = rng.random()
+            t = random_term(random.Random(draw), 5, pool=SHADOWING_POOL)
+            u = random_term(random.Random(draw), 5, pool=swapped)
+            letrecs += any(isinstance(s, LetRec) for s in subtrees(t))
+            for a, b in ((t, u), (u, t), (t, rename_bound(t)), (t, t), (t, previous)):
+                got = outcome(lambda: alpha_eq(a, b))
+                assert got == outcome(lambda: model_alpha_eq(a, b)), (a, b)
+                answers.append(got)
+            previous = t
+        assert answers.count(True) > 600 and answers.count(False) > 300
+        assert letrecs > 50
+
+    def test_alpha_eq_restores_the_maps_it_binds_into(self):
+        # a binder's pair must be gone once it is left: here the outer x
+        # pairs with y, the inner z with x, and the last Var(x) is back
+        # under the outer pairing
+        a = Lam(x, Add(Let(z, IntLit(1), Var(z)), Var(x)))
+        b = Lam(y, Add(Let(x, IntLit(1), Var(x)), Var(y)))
+        assert alpha_eq(a, b) and model_alpha_eq(a, b)
+        c = Lam(y, Add(Let(x, IntLit(1), Var(x)), Var(x)))
+        assert not alpha_eq(a, c) and not model_alpha_eq(a, c)
+        rec = LetRec(((x, Var(z)), (z, Var(x))), Var(x))
+        d = Lam(z, Add(rec, Var(z)))
+        e = Lam(x, Add(LetRec(((z, Var(x)), (x, Var(z))), Var(z)), Var(x)))
+        assert alpha_eq(d, e) and model_alpha_eq(d, e)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_free_vars_on_terms_with_shadowing(self, seed):
@@ -999,6 +1049,15 @@ class TestRecords:
     def test_letrec_refuses_a_clause_that_is_not_a_pair(self, clause):
         with pytest.raises(TypeMismatch, match=f"^not a letrec clause: {re.escape(repr(clause))}$"):
             LetRec((clause,), IntLit(1))
+
+    @pytest.mark.parametrize(
+        "clauses, refused",
+        [(5, 5), ((5,), 5), ([(x, IntLit(1)), None], None)],
+        ids=["int clauses", "int clause", "None clause"],
+    )
+    def test_letrec_refuses_what_is_not_iterable(self, clauses, refused):
+        with pytest.raises(TypeMismatch, match=f"^not a letrec clause: {re.escape(repr(refused))}$"):
+            LetRec(clauses, IntLit(1))
 
     @pytest.mark.parametrize("bad", [["f"], "f", 2], ids=["list", "str", "int"])
     def test_letrec_refuses_a_clause_name_that_is_not_a_name(self, bad):

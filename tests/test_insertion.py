@@ -67,6 +67,7 @@ from stagelet.insertion import (
 )
 from stagelet.semantics import EMPTY_ENV, RunSemantics, ShowSemantics
 
+import helpers
 from helpers import (
     LEFT_FIRST,
     ackermann,
@@ -972,6 +973,129 @@ class TestCanon:
         }
 
 
+class TestCanonCursor:
+    """`canon` finds the next key to force with one forward cursor;
+    `model_canon` in `helpers` rescans its store each round. On random
+    bindings at two loci, whose pending classes, when forced, re-request
+    keys, request new ones and request at the other locus, the two must
+    agree on the result, its order of loci, keys and aliases, the `force`
+    and `merge` calls, and the `CanonLimitExceeded` raised at every round
+    limit below the rounds needed."""
+
+    LOCI = ("_1", "_2")
+
+    @classmethod
+    def world(cls, rng, log):
+        """Random bindings at `LOCI` and a `force` counter. A pending class
+        of (locus, key) is one `Pending` per pair, made here; forcing it
+        yields a fixed denotation and the bindings of a fixed random list
+        of requests, each canonical or pending, at either locus. `log`
+        collects what the forcings at the first locus did: "again" for a
+        key requested there before, "new" for a first request there,
+        "other" for a request at the second locus."""
+        nkeys = rng.randrange(1, 8)
+        counter = itertools.count()
+        forces = [0]
+        seen = set()
+
+        def requests(count):
+            return [
+                (
+                    rng.choice(cls.LOCI),
+                    rng.randrange(nkeys),
+                    rng.random() < 0.6,
+                    Source(f"n{next(counter)}"),
+                )
+                for _ in range(count)
+            ]
+
+        def bindings(reqs):
+            v = {}
+            for loc, key, pending, name in reqs:
+                rhs = pendings[loc, key] if pending else ("canonical", loc, key)
+                v[loc] = addb(key, name, rhs, v.get(loc, EMPTY_PER_LOCUS))
+            return v
+
+        def force(loc, key):
+            forces[0] += 1
+            reqs = scripts[loc, key]
+            for l, k, _, _ in reqs:
+                log.add("other" if l != cls.LOCI[0] else "again" if k in seen else "new")
+                if l == cls.LOCI[0]:
+                    seen.add(k)
+            return ("den", loc, key), bindings(reqs)
+
+        pairs = [(loc, key) for loc in cls.LOCI for key in range(nkeys)]
+        scripts = {pair: requests(rng.randrange(4)) for pair in pairs}
+        pendings = {pair: Pending(lambda pair=pair: force(*pair)) for pair in pairs}
+        start = bindings(requests(rng.randrange(1, 6)))
+        seen.update(start.get(cls.LOCI[0], ()))
+        return start, forces, seen
+
+    @staticmethod
+    def summary(v):
+        return [
+            (loc, [(k, c.name, c.rhs, list(insertion._requests(c))) for k, c in store.items()])
+            for loc, store in v.items()
+        ]
+
+    def test_matches_the_rescanning_model(self, monkeypatch):
+        merges = [0]
+        original = insertion.merge
+
+        def counted(v1, v2):
+            merges[0] += 1
+            return original(v1, v2)
+
+        monkeypatch.setattr(insertion, "merge", counted)
+        rng = random.Random(14)
+        loc = self.LOCI[0]
+        log, limits, unchanged = set(), 0, 0
+        for _ in range(400):
+            v, forces, seen = self.world(rng, log)
+            before = self.summary(v)
+            initial = set(seen)
+
+            def outcome(fn, limit):
+                forces[0] = merges[0] = 0
+                seen.clear()
+                seen.update(initial)
+                try:
+                    got = fn(v, loc, limit)
+                except CanonLimitExceeded as e:
+                    return ("limit", str(e), e.locus, e.keys), forces[0], merges[0]
+                return (self.summary(got), got is v), forces[0], merges[0]
+
+            want = outcome(helpers.model_canon, None)
+            assert outcome(canon, None) == want
+            rounds = want[1]
+            unchanged += rounds == 0
+            for limit in range(rounds + 1):
+                got = outcome(canon, limit)
+                assert got == outcome(helpers.model_canon, limit), (limit, rounds)
+                limits += limit < rounds
+            assert self.summary(v) == before
+        assert log == {"again", "new", "other"}
+        assert limits > 300 and unchanged > 20
+
+    def test_canon_of_cwide_is_the_model_s(self, monkeypatch):
+        # one letrec locus of 300 clauses, built once, canonicalized by both
+        seen = {}
+
+        def spy(v, loc, limit):
+            seen[loc] = v
+            return canon(v, loc, limit)
+
+        monkeypatch.setattr(codec, "canon", spy)
+        helpers.cwide(300)._build(BuildContext(ShowSemantics()), "")
+        ((loc, v),) = seen.items()
+        got, want = canon(v, loc), helpers.model_canon(v, loc)
+        assert [(k, c.name, list(insertion._requests(c))) for k, c in got[loc].items()] == [
+            (k, c.name, list(insertion._requests(c))) for k, c in want[loc].items()
+        ]
+        assert list(got[loc]) == list(range(300))
+
+
 class TestEndToEnd:
     def test_shared_sums_three_bindings(self):
         def gen(l):
@@ -1105,3 +1229,23 @@ class TestStagedAutomata:
             assert value.fn(VInt(n)) == shown.fn(VInt(n)) == want, n
             wants.add(want)
         assert wants == {VInt(0), VInt(1)}
+
+
+class TestWideLetrec:
+    """`cwide`: one letrec locus of many clauses, against the host formula
+    `wide`."""
+
+    def test_run_show_and_the_host_agree(self):
+        value, tree = run(helpers.cwide(100)), show(helpers.cwide(100))
+        assert type(tree) is Lam and type(tree.body) is LetRec
+        assert len(tree.body.clauses) == 100
+        assert free_vars(tree) == set()
+        shown = eval_ast(tree)
+        for x in (0, 1, -7, 12345):
+            want = VInt(helpers.wide(100, x))
+            assert apply_ints(value, (x,)) == apply_ints(shown, (x,)) == want, x
+
+    def test_run_agrees_with_the_host_at_two_thousand_clauses(self):
+        value = run(helpers.cwide(2000))
+        for x in (0, 3, -11):
+            assert apply_ints(value, (x,)) == VInt(helpers.wide(2000, x)), x
