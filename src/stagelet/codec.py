@@ -36,11 +36,6 @@ from .insertion import (
     Locus,
     Pending,
     ResidualBindings,
-    _EMPTY_LOG,
-    _new,
-    _set_log,
-    _set_name,
-    _set_rhs,
     addb,
     bind_letrec,
     bind_lets,
@@ -358,13 +353,9 @@ class _GenLet(_Node):
         d, v = self.code._build(ctx, loc + "_2")
         at = self.locus.location
         if not v:
-            # nothing to fold into: the one-class store, made as `addb`
-            # makes its class, without a frame
-            cls = _new(BindingClass)
-            _set_name(cls, name)
-            _set_rhs(cls, d)
-            _set_log(cls, _EMPTY_LOG)
-            return ctx.sem.mk_request(name), {at: {self.key: cls}}
+            # nothing to fold into: the one-class store, with no `addb`
+            # call and no copy
+            return ctx.sem.mk_request(name), {at: {self.key: BindingClass(name, d)}}
         bindings = v.copy()
         bindings[at] = addb(self.key, name, d, v.get(at, EMPTY_PER_LOCUS))
         return ctx.sem.mk_request(name), bindings
