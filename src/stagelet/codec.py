@@ -11,6 +11,8 @@ it builds.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .base import (
     Add,
     BaseAst,
@@ -388,7 +390,9 @@ class _GenLetRec(_Node):
 
     def _build(self, ctx, loc):
         name = Fresh(loc, self.hint)
-        anchored = Pending(lambda: self.code._build(ctx, loc + "_2"))
+        # a partial holds the bound build and its two arguments: three
+        # tracked objects where a lambda's closure takes five
+        anchored = Pending(partial(self.code._build, ctx, loc + "_2"))
         store = addb(self.key, name, anchored, EMPTY_PER_LOCUS)
         return ctx.sem.mk_request(name), {self.locus.location: store}
 

@@ -233,7 +233,12 @@ def lookup(name: str):
 def apply_ints(value: Value, args) -> Value:
     """Fold integer arguments into a (curried) function value; an argument
     is an `int` that is not a `bool`, as `cint` takes, and is applied as
-    the exact `int` it stands for."""
+    the exact `int` it stands for. `args` is any iterable of them; anything
+    else raises TypeMismatch."""
+    try:
+        args = iter(args)
+    except TypeError:
+        raise TypeMismatch(f"not an iterable of arguments: {args!r}") from None
     result = value
     with _HostStack("evaluation"):
         for a in args:

@@ -22,6 +22,16 @@ by identity before it falls back to any other `VBool`. A function whose
 body is an `if` evaluates that `if` in its own call, one host frame fewer
 per application (see `RunSemantics`).
 
+A denotation holds its parts by value, as parameter defaults (`def den(env,
+d1=d1, d2=d2)`), not in closure cells: a flat closure (Cardelli 1984; Shao
+and Appel 1994). A closure costs a tuple plus a cell per captured part, each
+one tracked by the cyclic collector; defaults cost one tuple. That is exact
+because nothing rebinds a part once its denotation is made, and a
+denotation is only ever called as `d(env)`. Run's function values hold
+their environment copy and parts the same way, and are only ever called
+on one argument. Run's request variable is the one exception: it rewrites
+its name once (`_run_request`).
+
 An operand of `mk_binop` is a denotation, an exact `int` literal (`cint`
 stores one) or a bound `Name`: the code builder passes a literal or a
 variable operand unbuilt. Show turns it into the `IntLit` or `Var` node its
@@ -156,11 +166,12 @@ def _run_binop(op, box):
     An operand that is a literal or a name (a leaf) is read in place, with
     no call: a literal as it is, a name by one probe of its key, used when
     it holds exactly a `VInt`. A literal is an exact `int`, which is what
-    tells the two apart when the closure runs. Any other value of a name
+    tells the two apart when the denotation runs. Any other value of a name
     goes through `_var_int`. Each shape (two denotations, a denotation and a
-    leaf, a leaf and a denotation, two leaves) has its own closure, which
-    holds the two operands and nothing else, so a leaf costs the build no
-    more cells than a denotation.
+    leaf, a leaf and a denotation, two leaves) has its own function, which
+    holds its two operands, `op`, `box` and the two slot functions as
+    parameter defaults, as every denotation does (see the module
+    docstring), so a leaf costs the build no more than a denotation.
 
     A comparison (`box` is `VBool`) makes no value: it returns `TRUE` or
     `FALSE`, which `mk_if` tests by identity."""
@@ -170,7 +181,7 @@ def _run_binop(op, box):
         if callable(d1):
             if callable(d2):
 
-                def den(env):
+                def den(env, d1=d1, d2=d2, op=op, box=box, new=new, set_value=set_value):
                     x = d1(env)
                     if not isinstance(x, VInt):
                         _as_int(x)  # raises; inline checks spare an integer the call
@@ -185,7 +196,7 @@ def _run_binop(op, box):
 
                 return den
 
-            def den(env):
+            def den(env, d1=d1, d2=d2, op=op, box=box, new=new, set_value=set_value):
                 x = d1(env)
                 if not isinstance(x, VInt):
                     _as_int(x)
@@ -204,7 +215,7 @@ def _run_binop(op, box):
             return den
         if callable(d2):
 
-            def den(env):
+            def den(env, d1=d1, d2=d2, op=op, box=box, new=new, set_value=set_value):
                 if type(d1) is int:
                     x = d1
                 elif type(v := env.get(d1.path)) is VInt:
@@ -222,7 +233,7 @@ def _run_binop(op, box):
 
             return den
 
-        def den(env):
+        def den(env, d1=d1, d2=d2, op=op, box=box, new=new, set_value=set_value):
             if type(d1) is int:
                 x = d1
             elif type(v := env.get(d1.path)) is VInt:
@@ -287,10 +298,9 @@ def _run_lam_if(budget, key, dc, dt, de):
     then drop. The tick and the binding are written out in both, not
     shared: a shared step would cost the frame this saves."""
 
-    def den(env):
-        env = env.copy()  # its activation may bind more before a call
-
-        def call(arg):
+    def den(env, budget=budget, key=key, dc=dc, dt=dt, de=de):
+        # its activation may bind more before a call, so the call copies it
+        def call(arg, env=env.copy(), budget=budget, key=key, dc=dc, dt=dt, de=de):
             n = budget.remaining
             if n is not None:
                 if n > 0:
@@ -313,7 +323,10 @@ def _run_lam_if(budget, key, dc, dt, de):
 
 def _run_request(reps):
     """The request maker of one RunSemantics, whose alias table is `reps`.
-    Every request closure shares the table's cell and owns only its name's.
+    Every request closure shares the table's cell and owns only its name's:
+    the one denotation that keeps cells, since it rewrites its name (a
+    one-slot list in a default costs as many tracked objects and measured
+    no faster).
 
     A request reads its own name first: a representative is bound under it.
     On a miss it looks the name up in the table once and, if that finds a
@@ -346,7 +359,7 @@ def _run_request(reps):
 def _run_var(name):
     """Run's denotation of variable `name` (`RunSemantics.mk_var`)."""
 
-    def den(env):
+    def den(env, name=name):
         v = env.get(name.path)
         if v is None:
             raise UnboundVariable(f"unbound variable {name.render()}")
@@ -427,15 +440,13 @@ class RunSemantics:
     mk_var = staticmethod(_run_var)
 
     def mk_int(self, i):
-        v = VInt(i)
-        return lambda env: v
+        return lambda env, v=VInt(i): v
 
     def mk_bool(self, b):
-        v = TRUE if b else FALSE
-        return lambda env: v
+        return lambda env, v=TRUE if b else FALSE: v
 
     def mk_succ(self, d):
-        return lambda env: VInt(_as_int(d(env)) + 1)
+        return lambda env, d=d: VInt(_as_int(d(env)) + 1)
 
     def mk_binop(self, cls, d1, d2):
         make = _RUN_BINOPS[cls] if type(cls) is _Record else _not_a_tree
@@ -444,7 +455,7 @@ class RunSemantics:
         return make(d1, d2)
 
     def mk_if(self, dc, dt, de):
-        def den(env):
+        def den(env, dc=dc, dt=dt, de=de):
             c = dc(env)
             if c is TRUE:
                 return dt(env)
@@ -464,10 +475,9 @@ class RunSemantics:
         if last is body:
             return _run_lam_if(budget, key, dc, dt, de)
 
-        def den(env):
-            env = env.copy()  # its activation may bind more before a call
-
-            def call(arg):
+        def den(env, budget=budget, key=key, body=body):
+            # its activation may bind more before a call, so the call copies it
+            def call(arg, env=env.copy(), budget=budget, key=key, body=body):
                 n = budget.remaining
                 if n is not None:
                     if n > 0:
@@ -483,7 +493,7 @@ class RunSemantics:
         return den
 
     def mk_app(self, d1, d2):
-        def den(env):
+        def den(env, d1=d1, d2=d2):
             f = d1(env)
             a = d2(env)
             if not isinstance(f, VFun):
@@ -499,9 +509,8 @@ class RunSemantics:
         if aliases:
             # a dict's or set's keys keep their hashes: no Python-level __hash__
             self._reps.update(dict.fromkeys(aliases, name))
-        key = name.path
 
-        def den(env):
+        def den(env, key=name.path, d1=d1, d2=d2):
             env[key] = d1(env)
             return d2(env)
 
@@ -514,11 +523,9 @@ class RunSemantics:
         alias reads the representative's cell. A cell's environment is the
         triple of the environment, its size once every cell is bound, and
         the clause's rhs, which `_clause` evaluates."""
-        budget = self._budget
-        clauses = tuple(clauses)
         self._reps.update(pairs)
 
-        def den(env):
+        def den(env, clauses=tuple(clauses), body=body, budget=self._budget):
             size = len(env) + len(clauses)
             for n, rhs in clauses:
                 env[n.path] = _RecCell(n, _clause, (env, size, rhs), budget)
@@ -531,6 +538,14 @@ def _show_leaf(o):
     """The node of a literal or a name operand, as `mk_int` or `mk_var`
     would make it."""
     return Var(o) if isinstance(o, Name) else IntLit(o)
+
+
+def _redirected(env, pairs):
+    """`env` with every (alias, representative) pair of a letrec redirected,
+    one redirect each."""
+    for alias, rep in pairs:
+        env = env.redirect(alias, rep)
+    return env
 
 
 class ShowSemantics:
@@ -552,21 +567,19 @@ class ShowSemantics:
     """
 
     def mk_var(self, name):
-        return lambda env: Var(name)
+        return lambda env, name=name: Var(name)
 
     def mk_request(self, name):
-        return lambda env: Var(env.lookup(name)[0])
+        return lambda env, name=name: Var(env.lookup(name)[0])
 
     def mk_int(self, i):
-        node = IntLit(i)
-        return lambda env: node
+        return lambda env, node=IntLit(i): node
 
     def mk_bool(self, b):
-        node = BoolLit(b)
-        return lambda env: node
+        return lambda env, node=BoolLit(b): node
 
     def mk_succ(self, d):
-        return lambda env: Succ(d(env))
+        return lambda env, d=d: Succ(d(env))
 
     def mk_binop(self, cls, d1, d2):
         """The node of `cls` over two operands; a literal or a name operand is
@@ -575,30 +588,26 @@ class ShowSemantics:
             _not_an_operator(cls)
         if callable(d1):
             if callable(d2):
-                return lambda env: cls(d1(env), d2(env))
-            n2 = _show_leaf(d2)
-            return lambda env: cls(d1(env), n2)
+                return lambda env, cls=cls, d1=d1, d2=d2: cls(d1(env), d2(env))
+            return lambda env, cls=cls, d1=d1, n2=_show_leaf(d2): cls(d1(env), n2)
         n1 = _show_leaf(d1)
         if callable(d2):
-            return lambda env: cls(n1, d2(env))
-        node = cls(n1, _show_leaf(d2))
-        return lambda env: node
+            return lambda env, cls=cls, n1=n1, d2=d2: cls(n1, d2(env))
+        return lambda env, node=cls(n1, _show_leaf(d2)): node
 
     def mk_if(self, dc, dt, de):
-        return lambda env: If(dc(env), dt(env), de(env))
+        return lambda env, dc=dc, dt=dt, de=de: If(dc(env), dt(env), de(env))
 
     def mk_lam(self, name, body):
-        return lambda env: Lam(name, body(env))
+        return lambda env, name=name, body=body: Lam(name, body(env))
 
     def mk_app(self, d1, d2):
-        return lambda env: App(d1(env), d2(env))
+        return lambda env, d1=d1, d2=d2: App(d1(env), d2(env))
 
     def mk_let(self, name, d1, d2, aliases=()):
         """`let name = d1 in d2`; d2 is built with each alias redirected to
         `name`, one redirect per alias."""
-        aliases = tuple(aliases)
-
-        def den(env):
+        def den(env, name=name, d1=d1, d2=d2, aliases=tuple(aliases)):
             rhs = d1(env)
             for alias in aliases:
                 env = env.redirect(alias, name)
@@ -609,15 +618,10 @@ class ShowSemantics:
     def mk_letrec(self, clauses, body, pairs=()):
         """One letrec over `clauses`; each clause and the body is built
         under every (alias, representative) redirect, made afresh for each."""
-        clauses = tuple(clauses)
-        pairs = tuple(pairs)
+        def den(env, clauses=tuple(clauses), body=body, pairs=tuple(pairs)):
+            return LetRec(
+                tuple((n, rhs(_redirected(env, pairs))) for n, rhs in clauses),
+                body(_redirected(env, pairs)),
+            )
 
-        def redirected(env):
-            for alias, rep in pairs:
-                env = env.redirect(alias, rep)
-            return env
-
-        return lambda env: LetRec(
-            tuple((n, rhs(redirected(env))) for n, rhs in clauses),
-            body(redirected(env)),
-        )
+        return den

@@ -75,6 +75,18 @@ class TestApplyInts:
         with pytest.raises(TypeMismatch):
             apply_ints(VInt(3), [1])
 
+    @pytest.mark.parametrize("bad", [5, None], ids=repr)
+    def test_arguments_are_an_iterable(self, bad):
+        # a bare integer or None would otherwise escape as a raw TypeError
+        want = f"^not an iterable of arguments: {re.escape(repr(bad))}$"
+        for value in (run(lookup("cgib5").builder()), VInt(3)):
+            with pytest.raises(TypeMismatch, match=want):
+                apply_ints(value, bad)
+
+    def test_a_plain_list_of_arguments(self):
+        assert apply_ints(run(lookup("cgib5").builder()), [2, 3]) == VInt(gib(5, 2, 3))
+        assert apply_ints(eval_ast(lookup("gib5").builder()), [2, 3]) == VInt(gib(5, 2, 3))
+
     @pytest.mark.parametrize("bad", ["a", 1.5, True, None], ids=repr)
     def test_arguments_are_integers_as_cint_takes(self, bad):
         # a string, a float or a bool would fold into a VInt no meaning

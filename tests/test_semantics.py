@@ -1265,3 +1265,67 @@ class TestBranchingBody:
         for thunk in (lambda: run(code), lambda: eval_ast(show(code))):
             with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
                 thunk()
+
+
+def _denotations(sem):
+    """(maker, label, denotation) for every maker of `sem`: each operand
+    shape of `mk_binop`, for an arithmetic operator and a comparison, and
+    both of run's function shapes (a plain body and an `if` body)."""
+    x, y = Fresh("_1", "x"), Fresh("_2", "y")
+    one = sem.mk_int(1)
+    yield "mk_var", "", sem.mk_var(x)
+    yield "mk_request", "", sem.mk_request(x)
+    yield "mk_int", "", one
+    yield "mk_bool", "", sem.mk_bool(True)
+    yield "mk_succ", "", sem.mk_succ(one)
+    operands = {
+        "den-den": (one, one),
+        "den-int": (one, 2),
+        "int-den": (2, one),
+        "den-name": (one, x),
+        "name-den": (x, one),
+        "int-name": (2, x),
+        "int-int": (1, 2),
+        "name-name": (x, y),
+    }
+    for cls in (Add, Eq):
+        for shape, (d1, d2) in operands.items():
+            yield "mk_binop", f"{cls.__name__} {shape}", sem.mk_binop(cls, d1, d2)
+    yield "mk_if", "", sem.mk_if(sem.mk_bool(True), one, one)
+    yield "mk_lam", "plain body", sem.mk_lam(x, one)
+    yield "mk_lam", "if body", sem.mk_lam(x, sem.mk_if(sem.mk_var(x), one, one))
+    yield "mk_app", "", sem.mk_app(one, one)
+    yield "mk_let", "", sem.mk_let(x, one, one, (y,))
+    yield "mk_letrec", "", sem.mk_letrec(((x, one),), one, ((y, x),))
+
+
+class TestFlatDenotations:
+    """Every denotation holds its parts as parameter defaults, not in
+    closure cells: one defaults tuple, where a closure costs a tuple and a
+    cell per part, each tracked by the cyclic collector. Run's request is
+    the one exception: it rewrites its name once, in its own cell, and
+    shares the alias table's cell with every request of its semantics."""
+
+    @pytest.mark.parametrize("sem_class", [RunSemantics, ShowSemantics])
+    def test_every_maker_is_covered(self, sem_class):
+        sem = sem_class()
+        makers = {a for a in dir(sem) if a.startswith("mk_")}
+        assert {maker for maker, _, _ in _denotations(sem)} == makers
+
+    @pytest.mark.parametrize("sem_class", [RunSemantics, ShowSemantics])
+    def test_no_denotation_closes_over_a_cell(self, sem_class):
+        sem = sem_class()
+        for maker, label, d in _denotations(sem):
+            if sem_class is RunSemantics and maker == "mk_request":
+                assert sorted(d.__code__.co_freevars) == ["name", "reps"]
+                continue
+            assert d.__closure__ is None, (maker, label)
+
+    @pytest.mark.parametrize("body", ["plain", "if"])
+    def test_a_function_value_holds_no_cell(self, body):
+        sem = RunSemantics()
+        x = Fresh("_1", "x")
+        one = sem.mk_int(1)
+        f = sem.mk_lam(x, sem.mk_if(sem.mk_bool(True), one, one) if body == "if" else one)({})
+        assert f.fn.__closure__ is None
+        assert f.fn(VInt(0)) == VInt(1)
