@@ -5,8 +5,11 @@ location is the path of child indices from the root, spelled as `base`
 states it: a string, `ROOT` for the root and `loc + "_1"` for child 1 of
 `loc`. So every combinator occurrence owns a distinct name; binders are
 higher-order (host functions receive the bound variable as an opaque
-CodeValue). `run` evaluates a complete generator, `show` renders the code
-it builds.
+CodeValue). A bound variable knows its binder's body location, so whether
+it is built inside that body is one string test (`_Var`); a function
+applied where it is written, `capp(clam(f), a)`, builds as one redex node
+(`_App`). `run` evaluates a complete generator, `show` renders the code it
+builds.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class CodeValue:
     def _operand(self, ctx, loc):
         """What a binary operator passes to `mk_binop` for this operand, and
         its bindings: the built pair, except that a literal passes its `int`
-        and a variable its `Name`, unbuilt (`_Int`, `_Var`)."""
+        and a variable in its binder's body its `Name`, unbuilt (`_Int`,
+        `_Var`)."""
         return self._build(ctx, loc)
 
     def __add__(self, other):
@@ -116,16 +120,18 @@ class _Node(CodeValue):
     holding the combinator's arguments, whose `_build` method shadows the
     base class's slot. It keeps identity `==` and `hash`, so comparing or
     hashing one never walks the generator tree. A subclass names its
-    arguments in `__slots__`; its `__init__`, generated from them, stores
-    its positional arguments in that order. A subclass that does not
-    define `_operand` builds as an operand as it builds anywhere, with no
-    frame between."""
+    arguments in `__slots__`; its `__init__`, generated from them unless it
+    defines its own, stores its positional arguments in that order. A
+    subclass that does not define `_operand` builds as an operand as it
+    builds anywhere, with no frame between."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         if "_operand" not in vars(cls):
             cls._operand = cls._build
+        if "__init__" in vars(cls):
+            return
         ns = {}
         exec(
             f"def __init__(self, {', '.join(cls.__slots__)}):"
@@ -238,7 +244,16 @@ class _App(_Node):
     __slots__ = ("f", "a")
 
     def _build(self, ctx, loc):
-        d1, v1 = self.f._build(ctx, loc + "_1")
+        f = self.f
+        if type(f) is _Lam:
+            # a redex: the lambda's name, body and then the argument, at the
+            # locations and in the order a plain build of `f` would use
+            at = loc + "_1"
+            name, body = Fresh(at, f.hint), at + "_1"
+            d1, v1 = _expect(f.f(_Var(name, body)))._build(ctx, body)
+            d2, v2 = self.a._build(ctx, loc + "_2")
+            return ctx.sem.mk_redex(name, d1, d2), merge(v1, v2)
+        d1, v1 = f._build(ctx, loc + "_1")
         d2, v2 = self.a._build(ctx, loc + "_2")
         return ctx.sem.mk_app(d1, d2), merge(v1, v2)
 
@@ -286,26 +301,39 @@ def _expect_hint(hint):
 
 
 class _Var(_Node):
-    """The bound variable: ignores where it is used, always names its
-    binder."""
+    """The bound variable: names its binder, whose body is built at location
+    `body`; `below` is `body + "_"`, the prefix of every location under the
+    body. Built at `body` or below it, it is the binder's variable
+    (`mk_var`); built anywhere else, it was carried out of that body through
+    host state, and is unbound from the build on (`mk_unbound`). One prefix
+    test and one comparison decide, with no copy of the location, and
+    `_1_12` is not read as inside `_1_1`."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "body", "below")
+
+    def __init__(self, name, body):
+        self.name, self.body, self.below = name, body, body + "_"
 
     def _build(self, ctx, loc):
-        return ctx.sem.mk_var(self.name), EMPTY_BINDINGS
+        if loc.startswith(self.below) or loc == self.body:
+            return ctx.sem.mk_var(self.name), EMPTY_BINDINGS
+        return ctx.sem.mk_unbound(self.name), EMPTY_BINDINGS
 
-    # the one place a variable is passed unbuilt; a scope test on where a
-    # variable is built (ROADMAP item 3) must cover it as well as `_build`
+    # the one place a variable is passed unbuilt, so it makes the same scope
+    # test: an unbound variable is passed as the denotation `mk_unbound`
+    # makes, which an operator treats as any other denotation
     def _operand(self, ctx, loc):
-        return self.name, EMPTY_BINDINGS
+        if loc.startswith(self.below) or loc == self.body:
+            return self.name, EMPTY_BINDINGS
+        return ctx.sem.mk_unbound(self.name), EMPTY_BINDINGS
 
 
 class _Lam(_Node):
     __slots__ = ("f", "hint")
 
     def _build(self, ctx, loc):
-        name = Fresh(loc, self.hint)
-        d, v = _expect(self.f(_Var(name)))._build(ctx, loc + "_1")
+        name, body = Fresh(loc, self.hint), loc + "_1"
+        d, v = _expect(self.f(_Var(name, body)))._build(ctx, body)
         return ctx.sem.mk_lam(name, d), v
 
 
@@ -321,9 +349,9 @@ class _Let(_Node):
     __slots__ = ("rhs", "body", "hint")
 
     def _build(self, ctx, loc):
-        name = Fresh(loc, self.hint)
+        name, body = Fresh(loc, self.hint), loc + "_2"
         d1, v1 = self.rhs._build(ctx, loc + "_1")
-        d2, v2 = _expect(self.body(_Var(name)))._build(ctx, loc + "_2")
+        d2, v2 = _expect(self.body(_Var(name, body)))._build(ctx, body)
         return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 
 
@@ -393,7 +421,9 @@ class _GenLetRec(_Node):
         # a partial holds the bound build and its two arguments: three
         # tracked objects where a lambda's closure takes five
         anchored = Pending(partial(self.code._build, ctx, loc + "_2"))
-        store = addb(self.key, name, anchored, EMPTY_PER_LOCUS)
+        # the one-class store, with no `addb` call, as a binding-free
+        # genlet makes it
+        store = {self.key: BindingClass(name, anchored)}
         return ctx.sem.mk_request(name), {self.locus.location: store}
 
 

@@ -6,8 +6,13 @@ evaluate to run-time values, ShowSemantics produces denotations that build
 syntax trees. Each keeps its own environment. Run's is a plain dict from
 a name's key (`Name.path`: a `Fresh` name's location string, any other
 name itself) to value (or the `_RecCell` of a letrec clause). A let or
-letrec binds into the dict it is given; a closure keeps a copy of the dict
-it is made in, and a call binds its parameter into a copy of that. The
+letrec binds into the dict it is given, and so does a redex `(fun x -> b)
+a`, which the code builder hands over as one node (`mk_redex`) and run
+evaluates as `let x = a in b`; a closure keeps a copy of the dict it is
+made in, and a call binds its parameter into a copy of that. A variable
+that the code builder finds built outside its binder's body is unbound
+from the build on (`mk_unbound`): run raises when it reaches it, and show
+prints its name as `mk_var` does. The
 aliases of a binding class go into a table per `RunSemantics`, keyed by
 names and filled while the code is built, and the variable a request
 returns (`mk_request`) resolves its name through that table once. Show's
@@ -384,17 +389,31 @@ class RunSemantics:
 
     That is exact. A build binds each name once, and each binder under one
     activation runs at most once in it, so no write replaces a binding and
-    a dict only grows. Code in scope never reads a later entry. Extruded
-    code, which names a variable outside its binder, is hoisted above that
-    binder by insertion, so it either runs before the binder in the
-    activation or is deferred in a closure or a letrec cell. A deferred
-    evaluation sees the dict as it was deferred: a closure copies it when
-    made, and a clause is evaluated in a copy cut back to the entries its
-    letrec had bound, which are a prefix of the dict. So run raises
-    UnboundVariable where `eval_ast` does. A variable carried
-    out of its binder's builder through host state is outside the
-    argument: run may read the value it was last bound to in the same
-    activation.
+    a dict only grows. Code in scope never reads a later entry. Code that
+    names a variable outside its binder's body got there in one of two
+    ways, which the code builder tells apart by the location where the
+    variable is built. A variable built outside the body was carried out of
+    its binder's builder through host state: it is `mk_unbound`'s
+    denotation, which raises. Insertion moves code only to an ancestor of
+    where it was built, and every ancestor of a location outside the body
+    is outside it too, so the name is free wherever it lands, and
+    `eval_ast` raises exactly where this does. Code built inside the body
+    and hoisted above the binder by insertion either runs before the binder
+    in the activation or is deferred in a closure or a letrec cell. A
+    deferred evaluation sees the dict as it was deferred: a closure copies
+    it when made, and a clause is evaluated in a copy cut back to the
+    entries its letrec had bound, which are a prefix of the dict. So run
+    raises UnboundVariable where `eval_ast` does, for every binder.
+
+    A redex, `capp(clam(f), a)`, is one node (`mk_redex`): it evaluates the
+    argument, counts the step the call would, binds the parameter into the
+    dict it is given and evaluates the body there, as `let x = a in b` (the
+    let rule of A-normal form: Flanagan, Sabry, Duba and Felleisen, PLDI
+    1993). Its parameter is one more binder under the activation, so the
+    argument above covers it. Making the function value has no observable
+    effect, so values, messages and ticks are those of
+    `mk_app(mk_lam(...), a)`; the redex makes no function value, no
+    closure copy and no call copy, and spends one host frame fewer.
 
     A binder binds only its own names. Each alias a let or letrec is handed
     goes into this instance's alias table, mapped to its representative, as
@@ -502,6 +521,33 @@ class RunSemantics:
 
         return den
 
+    def mk_redex(self, name, body, arg):
+        """`(fun name -> body) arg` as `let name = arg in body`: the argument,
+        then the step the call would count, then the body, with `name`
+        bound into the environment it is given (see `RunSemantics`)."""
+
+        def den(env, budget=self._budget, key=name.path, body=body, arg=arg):
+            a = arg(env)
+            n = budget.remaining
+            if n is not None:
+                if n > 0:
+                    budget.remaining = n - 1
+                else:
+                    budget.tick()  # raises
+            env[key] = a
+            return body(env)
+
+        return den
+
+    def mk_unbound(self, name):
+        """Variable `name` built outside its binder's body: unbound wherever
+        it lands, so evaluating it raises."""
+
+        def den(env, name=name):
+            raise UnboundVariable(f"unbound variable {name.render()}")
+
+        return den
+
     def mk_let(self, name, d1, d2, aliases=()):
         """`let name = d1 in d2`, binding `name` alone, into the environment
         it is given; each alias is mapped to `name` in the alias table, so
@@ -562,8 +608,10 @@ class ShowSemantics:
     object, a tree never binds a name twice, and every combinator's use site
     passes its binder's own name object, which is never an alias. So a
     binder needs no entry and a binder's variable (`mk_var`) renders its
-    name as it is. Unbound names come out the same way, which is what makes
-    scope extrusion visible in the output.
+    name as it is. Unbound names come out the same way (`mk_unbound` is
+    `mk_var`), which is what makes scope extrusion visible in the output. A
+    redex (`mk_redex`) is the `App` of a `Lam`, its body built first, as
+    `mk_app(mk_lam(...), arg)` builds it.
     """
 
     def mk_var(self, name):
@@ -603,6 +651,13 @@ class ShowSemantics:
 
     def mk_app(self, d1, d2):
         return lambda env, d1=d1, d2=d2: App(d1(env), d2(env))
+
+    def mk_redex(self, name, body, arg):
+        return lambda env, name=name, body=body, arg=arg: App(
+            Lam(name, body(env)), arg(env)
+        )
+
+    mk_unbound = mk_var
 
     def mk_let(self, name, d1, d2, aliases=()):
         """`let name = d1 in d2`; d2 is built with each alias redirected to

@@ -47,7 +47,7 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
-from stagelet import insertion
+from stagelet import codec, insertion
 from stagelet.base import (
     DEFAULT_STEP_LIMIT,
     _as_int,
@@ -63,7 +63,6 @@ from stagelet.base import (
 from stagelet.codec import CodeValue
 from stagelet.insertion import (
     DEFAULT_CANON_LIMIT,
-    EMPTY_BINDINGS,
     EMPTY_PER_LOCUS,
     BindingClass,
     CanonLimitExceeded,
@@ -766,7 +765,7 @@ def c10_plans():
     return [random_plan(rng, rng.randrange(1, 6)) for _ in range(100)]
 
 
-def build_code(plan, b, env=(), loci=(), rec=None):
+def build_code(plan, b, env=(), loci=(), rec=None, held=None):
     """Realize a plan as a CodeValue using builder namespace `b`.
 
     Besides `random_plan`'s forms: `("genlet", key, rhs, up)` requests at the
@@ -775,10 +774,17 @@ def build_code(plan, b, env=(), loci=(), rec=None):
     locus whose clause `j` is the one-parameter function of body plan
     `defs[j]`; `("ref", j)` requests clause `j` there and `("call", j, arg)`
     applies it. `loci` are the enclosing loci, innermost last, and `rec` is
-    the innermost letrec locus with its clause plans."""
+    the innermost letrec locus with its clause plans.
+
+    Host state: `("keep", slot, p)` puts the innermost bound variable into
+    the dict `held` under `slot` when it is reached, then realizes `p`;
+    `("kept", slot)` is the variable `held[slot]` holds when it is built,
+    wherever that is (`_Held`)."""
+    if held is None:
+        held = {}
 
     def sub(p, env=env):
-        return build_code(p, b, env, loci, rec)
+        return build_code(p, b, env, loci, rec, held)
 
     match plan:
         case ("int", k):
@@ -804,17 +810,38 @@ def build_code(plan, b, env=(), loci=(), rec=None):
         case ("genlet", key, rhs, *up):
             return genlet(loci[-1 - sum(up)], key, sub(rhs))
         case ("locus", body):
-            return with_locus(lambda l: build_code(body, b, env, loci + (l,), rec))
+            return with_locus(lambda l: build_code(body, b, env, loci + (l,), rec, held))
         case ("rec", defs, body):
             return with_locus_rec(
-                lambda l: build_code(body, b, env, loci + (l,), (l, defs))
+                lambda l: build_code(body, b, env, loci + (l,), (l, defs), held)
             )
         case ("ref", j):
             l, defs = rec
             return genletrec(l, j, clam(lambda n: sub(defs[j], (n,))))
         case ("call", j, arg):
             return b.app(sub(("ref", j)), sub(arg))
+        case ("keep", slot, p):
+            held[slot] = env[-1]
+            return sub(p)
+        case ("kept", slot):
+            return _Held(held, slot)
     raise AssertionError(plan)
+
+
+class _Held(CodeValue):
+    """The variable host slot `slot` of `held` holds, looked up when this is
+    built, as an operand too: a variable carried through host state."""
+
+    __slots__ = ("held", "slot")
+
+    def __init__(self, held, slot):
+        self.held, self.slot = held, slot
+
+    def _build(self, ctx, loc):
+        return self.held[self.slot]._build(ctx, loc)
+
+    def _operand(self, ctx, loc):
+        return self.held[self.slot]._operand(ctx, loc)
 
 
 def build_den(plan, sem, env=()):
@@ -854,10 +881,6 @@ def build_den(plan, sem, env=()):
 # the same nodes but evaluate children right before left.
 
 
-def _var_code(name):
-    return CodeValue(lambda ctx, loc: (ctx.sem.mk_var(name), EMPTY_BINDINGS))
-
-
 def _mirror_binary(make):
     def op(a, b):
         def build(ctx, loc):
@@ -882,8 +905,9 @@ def _mirror_if(c, t, e):
 
 def _mirror_clet(rhs, body, hint=None):
     def build(ctx, loc):
+        # the library's variable, so that it makes the library's scope test
         name = Fresh(loc, hint)
-        d2, v2 = body(_var_code(name))(ctx, loc + "_2")
+        d2, v2 = body(codec._Var(name, loc + "_2"))(ctx, loc + "_2")
         d1, v1 = rhs(ctx, loc + "_1")
         return ctx.sem.mk_let(name, d1, d2), merge(v1, v2)
 

@@ -36,18 +36,19 @@ _ARITH = {"add": Add, "sub": Sub, "mul": Mul}
 
 def model_show(plan):
     """The tree `show(build_code(plan, ...))` builds."""
-    tree, floating = _build(plan, (), (), (), None)
+    tree, floating = _build(plan, (), (), (), None, {})
     assert not floating, f"unplaced bindings for loci {list(floating)}"
     return tree
 
 
-def _build(plan, loc, env, loci, rec):
+def _build(plan, loc, env, loci, rec, held):
     """`(tree, bindings)` of `plan` at location `loc`. `env` holds the names
     of the enclosing binders, `loci` the enclosing locus locations, innermost
-    last, and `rec` the innermost letrec locus with its clause plans."""
+    last, `rec` the innermost letrec locus with its clause plans, and `held`
+    the names host slots keep, filled in left-first build order."""
 
     def at(suffix, p, env=env, loci=loci, rec=rec):
-        return _build(p, loc + suffix, env, loci, rec)
+        return _build(p, loc + suffix, env, loci, rec, held)
 
     match plan:
         case ("int", k):
@@ -107,6 +108,13 @@ def _build(plan, loc, env, loci, rec):
         case ("call", j, arg):
             (f, vf), (a, va) = at((1,), ("ref", j)), at((2,), arg)
             return App(f, a), _merge(vf, va)
+        case ("keep", slot, p):
+            held[slot] = env[-1]
+            return at((), p)
+        case ("kept", slot):
+            # its binder's name wherever it is built: a variable built
+            # outside its binder's body shows as a free name
+            return Var(held[slot]), {}
     raise AssertionError(f"not a plan: {plan!r}")
 
 

@@ -39,6 +39,11 @@ from stagelet import (
     Var,
     alpha_eq,
     apply_ints,
+    cadd,
+    capp,
+    ceq,
+    cif,
+    cint,
     clam,
     eval_ast,
     free_vars,
@@ -1196,6 +1201,28 @@ class TestRunStepBudget:
     def test_cgib5_on_2_3(self):
         code = lookup("cgib5").builder()
         assert run_with_least_budget(code, (2, 3), 2) == VInt(gib(5, 2, 3))
+
+    # a redex `capp(clam(...), arg)` binds in place, with no call, but
+    # counts the step the call would: the same least budget as `eval_ast`
+    def test_redex_chain(self):
+        code = cint(0)
+        for _ in range(100):
+            code = capp(clam(lambda a: cadd(a, cint(1))), code)
+        assert eval_with_least_budget(show(code), 100) == VInt(100)
+        assert run_with_least_budget(code, (), 100) == VInt(100)
+
+    def test_redex_whose_body_is_an_if(self):
+        # (fun a -> if a = 0 then 1 else (fun b -> b + a) 2) 3
+        code = capp(
+            clam(
+                lambda a: cif(
+                    ceq(a, cint(0)), cint(1), capp(clam(lambda b: cadd(b, a)), cint(2))
+                )
+            ),
+            cint(3),
+        )
+        assert eval_with_least_budget(show(code), 2) == VInt(5)
+        assert run_with_least_budget(code, (), 2) == VInt(5)
 
 
 class TestExports:

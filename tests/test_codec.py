@@ -264,6 +264,71 @@ class TestBinders:
         assert pretty(tree) == "(0 + (fun v2 -> (let acc_2_1 = 1 in (v2 + acc_2_1))))"
 
 
+class _Makers:
+    """A semantics whose variables say which maker built them."""
+
+    def mk_var(self, name):
+        return "mk_var", name
+
+    def mk_unbound(self, name):
+        return "mk_unbound", name
+
+
+class TestVariableScope:
+    """A variable is its binder's (`mk_var`) where it is built at its
+    binder's body location or below it, and unbound (`mk_unbound`) anywhere
+    else; passed as an operand, it is the bare name or the same unbound
+    denotation."""
+
+    NAME, BODY = Fresh("_1"), "_1_1"
+
+    @pytest.mark.parametrize(
+        "loc, inside",
+        [
+            ("_1_1", True),
+            ("_1_1_2", True),
+            ("_1_1_12_3", True),
+            # child 12 and child 10 of the function, beside its body
+            ("_1_12", False),
+            ("_1_10_1", False),
+            ("_1", False),
+            ("", False),
+            ("_1_2", False),
+            ("_2_1_1", False),
+        ],
+    )
+    def test_scope_is_the_body_location_and_below(self, loc, inside):
+        ctx = BuildContext(_Makers())
+        var = codec._Var(self.NAME, self.BODY)
+        made = ("mk_var" if inside else "mk_unbound", self.NAME)
+        assert var._build(ctx, loc) == (made, {})
+        assert var._operand(ctx, loc) == (self.NAME if inside else made, {})
+
+    @pytest.mark.parametrize(
+        "make, path, body",
+        [
+            (lambda f: clam(f), "", "_1"),
+            (lambda f: clet(cint(0), f), "", "_2"),
+            (lambda f: capp(clam(f), cint(0)), "_1", "_1_1"),
+        ],
+        ids=["clam", "clet", "redex"],
+    )
+    def test_each_binder_passes_its_body_location(self, make, path, body):
+        seen = []
+        show(make(lambda v: seen.append(v) or v))
+        (var,) = seen
+        assert (var.name.path, var.body) == (path, body)
+
+    def test_a_carried_variable_shows_as_before(self):
+        box = []
+        code = cadd(
+            capp(clam(lambda p: box.append(p) or p), cint(5)),
+            clet(cint(0), lambda _: cadd(box[0], box[0])),
+        )
+        assert pretty(show(code)) == "(((fun v1_1 -> v1_1) 5) + (let v2 = 0 in (v1_1 + v1_1)))"
+        assert free_vars(show(code)) == {Fresh("_1_1")}
+
+
 class TestHints:
     """A hint is None or an identifier that ends in no digit and is no word
     `pretty` prints; any other hint could print two binders alike."""
@@ -533,7 +598,8 @@ def _ident(v):
 
 # each maker takes the previous code value, so the operators chain; every
 # argument other than that one is made beforehand
-_LOCUS, _NAME = Locus(""), Fresh("_1")
+# a variable of a function at `_1`, whose body is at `_1_1`
+_LOCUS, _NAME, _BODY = Locus(""), Fresh("_1"), "_1_1"
 RECORD_MAKERS = {
     "cint": lambda c: cint(7),
     "cbool": lambda c: cbool(True),
@@ -545,7 +611,7 @@ RECORD_MAKERS = {
     "ceq": lambda c: ceq(c, c),
     "capp": lambda c: capp(c, c),
     "cif": lambda c: cif(c, c, c),
-    "variable": lambda c: codec._Var(_NAME),
+    "variable": lambda c: codec._Var(_NAME, _BODY),
     "clam": lambda c: clam(_ident, "f"),
     "clet": lambda c: clet(c, _ident, "x"),
     "genlet": lambda c: genlet(_LOCUS, 1, c, "g"),

@@ -797,11 +797,16 @@ class TestRunBindsInPlace:
             with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
                 run(code())
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="run reads a variable carried out of its binder through host "
-        "state (CHANGES.md FOUND line on in-place binding)",
-    )
+    @staticmethod
+    def _carried(code):
+        """`code()` builds a variable outside its binder's body: run raises
+        the message `eval_ast` raises, naming the one free name."""
+        (free,) = free_vars(show(code()))
+        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+            eval_ast(show(code()))
+        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
+            run(code())
+
     def test_variable_carried_out_through_host_state_stays_unbound(self):
         # (let v1 = 1 in v1) + (let v2 = 0 in v1): v1 is used after its
         # binder has run in the same activation
@@ -812,11 +817,47 @@ class TestRunBindsInPlace:
                 clet(cint(0), lambda _: box[0]),
             )
 
-        (free,) = free_vars(show(code()))
-        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
-            eval_ast(show(code()))
-        with pytest.raises(UnboundVariable, match=f"^unbound variable {free.render()}$"):
-            run(code())
+        self._carried(code)
+
+    def test_redex_parameter_carried_out_through_host_state_stays_unbound(self):
+        # ((fun p -> p) 5) + (let v2 = 0 in p): the redex binds p in the
+        # activation, and p is used after it
+        def code():
+            box = []
+            return cadd(
+                capp(clam(lambda p: (box.append(p), p)[1]), cint(5)),
+                clet(cint(0), lambda _: box[0]),
+            )
+
+        self._carried(code)
+
+    def test_a_location_extending_the_body_index_is_outside_the_body(self):
+        # ((fun p -> p) 5) + p, the second p built by a user's code value at
+        # `_1_1_12`, child 12 of the function at `_1_1`, whose body is
+        # `_1_1_1`: no prefix of the body, though it starts with it
+        def code():
+            box = []
+            redex = capp(clam(lambda p: (box.append(p), p)[1]), cint(5))
+
+            def build(ctx, loc):
+                d1, _ = redex(ctx, loc + "_1")
+                d2, _ = box[0](ctx, loc + "_1_1_12")
+                return ctx.sem.mk_binop(Add, d1, d2), {}
+
+            return codec.CodeValue(build)
+
+        self._carried(code)
+
+    def test_function_parameter_carried_out_through_host_state_stays_unbound(self):
+        # let f = fun p -> p in f 5 + (let v = 0 in p)
+        def code():
+            box = []
+            return clet(
+                clam(lambda p: (box.append(p), p)[1]),
+                lambda f: cadd(capp(f, cint(5)), clet(cint(0), lambda _: box[0])),
+            )
+
+        self._carried(code)
 
 
 class TextName(Name):
@@ -1295,6 +1336,8 @@ def _denotations(sem):
     yield "mk_lam", "plain body", sem.mk_lam(x, one)
     yield "mk_lam", "if body", sem.mk_lam(x, sem.mk_if(sem.mk_var(x), one, one))
     yield "mk_app", "", sem.mk_app(one, one)
+    yield "mk_redex", "", sem.mk_redex(x, one, one)
+    yield "mk_unbound", "", sem.mk_unbound(x)
     yield "mk_let", "", sem.mk_let(x, one, one, (y,))
     yield "mk_letrec", "", sem.mk_letrec(((x, one),), one, ((y, x),))
 

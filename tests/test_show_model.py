@@ -15,6 +15,8 @@ import pytest
 
 from stagelet import (
     StagingError,
+    UnboundVariable,
+    VInt,
     apply_ints,
     eval_ast,
     free_vars,
@@ -55,15 +57,21 @@ def same_text(got, want):
 
 
 def agree(plan, args=()):
-    """Check `plan` against the model; returns the model's tree."""
+    """Check `plan` against the model under both build orders; returns the
+    model's tree.
+
+    The two realizations share one dict of host slots, as a host program's
+    state outlives a build: a `kept` read that the right-first build reaches
+    before its slot's `keep` reads the variable the left-first build kept,
+    which has the same name and body location."""
     want = model_show(plan)
     text = pretty(want)
+    expected = outcome(lambda: apply_ints(eval_ast(want), args))
+    held = {}
     for builders in (LEFT_FIRST, RIGHT_FIRST):
-        code = build_code(plan, builders)
+        code = build_code(plan, builders, held=held)
         same_text(pretty(show(code)), text)
-    assert outcome(lambda: apply_ints(run(code), args)) == outcome(
-        lambda: apply_ints(eval_ast(want), args)
-    )
+        assert outcome(lambda: apply_ints(run(code), args)) == expected
     return want
 
 
@@ -150,6 +158,51 @@ def rec_plan(rng, nkeys=4):
     return ("lam", ("rec", defs, body))
 
 
+def held_plan(rng, parts=4, depth=3):
+    """`fun x ->` a sum of `parts` terms whose binders (a let, a redex, a
+    function never called) may keep their variable in a host slot. A slot
+    is read back later in left-first build order: mostly inside its
+    binder's body, where the variable is bound, and now and then outside
+    it, where it is unbound from the build on although the binder may have
+    run in the same activation."""
+    slots = []
+
+    def term(depth, ints, inside):
+        """A term of integer type; `ints` flags which variables are ints,
+        and `inside` holds the slots kept by the binders around it."""
+        r = rng.random()
+        if depth == 0 or r < 0.2:
+            if inside and rng.random() < 0.4:
+                return ("kept", rng.choice(inside))
+            if slots and rng.random() < 0.08:
+                return ("kept", rng.choice(slots))
+            if rng.random() < 0.5:
+                return ("var", rng.choice([i for i, k in enumerate(ints) if k]))
+            return ("int", rng.randrange(5))
+        if r < 0.4:
+            return ("add", term(depth - 1, ints, inside), term(depth - 1, ints, inside))
+        if r < 0.55:
+            rhs = term(depth - 1, ints, inside)
+            return ("let", rhs, body(depth, ints + (True,), inside))
+        if r < 0.75:
+            # built as a redex left first, as a call of a function right first
+            fun = body(depth, ints + (True,), inside)
+            return ("app", fun, term(depth - 1, ints, inside))
+        if r < 0.85:
+            # let f = fun p -> ... in ...: f is never called, so p is never bound
+            fun = ("lam", body(depth, ints + (True,), inside))
+            return ("let", fun, term(depth - 1, ints + (False,), inside))
+        return ("eqif", *(term(depth - 1, ints, inside) for _ in range(4)))
+
+    def body(depth, ints, inside):
+        if rng.random() < 0.6:
+            slots.append(len(slots))
+            return ("keep", slots[-1], term(depth - 1, ints, inside + (slots[-1],)))
+        return term(depth - 1, ints, inside)
+
+    return ("lam", total([term(depth, (True,), ()) for _ in range(parts)]), "x")
+
+
 def extrusion_plan(rng):
     """`fun x -> locus -> fun y ->` requests, some mentioning y."""
     requests = [
@@ -219,3 +272,18 @@ def test_extrusion_cases():
     for _ in range(60):
         extruded += bool(free_vars(agree(extrusion_plan(rng), (1, 2))))
     assert 10 < extruded < 60
+
+
+def test_variables_carried_through_host_state():
+    rng = random.Random(30)
+    unbound = values = 0
+    for _ in range(80):
+        tree = agree(held_plan(rng), (3,))
+        got = outcome(lambda: apply_ints(eval_ast(tree), (3,)))
+        if isinstance(got, VInt):
+            values += bool(free_vars(tree))
+        else:
+            unbound += got[0] is UnboundVariable
+    # some raise at a carried variable, and some never reach the free name
+    # they show
+    assert unbound > 20 and values > 3
