@@ -833,8 +833,8 @@ class TestRunBindsInPlace:
 
     def test_a_location_extending_the_body_index_is_outside_the_body(self):
         # ((fun p -> p) 5) + p, the second p built by a user's code value at
-        # `_1_1_12`, child 12 of the function at `_1_1`, whose body is
-        # `_1_1_1`: no prefix of the body, though it starts with it
+        # `_1_1_12`, child 12 of the function at `_1_1`: beside its body at
+        # `_1_1_1`, not under it, though the string starts with the body's
         def code():
             box = []
             redex = capp(clam(lambda p: (box.append(p), p)[1]), cint(5))
