@@ -65,13 +65,16 @@ class CodeValue:
 
     Combinators, `show` and `run` call a child's `_build` directly, so a
     build spends one host frame per level; calling the value is the public
-    entry point. `CodeValue(build)` wraps a build function; each library
-    combinator instead returns a `_Node`, a record of its arguments.
+    entry point. `CodeValue(build)` wraps a build function, and refuses
+    anything not callable; each library combinator instead returns a
+    `_Node`, a record of its arguments.
     """
 
     __slots__ = ("_build",)
 
     def __init__(self, build):
+        if not callable(build):
+            raise TypeMismatch(f"not a build function: {build!r}")
         self._build = build
 
     def __call__(self, ctx: BuildContext, loc):
@@ -151,9 +154,10 @@ def _expect(x, kind=CodeValue, what="code value"):
 
 
 def _expect_function(f):
-    """`f` if it is callable, else a TypeMismatch raised where the binder
-    that takes it was written."""
-    if not callable(f):
+    """`f` if it is a callable that is not a code value, else a TypeMismatch
+    raised where the binder that takes it was written: a code value is
+    callable, but never a binder body."""
+    if not callable(f) or isinstance(f, CodeValue):
         raise TypeMismatch(f"not a function: {f!r}")
     return f
 
@@ -453,9 +457,14 @@ def with_locus_rec(f) -> CodeValue:
 
 def _denote(code, sem, canon_limit, what, env):
     """Build complete generator `code` at the root in `sem` and apply its
-    denotation to `env`; host-stack overflow is reported as `what`'s."""
+    denotation to `env`; host-stack overflow is reported as `what`'s. A
+    root build that returns no (denotation, bindings) pair, which only a
+    user's `CodeValue(build)` can, raises TypeMismatch."""
     with _HostStack(what):
-        d, v = code._build(BuildContext(sem, canon_limit), ROOT)
+        built = code._build(BuildContext(sem, canon_limit), ROOT)
+        if not (isinstance(built, tuple) and len(built) == 2):
+            raise TypeMismatch(f"not a build result: {built!r}")
+        d, v = built
         if v:
             raise ResidualBindings(v)
         return d(env)

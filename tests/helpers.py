@@ -33,7 +33,6 @@ from stagelet import (
     VInt,
     cadd,
     capp,
-    cdiv,
     ceq,
     cif,
     cint,
@@ -61,6 +60,18 @@ from stagelet.base import (
     _not_a_tree,
 )
 from stagelet.codec import CodeValue
+from stagelet.examples import (  # noqa: F401  (re-exported for the tests)
+    ackermann,
+    cack,
+    cdfa,
+    clgib,
+    cpoly,
+    cwide,
+    dfa,
+    gib,
+    random_dfa,
+    wide,
+)
 from stagelet.insertion import (
     DEFAULT_CANON_LIMIT,
     EMPTY_PER_LOCUS,
@@ -128,165 +139,23 @@ def bracketed(steps):
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles
+# Scaling generators: the families and their host references are
+# `stagelet.examples`'s, imported above
 
 
-def ackermann(m, n):
-    if m == 0:
-        return n + 1
+def poly_coeffs(n):
+    """The n coefficients `cpoly` is pinned with (the golden digests):
+    digits of alternating sign, lowest degree first."""
+    return [(-1) ** i * (i % 10) for i in range(n)]
+
+
+def clet_sum_chain(n):
+    """let x_n = n in x_n + (let x_(n-1) = n - 1 in ... + 0), n lets deep,
+    each in the right operand of the sum before it; its value is
+    n (n + 1) / 2."""
     if n == 0:
-        return ackermann(m - 1, 1)
-    return ackermann(m - 1, ackermann(m, n - 1))
-
-
-def gib(n, x, y):
-    """Fibonacci-style recurrence seeded with x, y."""
-    if n == 0:
-        return x
-    if n == 1:
-        return y
-    return gib(n - 1, x, y) + gib(n - 2, x, y)
-
-
-# ---------------------------------------------------------------------------
-# Scaling generators
-
-
-def clgib(n):
-    """Shared Fibonacci of depth n under one let locus: every request site
-    builds its own subtree, and the memo key folds equal ones into aliases."""
-
-    def shared(l, x, y, k):
-        if k < 2:
-            return (x, y)[k]
-        return cadd(
-            genlet(l, k - 1, shared(l, x, y, k - 1)),
-            genlet(l, k - 2, shared(l, x, y, k - 2)),
-        )
-
-    return clam(lambda x: clam(lambda y: with_locus(lambda l: shared(l, x, y, n))))
-
-
-def cack(depth):
-    """Ackermann specialised to its first argument: one mutually recursive
-    clause per level under one letrec locus."""
-
-    def gen(l):
-        def ack(m):
-            if m == 0:
-                return clam(lambda n: cadd(n, cint(1)))
-            return clam(
-                lambda n: cif(
-                    ceq(n, cint(0)),
-                    capp(genletrec(l, m - 1, ack(m - 1)), cint(1)),
-                    capp(
-                        genletrec(l, m - 1, ack(m - 1)),
-                        capp(genletrec(l, m, ack(m)), csub(n, cint(1))),
-                    ),
-                )
-            )
-
-        return genletrec(l, depth, ack(depth))
-
-    return with_locus_rec(gen)
-
-
-def cdfa(delta, accept):
-    """A staged automaton over decimal digits: one mutually recursive clause
-    per state under one letrec locus, keyed by the state, so its call graph
-    has the automaton's cycles. The clause of state s, on n, returns 1 if n
-    is 0 and s is in `accept`, 0 if n is 0 otherwise, and else reads n's
-    lowest digit d as `n - n / 10 * 10` and calls the clause of state
-    `delta[s][d]` on `n / 10`. The code is the clause of state 0; `dfa` is
-    its host reference."""
-
-    def gen(l):
-        def state(s):
-            def step(q, d, i):
-                call = capp(genletrec(l, delta[s][i], state(delta[s][i])), q)
-                if i == len(delta[s]) - 1:
-                    return call
-                return cif(ceq(d, cint(i)), call, step(q, d, i + 1))
-
-            return clam(
-                lambda n: cif(
-                    ceq(n, cint(0)),
-                    cint(int(s in accept)),
-                    clet(
-                        cdiv(n, cint(10)),
-                        lambda q: clet(csub(n, cmul(q, cint(10))), lambda d: step(q, d, 0)),
-                    ),
-                )
-            )
-
-        return genletrec(l, 0, state(0))
-
-    return with_locus_rec(gen)
-
-
-def _balanced_sum(terms):
-    """The sum of code values `terms` as a balanced tree of `cadd`s, so its
-    depth is logarithmic in their number."""
-    if len(terms) == 1:
-        return terms[0]
-    mid = len(terms) // 2
-    return cadd(_balanced_sum(terms[:mid]), _balanced_sum(terms[mid:]))
-
-
-def cwide(n):
-    """n clauses under one letrec locus inside a function of x: clause i is
-    `fun y -> y + i`, and an odd clause also adds its call of clause i - 1
-    on y. The body is the balanced sum of every clause applied to x, keyed
-    by its index; `wide` is its host reference."""
-
-    def gen(l, x):
-        def clause(i):
-            if i % 2 == 0:
-                return clam(lambda y: cadd(y, cint(i)))
-            return clam(
-                lambda y: cadd(cadd(y, cint(i)), capp(genletrec(l, i - 1, clause(i - 1)), y))
-            )
-
-        return _balanced_sum([capp(genletrec(l, i, clause(i)), x) for i in range(n)])
-
-    return clam(lambda x: with_locus_rec(lambda l: gen(l, x)))
-
-
-def wide(n, x):
-    """What `cwide(n)` computes on x: each clause is x + i, and an odd one
-    adds x + i - 1."""
-    return sum(x + i if i % 2 == 0 else 2 * x + 2 * i - 1 for i in range(n))
-
-
-def dfa(delta, accept, n):
-    """What `cdfa(delta, accept)` computes on n, as a host loop."""
-    s = 0
-    while n:
-        n, d = divmod(n, 10)
-        s = delta[s][d]
-    return int(s in accept)
-
-
-def random_dfa(rng, states):
-    """A random 10-symbol transition table over `states` states and a random
-    set of accepting states."""
-    delta = [[rng.randrange(states) for _ in range(10)] for _ in range(states)]
-    return delta, {s for s in range(states) if rng.random() < 0.5}
-
-
-def cpoly(n):
-    """Horner's rule unrolled over n fixed coefficients, one genlet per step
-    under a locus just inside the function of x: its names are the longest
-    a genlet chain makes."""
-    coeffs = [(-1) ** i * (i % 10) for i in range(n)]
-
-    def steps(l, x):
-        acc = cint(coeffs[-1])
-        for i in range(n - 2, -1, -1):
-            acc = genlet(l, i, cadd(cmul(acc, x), cint(coeffs[i])))
-        return acc
-
-    return clam(lambda x: with_locus(lambda l: steps(l, x)))
+        return cint(0)
+    return clet(cint(n), lambda v: cadd(v, clet_sum_chain(n - 1)))
 
 
 def clet_chain(depth):

@@ -97,23 +97,6 @@ def index_paths(seed, count=150):
     return paths + paths[::3]
 
 
-def gib5_ast():
-    loop, n = Source("loop"), Source("n")
-    body = If(
-        Eq(Var(n), IntLit(0)),
-        Var(x),
-        If(
-            Eq(Var(n), IntLit(1)),
-            Var(y),
-            Add(
-                App(Var(loop), Sub(Var(n), IntLit(1))),
-                App(Var(loop), Sub(Var(n), IntLit(2))),
-            ),
-        ),
-    )
-    return Lam(x, Lam(y, LetRec(((loop, Lam(n, body)),), App(Var(loop), IntLit(5)))))
-
-
 class TestNames:
     def test_source_and_fresh_never_equal(self):
         assert Source("v1") != Fresh("_1")
@@ -264,7 +247,7 @@ class TestPretty:
         assert pretty(App(Var(x), Var(y))) == "(x y)"
 
     def test_deterministic(self):
-        tree = gib5_ast()
+        tree = lookup("gib5").builder()
         assert pretty(tree) == pretty(tree)
         assert to_sexp(tree) == to_sexp(tree)
 
@@ -413,7 +396,7 @@ class TestEval:
             eval_ast(Var(x), env)
 
     def test_gib5_against_direct_recursion(self):
-        tree = gib5_ast()
+        tree = lookup("gib5").builder()
         for xv in range(4):
             for yv in range(4):
                 f = eval_ast(tree, {})

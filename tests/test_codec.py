@@ -12,6 +12,7 @@ from stagelet import (
     Add,
     App,
     BinOp,
+    CodeValue,
     Div,
     Fresh,
     IntLit,
@@ -63,6 +64,7 @@ from helpers import (
     RIGHT_FIRST,
     binders,
     build_code,
+    clet_sum_chain,
     gib,
     location_of,
     random_plan,
@@ -436,13 +438,6 @@ class TestCli_independent_sexp:
         assert to_sexp(tree) == to_sexp(show(lookup("cack2").builder()))
 
 
-def let_chain(n):
-    """let x_n = n in x_n + (let x_(n-1) = n - 1 in ... + 0), n lets deep."""
-    if n == 0:
-        return cint(0)
-    return clet(cint(n), lambda v: cadd(v, let_chain(n - 1)))
-
-
 class TestRunErrors:
     def test_over_application(self):
         with pytest.raises(TypeMismatch):
@@ -457,11 +452,11 @@ class TestRunErrors:
 
     def test_long_let_chain_run_is_a_staging_error(self):
         with pytest.raises(StepLimitExceeded, match="recursed past the host stack"):
-            run(let_chain(5000))
+            run(clet_sum_chain(5000))
 
     def test_let_chain_runs_at_depth_400(self):
         # a build spends one host frame per level, so 400 nested lets fit
-        assert run(let_chain(400)) == VInt(80200)  # 400 + 399 + ... + 1
+        assert run(clet_sum_chain(400)) == VInt(80200)  # 400 + 399 + ... + 1
 
     def test_free_output_is_still_showable(self):
         tree = show(lookup("clgib5-extruded").builder())
@@ -563,15 +558,30 @@ class TestNotCode:
         with pytest.raises(TypeMismatch, match="^not a locus: 'l'$"):
             genletrec("l", 0, cint(1))
 
-    @pytest.mark.parametrize("bad", [42, None], ids=repr)
+    # a code value is callable, on a context and a location, but is never a
+    # binder body
+    @pytest.mark.parametrize("bad", [42, None, cint(1)], ids=repr)
     @pytest.mark.parametrize(
         "binder",
         [clam, lambda f: clet(cint(1), f), with_locus, with_locus_rec],
         ids=["clam", "clet", "with_locus", "with_locus_rec"],
     )
     def test_binder_body_is_checked_when_written(self, binder, bad):
-        with pytest.raises(TypeMismatch, match=f"^not a function: {bad!r}$"):
+        with pytest.raises(TypeMismatch, match=f"^not a function: {re.escape(repr(bad))}$"):
             binder(bad)
+
+    @pytest.mark.parametrize("bad", [None, 5], ids=repr)
+    def test_a_build_function_is_checked_when_wrapped(self, bad):
+        with pytest.raises(TypeMismatch, match=f"^not a build function: {bad!r}$"):
+            CodeValue(bad)
+
+    @pytest.mark.parametrize("result", [5, (1, 2, 3), [1, 2]], ids=repr)
+    def test_a_root_build_must_return_a_pair(self, result):
+        code = CodeValue(lambda ctx, loc: result)
+        want = f"^not a build result: {re.escape(repr(result))}$"
+        for meaning in (show, run):
+            with pytest.raises(TypeMismatch, match=want):
+                meaning(code)
 
 
 class TestMemoKeys:

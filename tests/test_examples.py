@@ -50,6 +50,11 @@ class TestRegistry:
         assert lookup("ct1").name == "ct1"
         assert lookup("nosuch") is None
 
+    @pytest.mark.parametrize("bad", [[], None, 5], ids=repr)
+    def test_lookup_of_a_name_that_is_not_a_str(self, bad):
+        with pytest.raises(TypeMismatch, match=f"^not an example name: {re.escape(repr(bad))}$"):
+            lookup(bad)
+
     def test_builders_build_the_right_shape(self):
         for entry in registry():
             built = entry.builder()

@@ -13,7 +13,7 @@ import pytest
 from stagelet import lookup, pretty, registry, show, to_sexp
 from stagelet.examples import ExampleKind
 
-from helpers import cack, clet_chain, clgib, cpoly
+from helpers import cack, clet_chain, clgib, cpoly, poly_coeffs
 
 # name: (sha256 of pretty, sha256 of to_sexp)
 GOLDEN = {
@@ -110,7 +110,7 @@ GOLDEN = {
 SCALING = (
     {f"clgib({n})": (clgib, n) for n in (8, 11, 14)}
     | {f"cack({n})": (cack, n) for n in (8, 32, 48)}
-    | {f"cpoly({n})": (cpoly, n) for n in (8, 64)}
+    | {f"cpoly({n})": (lambda n: cpoly(poly_coeffs(n)), n) for n in (8, 64)}
     | {"clet_chain(900)": (clet_chain, 900)}
 )
 

@@ -32,11 +32,9 @@ from stagelet import (
     cadd,
     capp,
     cbool,
-    ceq,
     cif,
     cint,
     clam,
-    csub,
     eval_ast,
     free_vars,
     genlet,
@@ -50,7 +48,7 @@ from stagelet import (
 from stagelet import codec, examples, insertion
 from stagelet.base import _RecCell
 from stagelet.codec import BuildContext
-from stagelet.examples import ExampleEntry, ExampleKind, lookup, registry
+from stagelet.examples import ExampleEntry, ExampleKind, _ack_requests, lookup, registry
 from stagelet.insertion import (
     DEFAULT_CANON_LIMIT,
     EMPTY_BINDINGS,
@@ -894,24 +892,6 @@ class TestGenletrec:
             show(c)
 
 
-def _ack_requests(l):
-    def ack(m):
-        if m == 0:
-            return clam(lambda n: cadd(n, cint(1)))
-        return clam(
-            lambda n: cif(
-                ceq(n, cint(0)),
-                capp(genletrec(l, m - 1, ack(m - 1)), cint(1)),
-                capp(
-                    genletrec(l, m - 1, ack(m - 1)),
-                    capp(genletrec(l, m, ack(m)), csub(n, cint(1))),
-                ),
-            )
-        )
-
-    return genletrec(l, 2, ack(2))
-
-
 class TestCanon:
     def test_all_canonical_is_unchanged(self):
         store = addb(1, Fresh("_3"), canonical_int(5), EMPTY_PER_LOCUS)
@@ -921,7 +901,7 @@ class TestCanon:
 
     def test_ack_specialization_settles_to_three_classes(self):
         ctx = BuildContext(ShowSemantics())
-        _, vb = _ack_requests(Locus(""))(ctx, "_1")
+        _, vb = _ack_requests(Locus(""), 2)(ctx, "_1")
         settled = canon(vb, "")
         store = settled.get("", EMPTY_PER_LOCUS)
         assert tuple(store) == (2, 1, 0)
@@ -960,7 +940,7 @@ class TestCanon:
 
     def test_replay_of_pending_is_stable(self):
         ctx = BuildContext(ShowSemantics())
-        _, vb = _ack_requests(Locus(""))(ctx, "_1")
+        _, vb = _ack_requests(Locus(""), 2)(ctx, "_1")
         cls = vb.get("", EMPTY_PER_LOCUS)[2]
         d1, v1 = cls.rhs.force()
         d2, v2 = cls.rhs.force()
@@ -1110,7 +1090,7 @@ class TestEndToEnd:
         assert run(with_locus(gen)) == VInt((13 + 20) * (13 + 30) // 100)
 
     def test_ack_pipeline(self):
-        c = with_locus_rec(_ack_requests)
+        c = cack(2)
         tree = show(c)
         assert isinstance(tree, LetRec)
         assert len(tree.clauses) == 3

@@ -65,10 +65,12 @@ from helpers import (
     ackermann,
     build_den,
     cack,
+    clet_sum_chain,
     clgib,
     count_lets,
     cpoly,
     gib,
+    poly_coeffs,
     random_plan,
 )
 
@@ -467,22 +469,6 @@ class TestPurity:
         assert log == ["c", "t", "e"]  # building the tree needs all children
 
 
-def _cpoly(coeffs):
-    """Horner's rule over `coeffs`, lowest degree first, one genlet a step."""
-
-    def steps(x, l):
-        acc = cint(coeffs[-1])
-        for i in range(len(coeffs) - 2, -1, -1):
-            acc = genlet(l, i, cadd(cmul(acc, x), cint(coeffs[i])))
-        return acc
-
-    return clam(lambda x: with_locus(lambda l: steps(x, l)))
-
-
-def _let_chain(n):
-    return cint(0) if n == 0 else clet(cint(n), lambda v: cadd(v, _let_chain(n - 1)))
-
-
 class TestRunEnvironment:
     """Run's environment is a plain dict: running calls no Env method."""
 
@@ -501,8 +487,8 @@ class TestRunEnvironment:
         coeffs = [3, -1, 4, 1, -5, 9]
         for x in (-2, 0, 3):
             want = sum(c * x**i for i, c in enumerate(coeffs))
-            assert apply_ints(run(_cpoly(coeffs)), (x,)) == VInt(want)
-        assert run(_let_chain(300)) == VInt(300 * 301 // 2)
+            assert apply_ints(run(cpoly(coeffs)), (x,)) == VInt(want)
+        assert run(clet_sum_chain(300)) == VInt(300 * 301 // 2)
 
     def test_extruded_variable_stays_unbound(self, no_env):
         value = run(lookup("clgib5-extruded").builder())
@@ -994,11 +980,11 @@ class TestEvaluationHashesNoName:
 
     def test_stage_once_run_many(self, hashes):
         n = 32
-        code = cpoly(n)
+        coeffs = poly_coeffs(n)
+        code = cpoly(coeffs)
         value, tree = run(code), show(code)
         assert hashes  # building does hash names
         hashes.clear()
-        coeffs = [(-1) ** i * (i % 10) for i in range(n)]
         for x in (-2, 0, 3):
             want = VInt(sum(c * x**i for i, c in enumerate(coeffs)))
             assert apply_ints(value, (x,)) == want

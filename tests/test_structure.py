@@ -1,14 +1,16 @@
 """Checks on the source itself: one implementation per idea.
 
-Each check parses the package (and, for `Fresh` calls, the tests) and
-names the lines that state an idea a second time, so a second form cannot
-come back unnoticed.
+Each check parses the package (and, for `Fresh` calls, the tests; for the
+generator families, the tests and tools too) and names the lines that
+state an idea a second time, so a second form cannot come back unnoticed.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from stagelet import examples
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,6 +80,21 @@ def fresh_of_a_display(n):
     )
 
 
+# ---------------------------------------------------------------------------
+# One generator corpus: each generator family and host reference is defined
+# by one `def`, in `stagelet.examples`, under src/, tests/ and tools/; the
+# tests and tools import it from there
+
+FAMILIES = (
+    "clgib", "cack", "cpoly", "cdfa", "cwide",
+    "gib", "ackermann", "wide", "dfa", "random_dfa",
+)
+
+
+def defines_a_family(n):
+    return isinstance(n, ast.FunctionDef) and n.name in FAMILIES
+
+
 class TestOneIdea:
     def test_one_record_idea(self):
         hits = _hits("src/stagelet", uses_dataclass)
@@ -90,6 +107,13 @@ class TestOneIdea:
             + _hits("tests", fresh_of_a_display)
         )
         assert not found, found
+
+    def test_one_generator_corpus(self):
+        hits = [h for root in ("src", "tests", "tools") for h in _hits(root, defines_a_family)]
+        # one def per family, each in examples.py, that binds its name there
+        assert len(hits) == len(FAMILIES), hits
+        assert all(h.startswith("src/stagelet/examples.py:") for h in hits), hits
+        assert all(callable(getattr(examples, name, None)) for name in FAMILIES)
 
 
 def _accepts(test, source):
@@ -156,3 +180,13 @@ class TestChecksRefuse:
     )
     def test_not_a_fresh_of_a_display(self, source):
         assert not _accepts(fresh_of_a_display, source)
+
+    @pytest.mark.parametrize("source", ["def cack(depth): pass", "def f():\n def gib(): pass"])
+    def test_a_def_of_a_family(self, source):
+        assert _accepts(defines_a_family, source)
+
+    @pytest.mark.parametrize(
+        "source", ["cack = lambda d: d", "cack(2)", "def cack2(): pass", "class cack: pass"]
+    )
+    def test_not_a_def_of_a_family(self, source):
+        assert not _accepts(defines_a_family, source)

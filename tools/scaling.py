@@ -4,7 +4,7 @@ For each family and size n it builds the generator with `run` and prints
 the build's wall time and `canon`'s self time in a build under cProfile
 (its tottime, with the cyclic collector paused), each the best of
 `--repeat` builds and each with its ratio to the size before. The
-families, from `tests/helpers.py`:
+families, from `stagelet.examples`:
 
 - `cwide(n)`: n clauses `f_i = fun x -> x + i`, each odd one also calling
   `f_{i-1}`, under one letrec locus;
@@ -15,8 +15,7 @@ Run it from the repository's root as
 
     python3 tools/scaling.py [--repeat R] [N ...]
 
-with sizes 1000, 2000, 4000 and 8000 by default; `tests/helpers.py`
-imports pytest, so it must be installed. The builds run in a worker
+with sizes 1000, 2000, 4000 and 8000 by default. The builds run in a worker
 thread started with a 512 MB stack, which raises the recursion limit for
 its run; the limit is put back when it ends. It prints only, and checks
 nothing but that each built function computes what its host reference
@@ -34,10 +33,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src")]
 
-from helpers import cdfa, cwide, dfa, random_dfa, wide  # noqa: E402
 from stagelet import apply_ints, insertion, run  # noqa: E402
+from stagelet.examples import cdfa, cwide, dfa, random_dfa, wide  # noqa: E402
 
 SIZES = (1000, 2000, 4000, 8000)
 STACK_BYTES = 512 * 1024 * 1024
