@@ -318,11 +318,35 @@ class Value:
 
 
 class VInt(Value, metaclass=_Record):
+    """An integer value. Every exact `int` in [-1024, 1024) has one shared
+    record (`_SMALL`), which run and `eval_ast` return for such a result
+    in place of a fresh one; any other value, a float, a `bool` or an
+    `int` subclass among them, gets a fresh record. That is exact: a value
+    is never updated, and a record is compared, hashed, printed, copied and
+    pickled by its value, never by identity."""
+
     value: int
 
 
 class VBool(Value, metaclass=_Record):
     value: bool
+
+
+# The shared values (see `VInt`), made once, here: `_SMALL[i]` is `VInt(i)`
+# for every `i` in [_SMALL_LO, _SMALL_HI), the negative ones at the end, so
+# a negative `i` indexes them from there. Run's and `eval_ast`'s booleans
+# are `TRUE` and `FALSE`.
+_SMALL_LO, _SMALL_HI = -1024, 1024
+_SMALL = tuple(map(VInt, (*range(_SMALL_HI), *range(_SMALL_LO, 0))))
+TRUE, FALSE = VBool(True), VBool(False)
+
+
+def _vint(i):
+    """`VInt(i)`, shared when `i` is exactly an `int` in range. Each hot
+    path of run and `eval_ast` writes this test out, sparing the call."""
+    if type(i) is int and _SMALL_LO <= i < _SMALL_HI:
+        return _SMALL[i]
+    return VInt(i)
 
 
 class VFun(Value):
@@ -516,7 +540,12 @@ def _pretty_if(t):
 
 
 def _pretty_app(t):
+    # a redex's lambda is rendered here, as its own handler would, so a
+    # chain of redexes takes one host frame per level
     f, a = t.fun, t.arg
+    if type(f) is Lam:
+        b = f.body
+        return f"((fun {f.param.render()} -> {_P[type(b)](b)}) {_P[type(a)](a)})"
     return f"({_P[type(f)](f)} {_P[type(a)](a)})"
 
 
@@ -564,7 +593,11 @@ def _sexp_if(t):
 
 
 def _sexp_app(t):
+    # a redex's lambda in this frame, as in `_pretty_app`
     f, a = t.fun, t.arg
+    if type(f) is Lam:
+        b = f.body
+        return f"(app (lam {f.param.render()} {_S[type(b)](b)}) {_S[type(a)](a)})"
     return f"(app {_S[type(f)](f)} {_S[type(a)](a)})"
 
 
@@ -882,9 +915,26 @@ def _eval_var(t, env, budget):
     return v.force() if isinstance(v, _RecCell) else v
 
 
+def _eval_int(t, env, budget):
+    i = t.value
+    if type(i) is int and _SMALL_LO <= i < _SMALL_HI:
+        return _SMALL[i]
+    return VInt(i)
+
+
 def _eval_succ(t, env, budget):
     a = t.arg
-    return VInt(_as_int(_E[type(a)](a, env, budget)) + 1)
+    i = _as_int(_E[type(a)](a, env, budget)) + 1
+    if type(i) is int and _SMALL_LO <= i < _SMALL_HI:
+        return _SMALL[i]
+    return VInt(i)
+
+
+def _eval_bool(t, env, budget):
+    b = t.value
+    if b is True:
+        return TRUE
+    return FALSE if b is False else VBool(b)
 
 
 def _binary(op, box):
@@ -899,9 +949,10 @@ def _binary(op, box):
     table, so `_eval_var` and `_as_int` stay the only source of their errors
     and of a cell's tick. The left operand is checked before the right one
     is read. The two reads are written out, not shared through a helper:
-    its call measured 4–8% of `eval_ast`'s time on operator code. The
-    result is made without the Python frame of its record's `__init__`
-    (`_slot_new`)."""
+    its call measured 4–8% of `eval_ast`'s time on operator code. A result
+    that is exactly an `int` in range, or exactly `True` or `False`, is
+    its shared value (see `VInt`); any other is made without the Python
+    frame of its record's `__init__` (`_slot_new`)."""
     new, set_value = _slot_new(box)
 
     def handler(t, env, budget):
@@ -925,9 +976,15 @@ def _binary(op, box):
             if not isinstance(v, VInt):
                 _as_int(v)
             y = v.value
-        r = new(box)
-        set_value(r, op(x, y))
-        return r
+        r = op(x, y)
+        if box is VInt:
+            if type(r) is int and _SMALL_LO <= r < _SMALL_HI:
+                return _SMALL[r]
+        elif box is VBool and (r is True or r is False):
+            return TRUE if r else FALSE
+        v = new(box)
+        set_value(v, r)
+        return v
 
     return handler
 
@@ -1022,8 +1079,8 @@ def _eval_letrec(t, env, budget):
 
 _E = _Walk(
     {
-        IntLit: lambda t, env, budget: VInt(t.value),
-        BoolLit: lambda t, env, budget: VBool(t.value),
+        IntLit: _eval_int,
+        BoolLit: _eval_bool,
         Var: _eval_var,
         Succ: _eval_succ,
         **{cls: _binary(cls.op, cls.box) for cls in _BINOPS},

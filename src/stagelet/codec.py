@@ -66,8 +66,11 @@ class CodeValue:
     Combinators, `show` and `run` call a child's `_build` directly, so a
     build spends one host frame per level; calling the value is the public
     entry point. `CodeValue(build)` wraps a build function, and refuses
-    anything not callable; each library combinator instead returns a
-    `_Node`, a record of its arguments.
+    anything not callable; its `_build` slot checks what the function
+    returns (`_checked_build`), wherever the value is built. Each library
+    combinator instead returns a `_Node`, a record of its arguments, whose
+    `_build` method shadows the slot, so only a user's build pays for the
+    check.
     """
 
     __slots__ = ("_build",)
@@ -75,7 +78,7 @@ class CodeValue:
     def __init__(self, build):
         if not callable(build):
             raise TypeMismatch(f"not a build function: {build!r}")
-        self._build = build
+        self._build = partial(_checked_build, build)
 
     def __call__(self, ctx: BuildContext, loc):
         return self._build(ctx, loc)
@@ -116,6 +119,16 @@ class CodeValue:
 
     def __repr__(self):
         return "CodeValue(...)"
+
+
+def _checked_build(build, ctx, loc):
+    """What user build function `build` returns at `loc`, a TypeMismatch
+    unless it is a (denotation, bindings) pair: every combinator unpacks its
+    child's result as one."""
+    built = build(ctx, loc)
+    if not (isinstance(built, tuple) and len(built) == 2):
+        raise TypeMismatch(f"not a build result: {built!r}")
+    return built
 
 
 class _Node(CodeValue):
@@ -457,14 +470,9 @@ def with_locus_rec(f) -> CodeValue:
 
 def _denote(code, sem, canon_limit, what, env):
     """Build complete generator `code` at the root in `sem` and apply its
-    denotation to `env`; host-stack overflow is reported as `what`'s. A
-    root build that returns no (denotation, bindings) pair, which only a
-    user's `CodeValue(build)` can, raises TypeMismatch."""
+    denotation to `env`; host-stack overflow is reported as `what`'s."""
     with _HostStack(what):
-        built = code._build(BuildContext(sem, canon_limit), ROOT)
-        if not (isinstance(built, tuple) and len(built) == 2):
-            raise TypeMismatch(f"not a build result: {built!r}")
-        d, v = built
+        d, v = code._build(BuildContext(sem, canon_limit), ROOT)
         if v:
             raise ResidualBindings(v)
         return d(env)

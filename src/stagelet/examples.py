@@ -25,11 +25,11 @@ from .base import (
     TypeMismatch,
     Value,
     VFun,
-    VInt,
     Var,
     _HostStack,
     _Record,
     _expect_int,
+    _vint,
 )
 from .codec import (
     cadd,
@@ -379,8 +379,8 @@ def lookup(name: str):
 def apply_ints(value: Value, args) -> Value:
     """Fold integer arguments into a (curried) function value; an argument
     is an `int` that is not a `bool`, as `cint` takes, and is applied as
-    the exact `int` it stands for. `args` is any iterable of them; anything
-    else raises TypeMismatch."""
+    the exact `int` it stands for, the shared record in `VInt`'s range.
+    `args` is any iterable of them; anything else raises TypeMismatch."""
     try:
         args = iter(args)
     except TypeError:
@@ -390,5 +390,5 @@ def apply_ints(value: Value, args) -> Value:
         for a in args:
             if not isinstance(result, VFun):
                 raise TypeMismatch(f"cannot apply an argument to {result!r}")
-            result = result.fn(VInt(a if type(a) is int else _expect_int(a)))
+            result = result.fn(_vint(a if type(a) is int else _expect_int(a)))
     return result

@@ -21,11 +21,15 @@ target name itself (ROADMAP item 2 removes it), and only a request's
 variable reads it. Binary operators evaluate the left operand first; final
 results must not depend on that order.
 
-Run's booleans are two shared values, `TRUE` and `FALSE`: a comparison and
-a boolean literal evaluate to one of them, and an `if` tests its condition
-by identity before it falls back to any other `VBool`. A function whose
-body is an `if` evaluates that `if` in its own call, one host frame fewer
-per application (see `RunSemantics`).
+Run's values are shared where that is exact (see `base.VInt`). Its booleans
+are the two values `TRUE` and `FALSE`, which `base` makes and this module
+re-exports: a comparison and a boolean literal evaluate to one of them, and
+an `if` tests its condition by identity before it falls back to any other
+`VBool`. An integer operator's or a `succ`'s result that is exactly an `int`
+in [-1024, 1024) is that int's record in `base`'s table, made once at
+import, not a fresh one. A function whose body is an `if` evaluates that
+`if` in its own call, one host frame fewer per application (see
+`RunSemantics`).
 
 A denotation holds its parts by value, as parameter defaults (`def den(env,
 d1=d1, d2=d2)`), not in closure cells: a flat closure (Cardelli 1984; Shao
@@ -59,9 +63,14 @@ from .base import (
     VBool,
     VFun,
     VInt,
+    TRUE,
+    FALSE,
     TypeMismatch,
     UnboundVariable,
     _BINOPS,
+    _SMALL,
+    _SMALL_HI,
+    _SMALL_LO,
     _Budget,
     _RecCell,
     _Record,
@@ -148,10 +157,6 @@ class Env:
 
 EMPTY_ENV = Env()
 
-# run's two booleans: a comparison and a boolean literal evaluate to one of
-# them, so an `if` tests its condition by identity
-TRUE, FALSE = VBool(True), VBool(False)
-
 
 def _branch(c, dt, de):
     """The branch of an `if` whose condition `c` is neither `TRUE` nor
@@ -165,8 +170,8 @@ def _branch(c, dt, de):
 def _run_binop(op, box):
     """The run maker of one operator. `op` and `box` are fixed here, so a
     build reads no class attribute; the left operand is checked before the
-    right one is read. The result is made without the Python frame of its
-    record's `__init__` (`_slot_new`).
+    right one is read. A result that is not a shared value is made without
+    the Python frame of its record's `__init__` (`_slot_new`).
 
     An operand that is a literal or a name (a leaf) is read in place, with
     no call: a literal as it is, a name by one probe of its key, used when
@@ -179,7 +184,9 @@ def _run_binop(op, box):
     docstring), so a leaf costs the build no more than a denotation.
 
     A comparison (`box` is `VBool`) makes no value: it returns `TRUE` or
-    `FALSE`, which `mk_if` tests by identity."""
+    `FALSE`, which `mk_if` tests by identity. Nor does an integer result
+    that is exactly an `int` in the shared table's range: it is the
+    table's record (see `base.VInt`)."""
     new, set_value = _slot_new(box)
 
     def make(d1, d2):
@@ -193,10 +200,13 @@ def _run_binop(op, box):
                     y = d2(env)
                     if not isinstance(y, VInt):
                         _as_int(y)
+                    r = op(x.value, y.value)
                     if box is VBool:
-                        return TRUE if op(x.value, y.value) else FALSE
+                        return TRUE if r else FALSE
+                    if type(r) is int and _SMALL_LO <= r < _SMALL_HI:
+                        return _SMALL[r]
                     v = new(box)
-                    set_value(v, op(x.value, y.value))
+                    set_value(v, r)
                     return v
 
                 return den
@@ -211,10 +221,13 @@ def _run_binop(op, box):
                     y = v.value
                 else:
                     y = _var_int(d2, env)
+                r = op(x.value, y)
                 if box is VBool:
-                    return TRUE if op(x.value, y) else FALSE
+                    return TRUE if r else FALSE
+                if type(r) is int and _SMALL_LO <= r < _SMALL_HI:
+                    return _SMALL[r]
                 v = new(box)
-                set_value(v, op(x.value, y))
+                set_value(v, r)
                 return v
 
             return den
@@ -230,10 +243,13 @@ def _run_binop(op, box):
                 y = d2(env)
                 if not isinstance(y, VInt):
                     _as_int(y)
+                r = op(x, y.value)
                 if box is VBool:
-                    return TRUE if op(x, y.value) else FALSE
+                    return TRUE if r else FALSE
+                if type(r) is int and _SMALL_LO <= r < _SMALL_HI:
+                    return _SMALL[r]
                 v = new(box)
-                set_value(v, op(x, y.value))
+                set_value(v, r)
                 return v
 
             return den
@@ -251,10 +267,13 @@ def _run_binop(op, box):
                 y = v.value
             else:
                 y = _var_int(d2, env)
+            r = op(x, y)
             if box is VBool:
-                return TRUE if op(x, y) else FALSE
+                return TRUE if r else FALSE
+            if type(r) is int and _SMALL_LO <= r < _SMALL_HI:
+                return _SMALL[r]
             v = new(box)
-            set_value(v, op(x, y))
+            set_value(v, r)
             return v
 
         return den
@@ -465,7 +484,13 @@ class RunSemantics:
         return lambda env, v=TRUE if b else FALSE: v
 
     def mk_succ(self, d):
-        return lambda env, d=d: VInt(_as_int(d(env)) + 1)
+        def den(env, d=d):
+            i = _as_int(d(env)) + 1
+            if type(i) is int and _SMALL_LO <= i < _SMALL_HI:
+                return _SMALL[i]
+            return VInt(i)
+
+        return den
 
     def mk_binop(self, cls, d1, d2):
         make = _RUN_BINOPS[cls] if type(cls) is _Record else _not_a_tree

@@ -775,8 +775,8 @@ class TestHostStack:
             fn(tree)
 
     # Under pytest every walk handles chains of about 950; a walk that spends
-    # two host frames per tree level stops near 500. `eval_ast` and
-    # `free_vars` walk a redex `App(Lam, arg)`, two tree levels, in one frame.
+    # two host frames per tree level stops near 500. Every walk but
+    # `alpha_eq` takes a redex `App(Lam, arg)`, two tree levels, in one frame.
     WALKS = {
         "pretty": pretty,
         "to_sexp": to_sexp,
@@ -792,11 +792,25 @@ class TestHostStack:
             for c in ("add", "let")
             for w in ("pretty", "to_sexp", "free_vars", "alpha_eq", "eval_ast")
         ]
-        + [("redex", "free_vars"), ("redex", "eval_ast")],
+        + [("redex", w) for w in ("pretty", "to_sexp", "free_vars", "eval_ast")],
         ids=lambda p: p,
     )
     def test_depth_floor(self, chain, walk):
         self.WALKS[walk]({"add": add_chain, "let": let_chain, "redex": redex_chain}[chain](900))
+
+    @pytest.mark.parametrize("render", [pretty, to_sexp], ids=lambda f: f.__name__)
+    def test_a_redex_chain_renders_one_frame_per_level(self, render):
+        # 700 redexes are 1400 tree levels, past the default limit at two
+        # frames per level; the text is the one the plain handlers give
+        text = render(redex_chain(700))
+        assert text.count("fun v" if render is pretty else "(lam v") == 700
+        assert render(redex_chain(3)) == {
+            pretty: "((fun v0 -> ((fun v1 -> ((fun v2 -> v2) (v1 + 2))) (v0 + 2))) 0)",
+            to_sexp: (
+                "(app (lam v0 (app (lam v1 (app (lam v2 (var v2)) (add (var v1) (int 2))))"
+                " (add (var v0) (int 2)))) (int 0))"
+            ),
+        }[render]
 
     def test_depth_floor_values(self):
         assert eval_ast(add_chain(900), {}) == VInt(sum(range(900)))

@@ -55,7 +55,7 @@ from stagelet import (
     with_locus_rec,
 )
 from stagelet import codec
-from stagelet.codec import BuildContext
+from stagelet.codec import ROOT, BuildContext
 from stagelet.examples import ExampleKind
 from stagelet.semantics import ShowSemantics
 
@@ -582,6 +582,32 @@ class TestNotCode:
         for meaning in (show, run):
             with pytest.raises(TypeMismatch, match=want):
                 meaning(code)
+
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda c: cadd(c, cint(1)),
+            lambda c: cadd(cint(1), c),
+            lambda c: csucc(c),
+            lambda c: clam(lambda v: c),
+            lambda c: capp(clam(lambda v: v), c),
+            lambda c: with_locus(lambda l: genlet(l, 0, c)),
+        ],
+        ids=["left", "right", "succ", "lam-body", "redex-arg", "genlet"],
+    )
+    @pytest.mark.parametrize("result", [5, (1, 2, 3)], ids=repr)
+    def test_a_build_below_the_root_must_return_a_pair(self, place, result):
+        code = place(CodeValue(lambda ctx, loc: result))
+        want = f"^not a build result: {re.escape(repr(result))}$"
+        for meaning in (show, run):
+            with pytest.raises(TypeMismatch, match=want):
+                meaning(code)
+
+    def test_calling_a_user_code_value_checks_its_result(self):
+        with pytest.raises(TypeMismatch, match="^not a build result: 5$"):
+            CodeValue(lambda ctx, loc: 5)(BuildContext(ShowSemantics()), ROOT)
+        built = cint(1)(BuildContext(ShowSemantics()), ROOT)
+        assert CodeValue(lambda ctx, loc: built)(BuildContext(ShowSemantics()), ROOT) is built
 
 
 class TestMemoKeys:

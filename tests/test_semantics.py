@@ -57,7 +57,7 @@ from stagelet import (
     with_locus,
     with_locus_rec,
 )
-from stagelet import codec, semantics
+from stagelet import base, codec, semantics
 from stagelet.codec import ROOT, BuildContext
 from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
@@ -1012,10 +1012,20 @@ def _succ_den(a):
 
 
 class TestOperatorResults:
-    """Run makes an integer operator's result without its record's
-    `__init__`, and succ's with it; each is an exact, fresh, frozen record. A
-    comparison's result is one of run's two shared booleans, an exact
-    frozen record too."""
+    """Run's integer operator and succ results are exact, frozen records. One
+    that is an `int` in [-1024, 1024) is that int's shared record, the same
+    object on every call; one at or past either bound is fresh on every
+    call, an operator's made without its record's `__init__`. A
+    comparison's result is one of run's two shared booleans."""
+
+    @staticmethod
+    def _true_record(v, want):
+        assert type(v) is type(want)
+        assert v == want and hash(v) == hash(want) and repr(v) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.value = 0
+        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is type(want) and twin == want
 
     @pytest.mark.parametrize(
         "den, want",
@@ -1033,17 +1043,162 @@ class TestOperatorResults:
     )
     def test_result_is_a_true_record(self, den, want):
         v = den({})
-        assert type(v) is type(want)
-        assert v == want and hash(v) == hash(want) and repr(v) == repr(want)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            v.value = 0
-        for twin in (copy.copy(v), pickle.loads(pickle.dumps(v))):
-            assert type(twin) is type(want) and twin == want
+        self._true_record(v, want)
         if type(want) is VBool:
             assert v is (semantics.TRUE if want.value else semantics.FALSE)
-            assert den({}) is v
         else:
-            assert den({}) is not v
+            assert v is base._SMALL[want.value]
+        assert den({}) is v
+
+    @pytest.mark.parametrize(
+        "den, want, shared",
+        [
+            (_binop_den(Add, 1022, 1), VInt(1023), True),
+            (_binop_den(Sub, -1023, 1), VInt(-1024), True),
+            (_succ_den(-1025), VInt(-1024), True),
+            (_binop_den(Add, 1023, 1), VInt(1024), False),
+            (_binop_den(Sub, -1024, 1), VInt(-1025), False),
+            (_binop_den(Mul, 32, 32), VInt(1024), False),
+            (_binop_den(Div, 2050, -2), VInt(-1025), False),
+            (_binop_den(MyAdd, 1000, 1000), VInt(2000), False),
+            (_succ_den(1023), VInt(1024), False),
+            (_succ_den(-1026), VInt(-1025), False),
+        ],
+        ids=[
+            "add-top", "sub-bottom", "succ-bottom", "add-past-top", "sub-past-bottom",
+            "mul-past-top", "div-past-bottom", "subclass-past-top", "succ-past-top",
+            "succ-past-bottom",
+        ],
+    )
+    def test_a_result_at_either_bound(self, den, want, shared):
+        """1023 and -1024 are the table's last entries, 1024 and -1025 the
+        first values past it."""
+        v = den({})
+        self._true_record(v, want)
+        assert (den({}) is v) is shared
+        if shared:
+            assert v is base._SMALL[want.value]
+
+
+# the table's last entries and the first values past it on either side
+_EDGES = (-1025, -1024, 1023, 1024)
+
+
+def _host_div(a, b):
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+_HOST_OPS = {
+    cadd: (Add, lambda a, b: a + b),
+    csub: (Sub, lambda a, b: a - b),
+    cmul: (Mul, lambda a, b: a * b),
+    cdiv: (Div, _host_div),
+    ceq: (Eq, lambda a, b: a == b),
+}
+
+
+def _boxed(r):
+    return VBool(r) if type(r) is bool else VInt(r)
+
+
+def _shared_as_it_should_be(v):
+    """`v` is the table's record exactly when its value is an exact `int`
+    in range, and a boolean is one of the two shared ones."""
+    if type(v) is VBool:
+        assert v is (semantics.TRUE if v.value else semantics.FALSE)
+    elif type(v.value) is int and -1024 <= v.value < 1024:
+        assert v is base._SMALL[v.value]
+    else:
+        assert all(v is not w for w in base._SMALL)
+
+
+class TestSharedInts:
+    """`base._SMALL` holds `VInt(i)` for every exact `int` i in [-1024,
+    1024); run and `eval_ast` return its record for such a result, and a
+    fresh one for anything else, so values are those of host arithmetic at
+    both bounds and a junk value is boxed as before."""
+
+    def test_every_entry_is_its_int(self):
+        assert len(base._SMALL) == 2048
+        for i in range(-1024, 1024):
+            v = base._SMALL[i]
+            assert type(v) is VInt and v == VInt(i) and type(v.value) is int
+
+    @pytest.mark.parametrize("comb", list(_HOST_OPS), ids=lambda c: c.__name__)
+    def test_operators_agree_with_host_ints_at_the_bounds(self, comb):
+        cls, host = _HOST_OPS[comb]
+        lits = [*_EDGES, -1, 1]
+        # a literal operand and a denotation operand of the same value
+        forms = (cint, lambda i: capp(clam(lambda v: v), cint(i)))
+        names = run(clam(lambda a: clam(lambda b: comb(a, b))))
+        for a in _EDGES:
+            for b in lits:
+                want = _boxed(host(a, b))
+                for fa in forms:
+                    for fb in forms:
+                        code = comb(fa(a), fb(b))
+                        for v in (run(code), eval_ast(show(code))):
+                            assert v == want and type(v.value) is type(want.value)
+                            _shared_as_it_should_be(v)
+                for v in (
+                    apply_ints(names, (a, b)),
+                    apply_ints(names, (b, a)),
+                    eval_ast(cls(IntLit(a), IntLit(b))),
+                    eval_ast(cls(IntLit(b), IntLit(a))),
+                ):
+                    _shared_as_it_should_be(v)
+                assert apply_ints(names, (a, b)) == eval_ast(cls(IntLit(a), IntLit(b))) == want
+                assert apply_ints(names, (b, a)) == _boxed(host(b, a))
+                assert eval_ast(cls(IntLit(b), IntLit(a))) == _boxed(host(b, a))
+
+    def test_succ_and_literals_agree_with_host_ints_at_the_bounds(self):
+        for i in (e + d for e in _EDGES for d in (-1, 0)):
+            code = csucc(cint(i))
+            for v in (
+                run(code),
+                eval_ast(show(code)),
+                apply_ints(run(clam(csucc)), (i,)),
+            ):
+                assert v == VInt(i + 1)
+                _shared_as_it_should_be(v)
+            for v in (eval_ast(IntLit(i)), apply_ints(run(clam(lambda v: v)), (i,))):
+                assert v == VInt(i)
+                _shared_as_it_should_be(v)
+
+    @pytest.mark.parametrize(
+        "host, want",
+        [(VInt(2.5), VInt(3.5)), (VInt(True), VInt(2))],
+        ids=["float", "bool"],
+    )
+    def test_a_junk_host_value_gives_todays_value(self, host, want):
+        """A float result is fresh. `True + 1` is the exact `int` 2, so its
+        result is the shared `VInt(2)`, equal to the fresh one made before."""
+        g = VFun(lambda _: host)
+        for code in (
+            clam(lambda h: cadd(capp(h, cint(0)), cint(1))),
+            clam(lambda h: cadd(cint(1), capp(h, cint(0)))),
+        ):
+            for f in (run(code), eval_ast(show(code))):
+                v = f.fn(g)
+                assert v == want and type(v.value) is type(want.value)
+                _shared_as_it_should_be(v)
+
+    @pytest.mark.parametrize(
+        "tree, want",
+        [
+            (Succ(IntLit(1.5)), VInt(2.5)),
+            (IntLit(True), VInt(True)),
+            (BoolLit(5), VBool(5)),
+        ],
+        ids=["succ-float", "int-true", "bool-five"],
+    )
+    def test_eval_ast_boxes_a_junk_literal_afresh(self, tree, want):
+        v = eval_ast(tree)
+        assert type(v) is type(want) and type(v.value) is type(want.value)
+        assert v.value == want.value
+        assert v is not eval_ast(tree)
+        assert all(v is not w for w in (*base._SMALL, semantics.TRUE, semantics.FALSE))
 
 
 # Operands of a binary operator, by kind: the operand `mk_binop` takes in

@@ -1,4 +1,4 @@
-"""Print the deepest chains that `show`, `run`, `pretty` and `eval_ast` handle.
+"""Print the deepest chains that stagelet's entry points handle.
 
 Three chains, each a function of `x` applied to 1, whose value is the depth
 plus one:
@@ -13,11 +13,11 @@ For each chain it prints the deepest one that each entry point handles:
 - `show`: building the chain's generator and its tree;
 - `run`: building and running the generator, then applying the function
   once (`apply_ints`);
-- `pretty`: rendering the tree;
+- `pretty` and `to_sexp`: rendering the tree;
 - `eval_ast`: evaluating the tree and applying it once.
 
 `show` and `run` take generators built with the library's combinators;
-`pretty` and `eval_ast` take the same trees built by hand, so each is
+the renderers and `eval_ast` take the same trees built by hand, so each is
 measured on its own, past the depth where `show` stops. Each depth is found
 by bisection up to 10^4, at the interpreter's default recursion limit, in
 the main thread, from a shallow stack; a depth of 10^4 is printed as
@@ -60,6 +60,7 @@ from stagelet import (  # noqa: E402
     pretty,
     run,
     show,
+    to_sexp,
 )
 
 MAX_DEPTH = 10_000
@@ -145,11 +146,21 @@ def _pretty(chain, tree, n):
     pretty(tree(n))
 
 
+def _to_sexp(chain, tree, n):
+    to_sexp(tree(n))
+
+
 def _eval_ast(chain, tree, n):
     _applied(eval_ast(tree(n)), n)
 
 
-ENTRY_POINTS = {"show": _show, "run": _run, "pretty": _pretty, "eval_ast": _eval_ast}
+ENTRY_POINTS = {
+    "show": _show,
+    "run": _run,
+    "pretty": _pretty,
+    "to_sexp": _to_sexp,
+    "eval_ast": _eval_ast,
+}
 
 
 def handles(probe, chain, tree, n):
