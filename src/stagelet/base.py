@@ -7,6 +7,7 @@ denotation builders in `semantics` so the two can cross-check each other.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import re
 
@@ -31,12 +32,9 @@ class StepLimitExceeded(StagingError):
 
 class _HostStack:
     """Context manager: host-stack overflow inside the block becomes
-    StepLimitExceeded, so deep trees fail as staging errors. A walk here
-    reading a binder's or a variable's name (`path` or `render`) from
-    something that is not a `Name` becomes TypeMismatch: no node but
-    `LetRec` checks its name fields, and this test costs a walk nothing
-    until it fails. The error must come from this module, so a generator's
-    own error stays as it is."""
+    StepLimitExceeded, so deep trees fail as staging errors. Every other
+    error passes through as it is: a malformed name is refused where its
+    node is made (`_slot_init`), so no walk meets one."""
 
     __slots__ = ("what",)
 
@@ -47,33 +45,21 @@ class _HostStack:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if kind is None:
-            return False
-        if issubclass(kind, RecursionError):
+        if kind is not None and issubclass(kind, RecursionError):
             raise StepLimitExceeded(f"{self.what} recursed past the host stack") from None
-        if (
-            issubclass(kind, AttributeError)
-            and exc.name in ("path", "render")
-            and not isinstance(exc.obj, Name)
-        ):
-            while tb.tb_next is not None:
-                tb = tb.tb_next
-            if tb.tb_frame.f_globals is globals():
-                raise TypeMismatch(f"not a name: {exc.obj!r}") from None
         return False
 
 
 class _Budget:
-    """Mutable step countdown; None means unlimited."""
+    """Mutable step countdown. A limit of None counts down from `math.inf`,
+    which a tick leaves as it is, so no tick tests for "no limit"."""
 
     __slots__ = ("remaining",)
 
     def __init__(self, limit):
-        self.remaining = limit
+        self.remaining = math.inf if limit is None else limit
 
     def tick(self):
-        if self.remaining is None:
-            return
         self.remaining -= 1
         if self.remaining < 0:
             raise StepLimitExceeded("step limit exceeded")
@@ -94,6 +80,15 @@ def _expect_limit(limit):
     """Raise TypeMismatch unless `limit` is an int or None (no limit)."""
     if limit is not None:
         _expect_int(limit, "a limit")
+
+
+def _expect_name(x):
+    """Raise TypeMismatch unless `x` is a `Name`: the one statement of the
+    rule. `LetRec` and `eval_ast`'s environment call it; the `__init__` of
+    a node with a `Name` field (`_slot_init`) tests inline and calls this
+    only to raise."""
+    if not isinstance(x, Name):
+        raise TypeMismatch(f"not a name: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +169,11 @@ def _rebuild(self):
 
 def _slot_init(cls):
     """The `__init__` of record class `cls`: each argument, or its default,
-    set through its slot's descriptor, then `__post_init__` if any."""
-    ns, params, body = {}, [], []
+    set through its slot's descriptor, then `__post_init__` if any. A field
+    annotated `Name` (`Var.name`, `Lam.param`, `Let.name`) is tested inline
+    first, so a node is well named from the moment it is made, at no cost
+    of a frame; anything but a `Name` raises `_expect_name`'s error."""
+    ns, params, body = {"Name": Name, "_expect_name": _expect_name}, [], []
     for f in dataclasses.fields(cls):
         n = f.name
         ns[f"set_{n}"] = getattr(cls, n).__set__
@@ -187,6 +185,8 @@ def _slot_init(cls):
             raise TypeError(f"non-default argument {n!r} follows default argument")
         else:
             params.append(n)
+        if f.type in ("Name", Name):
+            body.append(f"    if not isinstance({n}, Name): _expect_name({n})")
         body.append(f"    set_{n}(self, {n})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
@@ -197,13 +197,14 @@ def _slot_init(cls):
 
 
 def _slot_new(cls):
-    """`object.__new__` and the slot setter of record class `cls`, with which
-    a caller makes `cls(v)` as `_slot_init` would, without its Python frame;
-    a record with more than one field or a `__post_init__` is refused."""
-    fields = dataclasses.fields(cls)
-    if len(fields) != 1 or hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} is not a one-field record without __post_init__")
-    return object.__new__, getattr(cls, fields[0].name).__set__
+    """`object.__new__` and the slot setter of each field of record class
+    `cls`, in field order, with which a caller makes a `cls` as `_slot_init`
+    would, without its Python frame. It makes no test, so a caller sets a
+    `Name` field only to a `Name`; a record with a `__post_init__` is
+    refused."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} has a __post_init__")
+    return object.__new__, *(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +474,7 @@ class LetRec(BaseAst):
                 raise TypeMismatch(f"not a letrec clause: {c!r}")
         names = [n for n, _ in self.clauses]
         for n in names:
-            if not isinstance(n, Name):
-                raise TypeMismatch(f"not a name: {n!r}")
+            _expect_name(n)
         if len(set(names)) != len(names):
             raise ValueError("letrec clause names must be distinct")
 
@@ -639,11 +639,11 @@ def free_vars(ast: BaseAst) -> set:
     (`name.path`, as `eval_ast` does): a binder adds one on entry and puts
     the count back on exit, and a variable is free when its key counts
     zero. So a closed tree of `Fresh` names makes no Python-level
-    `__hash__` call, and a name field that is not a `Name` raises
-    TypeMismatch. A redex `App(Lam, arg)` is walked in one frame, as
-    `eval_ast` runs it. Children are visited left to right, a letrec's
-    body before its clauses, and of two equal free names (a hinted and an
-    unhinted `Fresh`, say) the set keeps the one met first.
+    `__hash__` call. Every name field holds a `Name`: its node refused
+    anything else when it was made. A redex `App(Lam, arg)` is walked in
+    one frame, as `eval_ast` runs it. Children are visited left to right,
+    a letrec's body before its clauses, and of two equal free names (a
+    hinted and an unhinted `Fresh`, say) the set keeps the one met first.
     """
     free = set()
     with _HostStack("free_vars"):
@@ -730,8 +730,8 @@ _F = _Walk(
 
 def alpha_eq(a: BaseAst, b: BaseAst) -> bool:
     """Equality up to consistent renaming of bound names. Names are
-    compared by key (`name.path`), so a name field that is not a `Name`
-    raises TypeMismatch.
+    compared by key (`name.path`), which every name field has: its node
+    refused anything but a `Name` when it was made.
 
     The two renaming maps, `ab` from a's keys to b's and `ba` back, are
     bound in place, as `eval_ast` binds its environment: a binder writes
@@ -889,8 +889,7 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
         except (TypeError, ValueError):
             raise TypeMismatch(f"not an environment: {env!r}") from None
         for name, value in env.items():
-            if not isinstance(name, Name):
-                raise TypeMismatch(f"not a name: {name!r}")
+            _expect_name(name)
             keyed[name.path] = value
     with _HostStack("evaluation"):
         return _E[type(ast)](ast, keyed, budget)
@@ -1044,10 +1043,8 @@ def _eval_app(t, env, budget):
 
 
 def _eval_let(t, env, budget):
-    # the key is read first, so a binder that is not a name fails before
-    # its right-hand side runs. The redex case of `_eval_app` binds the
-    # same way, written out rather than shared: a helper would cost a host
-    # frame per level
+    # the redex case of `_eval_app` binds the same way, written out rather
+    # than shared: a helper would cost a host frame per level
     n, r, b = t.name.path, t.rhs, t.body
     v = _E[type(r)](r, env, budget)
     shadowed = env.get(n, _UNBOUND)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .base import StagingError, _Record, _expect_location, render_location
+from .base import StagingError, _Record, _expect_location, _slot_new, render_location
 
 DEFAULT_CANON_LIMIT = 10_000
 
@@ -147,13 +147,10 @@ def _requests(cls: BindingClass):
     return names
 
 
-# `BindingClass(name, rhs, log)` without the Python frame of its `__init__`:
-# `_new(BindingClass)`, then the three slot setters. A build makes one class
-# per request and one per fold, so the frame is worth saving
-_new = object.__new__
-_set_name = BindingClass.name.__set__
-_set_rhs = BindingClass.rhs.__set__
-_set_log = BindingClass.log.__set__
+# `BindingClass(name, rhs, log)` without the Python frame of its `__init__`
+# (`_slot_new`): `_new(BindingClass)`, then the three slot setters. A build
+# makes one class per request and one per fold, so the frame is worth saving
+_new, _set_name, _set_rhs, _set_log = _slot_new(BindingClass)
 
 
 def _fold(classes, incoming):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 import types
@@ -53,7 +54,8 @@ from stagelet import (
     show,
     to_sexp,
 )
-from stagelet.base import _slot_new, render_location
+from stagelet.base import _Budget, _slot_new, render_location
+from stagelet.insertion import BindingClass
 
 from helpers import (
     bracketed,
@@ -1128,11 +1130,19 @@ class TestRecords:
             first = dataclasses.fields(cls)[0].name
             assert f"set_{first}" in cls.__init__.__code__.co_names
 
-    def test_slot_new_makes_a_one_field_record_and_refuses_others(self):
+    def test_slot_new_makes_a_record_and_refuses_a_post_init(self):
         new, set_value = _slot_new(VInt)
         v = new(VInt)
         set_value(v, 3)
         assert type(v) is VInt and v == VInt(3) and hash(v) == hash(VInt(3))
+        new, set_name, set_rhs, set_log = _slot_new(BindingClass)
+        made = new(BindingClass)
+        set_name(made, x)
+        set_rhs(made, IntLit(1))
+        set_log(made, frozenset({y}))
+        built = BindingClass(x, IntLit(1), frozenset({y}))
+        assert type(made) is BindingClass and made == built and hash(made) == hash(built)
+        assert repr(made) == repr(built)
 
         class Checked(Value, metaclass=type(VInt)):
             value: int
@@ -1140,9 +1150,37 @@ class TestRecords:
             def __post_init__(self):
                 pass
 
-        for cls in (Checked, Lam, BaseAst):
-            with pytest.raises(TypeError, match=f"^{cls.__name__} is not a one-field record"):
+        for cls in (Checked, Source, LetRec):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} has a __post_init__$"):
                 _slot_new(cls)
+
+    @pytest.mark.parametrize(
+        "make, bad",
+        [
+            (lambda: Var("x"), "x"),
+            (lambda: Lam(1, IntLit(0)), 1),
+            (lambda: Let(IntLit(0), IntLit(1), IntLit(2)), IntLit(0)),
+        ],
+        ids=["var", "lam", "let"],
+    )
+    def test_a_name_field_refuses_what_is_not_a_name_when_made(self, make, bad):
+        with pytest.raises(TypeMismatch, match=f"^not a name: {re.escape(repr(bad))}$"):
+            make()
+
+    def test_a_user_name_is_a_name(self):
+        class Tag(Name):
+            def render(self):
+                return "t"
+
+        t = Tag()
+        tree = Let(t, IntLit(1), Lam(t, Var(t)))
+        assert (tree.name, tree.body.param, tree.body.body.name) == (t, t, t)
+        assert pretty(tree) == "(let t = 1 in (fun t -> t))"
+
+    def test_a_user_var_inherits_the_name_check(self):
+        assert MyVar(x).name is x
+        with pytest.raises(TypeMismatch, match="^not a name: 'x'$"):
+            MyVar("x")
 
     @pytest.mark.parametrize("base", [BaseAst, BinOp, Value, Name], ids=lambda c: c.__name__)
     def test_each_class_is_listed_once_under_its_base(self, base):
@@ -1173,6 +1211,12 @@ class TestStepBudget:
         a = Source("a")
         tree = let_chain(200, lambda prev: App(Lam(a, Add(Var(a), IntLit(1))), prev))
         assert eval_with_least_budget(tree, 199) == VInt(199)
+
+    def test_no_limit_never_runs_out(self):
+        budget = _Budget(None)
+        for _ in range(10**6):
+            budget.tick()
+        assert budget.remaining == math.inf
 
 
 def run_with_least_budget(code, args, limit):

@@ -443,6 +443,14 @@ class TestRunErrors:
         with pytest.raises(TypeMismatch):
             apply_ints(run(cint(3)), [1])
 
+    def test_applying_a_non_function_raises_as_eval_ast(self):
+        code = capp(cint(1), cint(2))
+        for thunk in (lambda: run(code), lambda: eval_ast(show(code))):
+            with pytest.raises(
+                TypeMismatch, match=r"^cannot apply non-function VInt\(value=1\)$"
+            ):
+                thunk()
+
     def test_deep_show_is_a_staging_error(self):
         code = cint(0)
         for i in range(2000):

@@ -1441,6 +1441,19 @@ class TestBranchingBody:
     def test_fused_and_plain_functions_agree_with_eval_ast(self, code):
         _agree_over(code, [(k,) for k in (0, 2, 3)])
 
+    @pytest.mark.parametrize("b, want", [(True, 1), (False, 2)], ids=["true", "false"])
+    def test_a_fresh_boolean_from_user_code_picks_by_value(self, b, want):
+        # a user code value whose run denotation makes a fresh `VBool`: the
+        # condition of a plain `if` (`mk_if`) and of a fused function's body
+        fresh = codec.CodeValue(lambda ctx, loc: (lambda env: VBool(b), {}))
+        assert run(cif(fresh, cint(1), cint(2))) == VInt(want)
+        assert apply_ints(run(clam(lambda v: cif(fresh, v, cint(2)))), (1,)) == VInt(want)
+
+    def test_a_fused_call_counts_its_step(self):
+        f = run(clam(lambda n: cif(ceq(n, cint(0)), cint(1), cint(2))), step_limit=0)
+        with pytest.raises(StepLimitExceeded, match="^step limit exceeded$"):
+            apply_ints(f, (5,))
+
     def test_an_extruded_variable_in_a_branch_stays_unbound(self):
         code = _hoisted(lambda v, x: cif(ceq(x, cint(0)), v, cint(1)))
         (free,) = free_vars(show(code))

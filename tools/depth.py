@@ -18,7 +18,13 @@ For each chain it prints the deepest one that each entry point handles:
 
 `show` and `run` take generators built with the library's combinators;
 the renderers and `eval_ast` take the same trees built by hand, so each is
-measured on its own, past the depth where `show` stops. Each depth is found
+measured on its own, past the depth where `show` stops.
+
+A fourth row, `cack2`, is call depth: the greatest `n` for which
+Ackermann's function specialised to 2 (`cack(2)`), applied to `n`, gives
+`2n + 3`, once through `run` and once through `eval_ast` on the tree
+`show` builds. Applied to `n`, it nests about `2n` calls deep on the host
+stack; the other entry points have no cell in this row. Each depth is found
 by bisection up to 10^4, at the interpreter's default recursion limit, in
 the main thread, from a shallow stack; a depth of 10^4 is printed as
 `>=10000`. Every entry point must fail on a chain too deep for it with
@@ -62,6 +68,7 @@ from stagelet import (  # noqa: E402
     show,
     to_sexp,
 )
+from stagelet.examples import ackermann, cack  # noqa: E402
 
 MAX_DEPTH = 10_000
 
@@ -163,29 +170,50 @@ ENTRY_POINTS = {
 }
 
 
-def handles(probe, chain, tree, n):
-    """Whether `probe` handles depth `n`; only `StepLimitExceeded` is a
-    refusal."""
+def _cack2_run(n):
+    _applied_ackermann(run(cack(2)), n)
+
+
+def _cack2_eval_ast(n):
+    _applied_ackermann(eval_ast(show(cack(2))), n)
+
+
+def _applied_ackermann(value, n):
+    got = apply_ints(value, (n,))
+    if got != VInt(ackermann(2, n)):
+        raise SystemExit(f"wrong value of cack2 on {n}: {got!r}")
+
+
+CALLS = {"run": _cack2_run, "eval_ast": _cack2_eval_ast}
+
+
+def handles(probe, args, n):
+    """Whether `probe(*args, n)` handles depth `n`; only
+    `StepLimitExceeded` is a refusal."""
     try:
-        probe(chain, tree, n)
+        probe(*args, n)
     except StepLimitExceeded:
         return False
     return True
 
 
-def deepest(probe, chain, tree):
+def deepest(probe, *args):
     """The greatest depth up to `MAX_DEPTH` that `probe` handles, by
     bisection; every depth below a handled one is taken as handled."""
-    if handles(probe, chain, tree, MAX_DEPTH):
+    if handles(probe, args, MAX_DEPTH):
         return MAX_DEPTH
     lo, hi = 0, MAX_DEPTH  # lo is handled, hi is not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if handles(probe, chain, tree, mid):
+        if handles(probe, args, mid):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _cell(n):
+    return f">={n}" if n == MAX_DEPTH else str(n)
 
 
 def main():
@@ -194,12 +222,17 @@ def main():
         f"recursion limit {sys.getrecursionlimit()}, main thread"
     )
     print(f"{'chain':<6}" + "".join(f"{name:>10}" for name in ENTRY_POINTS))
+    # plain loops: a comprehension would be one more host frame under
+    # every probe on interpreters before 3.12
     for label, (chain, tree) in CHAINS.items():
         cells = []
         for probe in ENTRY_POINTS.values():
-            n = deepest(probe, chain, tree)
-            cells.append(f">={n}" if n == MAX_DEPTH else str(n))
+            cells.append(_cell(deepest(probe, chain, tree)))
         print(f"{label:<6}" + "".join(f"{c:>10}" for c in cells))
+    cells = []
+    for name in ENTRY_POINTS:
+        cells.append(_cell(deepest(CALLS[name])) if name in CALLS else "-")
+    print(f"{'cack2':<6}" + "".join(f"{c:>10}" for c in cells))
 
 
 if __name__ == "__main__":
