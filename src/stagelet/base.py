@@ -863,8 +863,8 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
     """Call-by-value evaluation; aborts after step_limit beta/clause steps.
 
     `env` maps Name to Value, as a mapping or pairs, and None is no
-    environment; anything else, or a key that is not a Name, raises
-    TypeMismatch.
+    environment; anything else, a key that is not a Name, or a value that
+    is not a Value, raises TypeMismatch.
     Free names not in `env` raise UnboundVariable. Inside, the environment
     is keyed by each name's `path`, so a variable read or a binding makes
     no Python-level `__hash__` call; `env` is converted once, here.
@@ -890,6 +890,8 @@ def eval_ast(ast: BaseAst, env=None, step_limit=DEFAULT_STEP_LIMIT) -> Value:
             raise TypeMismatch(f"not an environment: {env!r}") from None
         for name, value in env.items():
             _expect_name(name)
+            if not isinstance(value, Value):
+                raise TypeMismatch(f"not a value: {value!r}")
             keyed[name.path] = value
     with _HostStack("evaluation"):
         return _E[type(ast)](ast, keyed, budget)

@@ -251,13 +251,19 @@ def _require_canonical(cls: BindingClass):
 
 
 def bind_lets(classes, body, sem):
-    """Nest the classes around `body` as let-expressions, outermost first,
-    each binding its aliases too. They may be bound in any order: the alias
-    sets at one locus are pairwise disjoint and hold no representative."""
-    den = body
-    for cls in reversed(list(classes)):
-        den = sem.mk_let(cls.name, _require_canonical(cls), den, _requests(cls))
-    return den
+    """The classes around `body` as one block of let-expressions, outermost
+    first, each binding its aliases too: one `sem.mk_lets` call per locus,
+    handed a `(name, rhs, aliases)` triple per class, as `bind_letrec`
+    makes one `mk_letrec` call. The aliases may be bound in any order: the
+    alias sets at one locus are pairwise disjoint and hold no
+    representative. A pending class raises `PendingBinding`, the innermost
+    first."""
+    classes = list(classes)
+    if not classes:
+        return body
+    for cls in reversed(classes):
+        _require_canonical(cls)
+    return sem.mk_lets(tuple((cls.name, cls.rhs, _requests(cls)) for cls in classes), body)
 
 
 def bind_letrec(classes, body, sem):

@@ -12,7 +12,9 @@ evaluates as `let x = a in b`; a closure keeps a copy of the dict it is
 made in, and a call binds its parameter into a copy of that. A variable
 that the code builder finds built outside its binder's body is unbound
 from the build on (`mk_unbound`): run raises when it reaches it, and show
-prints its name as `mk_var` does. The
+prints its name as `mk_var` does. A let locus hands its whole block of
+lets to one maker, `mk_lets`, as a letrec locus hands its clauses to
+`mk_letrec`, and each family makes one denotation of it. The
 aliases of a binding class go into a table per `RunSemantics`, keyed by
 names and filled while the code is built, and the variable a request
 returns (`mk_request`) resolves its name through that table once. Show's
@@ -38,13 +40,15 @@ one tracked by the cyclic collector; defaults cost one tuple. That is exact
 because nothing rebinds a part once its denotation is made, and a
 denotation is only ever called as `d(env)`. Run's function values hold
 their environment copy and parts the same way, and are only ever called
-on one argument. Run's request variable is the one exception: it rewrites
-its name once (`_run_request`).
+on one argument. Run's request variable is no function: it is a slotted
+object (`_Request`) that rewrites its key once, and holds no cell either.
 
 An operand of `mk_binop` is a denotation, an exact `int` literal (`cint`
 stores one) or a bound `Name`: the code builder passes a literal or a
 variable operand unbuilt. Show turns it into the `IntLit` or `Var` node its
-`mk_int` or `mk_var` would make; run reads it in place (see `_run_binop`).
+`mk_int` or `mk_var` would make; run reads it in place (see `_run_binop`),
+and so it reads its own request variable, as an operand and in function
+position (`mk_app`).
 """
 
 from __future__ import annotations
@@ -173,11 +177,12 @@ def _run_binop(op, box):
     right one is read. A result that is not a shared value is made without
     the Python frame of its record's `__init__` (`_slot_new`).
 
-    An operand that is a literal or a name (a leaf) is read in place, with
-    no call: a literal as it is, a name by one probe of its key, used when
-    it holds exactly a `VInt`. A literal is an exact `int`, which is what
-    tells the two apart when the denotation runs. Any other value of a name
-    goes through `_var_int`. Each shape (two denotations, a denotation and a
+    An operand that is a literal, a name or a request (a leaf) is read in
+    place, with no call: a literal as it is, a name or a request by one
+    probe of its key, used when it holds exactly a `VInt`. A literal is an
+    exact `int`, which is what tells it apart from the other two when the
+    denotation runs. Any other value of a key, or a request's miss, goes
+    through `_var_int`. Each shape (two denotations, a denotation and a
     leaf, a leaf and a denotation, two leaves) has its own function, which
     holds its two operands, `op`, `box` and the two slot functions as
     parameter defaults, as every denotation does (see the module
@@ -190,8 +195,8 @@ def _run_binop(op, box):
     new, set_value = _slot_new(box)
 
     def make(d1, d2):
-        if callable(d1):
-            if callable(d2):
+        if callable(d1) and type(d1) is not _Request:
+            if callable(d2) and type(d2) is not _Request:
 
                 def den(env, d1=d1, d2=d2, op=op, box=box, new=new, set_value=set_value):
                     x = d1(env)
@@ -231,7 +236,7 @@ def _run_binop(op, box):
                 return v
 
             return den
-        if callable(d2):
+        if callable(d2) and type(d2) is not _Request:
 
             def den(env, d1=d1, d2=d2, op=op, box=box, new=new, set_value=set_value):
                 if type(d1) is int:
@@ -281,11 +286,13 @@ def _run_binop(op, box):
     return make
 
 
-def _var_int(name, env):
-    """The integer a name operand reads when its value in `env` is not
-    exactly a `VInt`: its `mk_var` denotation raises for an unbound name and
-    forces a letrec cell, and `_as_int` raises for anything but an integer."""
-    v = _run_var(name)(env)
+def _var_int(leaf, env):
+    """The integer a name or request operand reads when its key's value in
+    `env` is not exactly a `VInt`: a request reads itself (`read`, called as
+    a method), a name its `mk_var` denotation; either raises when unbound
+    and forces a letrec cell, and `_as_int` raises for anything but an
+    integer."""
+    v = leaf.read(env) if type(leaf) is _Request else _run_var(leaf)(env)
     return v.value if isinstance(v, VInt) else _as_int(v)
 
 
@@ -344,39 +351,42 @@ def _run_lam_if(budget, key, dc, dt, de):
     return den
 
 
-def _run_request(reps):
-    """The request maker of one RunSemantics, whose alias table is `reps`.
-    Every request closure shares the table's cell and owns only its name's:
-    the one denotation that keeps cells, since it rewrites its name (a
-    one-slot list in a default costs as many tracked objects and measured
-    no faster).
+class _Request:
+    """Run's denotation of a request's variable: a leaf, as a literal or a
+    name operand is, that `_run_binop` and `mk_app` read in place (see
+    `RunSemantics`); called, it reads itself (`read`). It holds its name's
+    key (`path`), its name and its semantics' alias table (`reps`), in
+    slots: no closure, no cell and no `__dict__`. `RunSemantics.mk_request`
+    makes it without the Python frame of an `__init__`, as `insertion`
+    makes a folded class: a build makes one per request.
 
-    A request reads its own name first: a representative is bound under it.
-    On a miss it looks the name up in the table once and, if that finds a
-    bound representative, keeps the representative in place of the name. A
-    denotation sits at one place in one tree, so every environment it is
-    applied to binds at least the names in scope there; the others were
-    bound earlier in the same activation, out of its scope, and are never
-    read (see `RunSemantics`). So a representative found bound once is found
-    bound every time; a request that is unbound raises before it keeps
-    anything, naming itself."""
+    A request reads its own key first: a representative is bound under it.
+    On a miss it looks its name up in the table once and, if that finds a
+    bound representative, keeps the representative's key in place of its
+    own. A denotation sits at one place in one tree, so every environment
+    it is applied to binds at least the names in scope there; the others
+    were bound earlier in the same activation, out of its scope, and are
+    never read (see `RunSemantics`). So a representative found bound once
+    is found bound every time; a request that is unbound raises before it
+    keeps anything, naming itself."""
 
-    def make(name):
-        def den(env):
-            nonlocal name
-            v = env.get(name.path)
-            if v is None:
-                rep = reps.get(name)
-                if rep is None or (v := env.get(rep.path)) is None:
-                    raise UnboundVariable(f"unbound variable {name.render()}")
-                name = rep
-            if type(v) is _RecCell:
-                return v.value if v.done else v.force()
-            return v
+    __slots__ = ("path", "name", "reps")
 
-        return den
+    def read(self, env):
+        v = env.get(self.path)
+        if v is None:
+            rep = self.reps.get(self.name)
+            if rep is None or (v := env.get(rep.path)) is None:
+                raise UnboundVariable(f"unbound variable {self.name.render()}")
+            self.path = rep.path
+        if type(v) is _RecCell:
+            return v.value if v.done else v.force()
+        return v
 
-    return make
+    __call__ = read
+
+
+_new = object.__new__
 
 
 def _run_var(name):
@@ -433,26 +443,31 @@ class RunSemantics:
     `mk_app(mk_lam(...), a)`; the redex makes no function value, no
     closure copy and no call copy, and spends one host frame fewer.
 
-    A binder binds only its own names. Each alias a let or letrec is handed
-    goes into this instance's alias table, mapped to its representative, as
-    the code is built. An instance serves one build, as in `run`, which
-    builds everything before it evaluates anything, so the table is
-    complete by then. The table is keyed by names, so filling it hashes
-    each alias once at build time; a request's variable resolves through
-    it on its first miss and then reads its representative's key. That is
-    exact: a build gives each location one name, each
-    request name folds into exactly one class at one locus, and the binder
-    that binds a representative is the one that bound its aliases, so an
-    alias is in scope exactly where its representative is.
+    A binder binds only its own names. Each alias a locus's block of lets
+    (`mk_lets`) or its letrec is handed goes into this instance's alias
+    table, mapped to its representative, as the code is built. The block
+    is one denotation that binds its lets in turn, outermost first, so it
+    spends one host frame where nested lets spent one each. An instance
+    serves one build, as in `run`, which builds everything before it
+    evaluates anything, so the table is complete by then. The table is
+    keyed by names, so filling it hashes each alias once at build time; a
+    request's variable resolves through it on its first miss and then
+    reads its representative's key (see `_Request`). That is exact: a
+    build gives each location one name, each request name folds into
+    exactly one class at one locus, and the binder that binds a
+    representative is the one that bound its aliases, so an alias is in
+    scope exactly where its representative is.
 
     Run does in place what costs a call per read elsewhere: a binary
-    operator reads a literal or a variable operand itself (`_run_binop`), a
-    call counts its step inline and calls `_Budget.tick` only to raise, and
-    a variable or request reads a forced letrec cell's value, calling
-    `force` only for a cell not yet forced. A comparison returns `TRUE` or
-    `FALSE` and makes no value, and an `if` tests its condition against the
-    two by identity; only another `VBool` (a host `VFun` may return one)
-    or a non-boolean reaches `_branch`, which picks by value or raises.
+    operator reads a literal, a variable or a request operand itself
+    (`_run_binop`), an application reads a request in function position
+    itself (`mk_app`), a call counts its step inline and calls
+    `_Budget.tick` only to raise, and a variable or request reads a forced
+    letrec cell's value, calling `force` only for a cell not yet forced. A
+    comparison returns `TRUE` or `FALSE` and makes no value, and an `if`
+    tests its condition against the two by identity; only another `VBool`
+    (a host `VFun` may return one) or a non-boolean reaches `_branch`,
+    which picks by value or raises.
 
     A function whose body is an `if` runs in one frame: `mk_if` keeps the
     `if` it built last, with its condition and branches, in one slot, and
@@ -477,9 +492,15 @@ class RunSemantics:
         # the `if` built last, with its condition and branches: mk_lam's one
         # slot for the branch it may evaluate in its call
         self._last_if = None, None, None, None
-        self.mk_request = _run_request(self._reps)
 
     mk_var = staticmethod(_run_var)
+
+    def mk_request(self, name):
+        d = _new(_Request)
+        d.path = name.path
+        d.name = name
+        d.reps = self._reps
+        return d
 
     def mk_int(self, i):
         return lambda env, v=VInt(i): v
@@ -540,6 +561,24 @@ class RunSemantics:
         return den
 
     def mk_app(self, d1, d2):
+        """`d1 d2`, the function read first; a request in function position
+        is read in place, as `_run_binop` reads one: its key's value, and a
+        forced letrec cell's value, with no call."""
+        if type(d1) is _Request:
+
+            def den(env, d1=d1, d2=d2):
+                f = env.get(d1.path)
+                if f is None:
+                    f = d1.read(env)
+                elif type(f) is _RecCell:
+                    f = f.value if f.done else f.force()
+                a = d2(env)
+                if not isinstance(f, VFun):
+                    raise TypeMismatch(f"cannot apply non-function {f!r}")
+                return f.fn(a)
+
+            return den
+
         def den(env, d1=d1, d2=d2):
             f = d1(env)
             a = d2(env)
@@ -575,17 +614,35 @@ class RunSemantics:
 
         return den
 
-    def mk_let(self, name, d1, d2, aliases=()):
-        """`let name = d1 in d2`, binding `name` alone, into the environment
-        it is given; each alias is mapped to `name` in the alias table, so
-        a request for it reads `name`'s value."""
-        if aliases:
-            # a dict's or set's keys keep their hashes: no Python-level __hash__
-            self._reps.update(dict.fromkeys(aliases, name))
+    def mk_let(self, name, d1, d2):
+        """`let name = d1 in d2`, binding `name` into the environment it is
+        given."""
 
         def den(env, key=name.path, d1=d1, d2=d2):
             env[key] = d1(env)
             return d2(env)
+
+        return den
+
+    def mk_lets(self, bindings, body):
+        """The lets of one locus around `body` as one denotation:
+        `bindings` holds a `(name, rhs, aliases)` triple per let, outermost
+        first. It binds each name in turn into the environment it is given,
+        its rhs evaluated there, then evaluates `body` there, so values,
+        order and errors are those of nested `mk_let`s. Each alias is mapped
+        to its name in the alias table, so a request for it reads that
+        name's value."""
+        pairs = []
+        for name, d, aliases in bindings:
+            if aliases:
+                # a dict's or set's keys keep their hashes: no Python-level __hash__
+                self._reps.update(dict.fromkeys(aliases, name))
+            pairs.append((name.path, d))
+
+        def den(env, pairs=tuple(pairs), body=body):
+            for key, d in pairs:
+                env[key] = d(env)
+            return body(env)
 
         return den
 
@@ -629,7 +686,9 @@ class ShowSemantics:
     representative its name redirects to, or its own name if none does. Show
     makes one redirect per alias, and per alias and clause in a letrec, not
     one per class, because the benchmark pins those redirect counts
-    (ROADMAP item 1 re-pins them).
+    (ROADMAP item 1 re-pins them). A locus's block of lets (`mk_lets`) is
+    one denotation that redirects as it goes, so it keeps only the current
+    Env, never one per let.
 
     Show renames; it evaluates nothing. A build gives each location one name
     object, a tree never binds a name twice, and every combinator's use site
@@ -686,14 +745,30 @@ class ShowSemantics:
 
     mk_unbound = mk_var
 
-    def mk_let(self, name, d1, d2, aliases=()):
-        """`let name = d1 in d2`; d2 is built with each alias redirected to
-        `name`, one redirect per alias."""
-        def den(env, name=name, d1=d1, d2=d2, aliases=tuple(aliases)):
-            rhs = d1(env)
-            for alias in aliases:
-                env = env.redirect(alias, name)
-            return Let(name, rhs, d2(env))
+    def mk_let(self, name, d1, d2):
+        return lambda env, name=name, d1=d1, d2=d2: Let(name, d1(env), d2(env))
+
+    def mk_lets(self, bindings, body):
+        """The lets of one locus around `body` as one denotation:
+        `bindings` holds a `(name, rhs, aliases)` triple per let, outermost
+        first. Each rhs is built under the Env that the lets before it
+        redirect, one redirect per alias, and the body under all of them;
+        the `Let` nodes are then nested from the inside out. Only the
+        current Env stays referenced, so the map a request flattens is
+        garbage once the next redirect is flattened. Each alias set is kept
+        as a tuple, the smallest container for it."""
+        bindings = tuple([(name, d, tuple(aliases)) for name, d, aliases in bindings])
+
+        def den(env, bindings=bindings, body=body):
+            rhss = []
+            for name, d, aliases in bindings:
+                rhss.append(d(env))
+                for alias in aliases:
+                    env = env.redirect(alias, name)
+            tree = body(env)
+            for (name, _, _), rhs in zip(reversed(bindings), reversed(rhss)):
+                tree = Let(name, rhs, tree)
+            return tree
 
         return den
 

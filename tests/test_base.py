@@ -379,6 +379,15 @@ class TestEval:
             with pytest.raises(TypeMismatch, match=rf"^not a name: {re.escape(repr(key))}$"):
                 eval_ast(tree, {key: VInt(1)})
 
+    @pytest.mark.parametrize(
+        "value", [5, True, None, "x", IntLit(5)], ids=["int", "bool", "none", "str", "node"]
+    )
+    def test_an_env_value_that_is_not_a_value_is_refused(self, value):
+        # checked at entry, whether or not the tree reads the name
+        for tree in (IntLit(0), Var(x)):
+            with pytest.raises(TypeMismatch, match=rf"^not a value: {re.escape(repr(value))}$"):
+                eval_ast(tree, {x: value})
+
     @pytest.mark.parametrize("env", [[1], 5, [(x, VInt(1), 2)]], ids=["list", "int", "triple"])
     def test_an_env_that_is_not_a_mapping_is_refused(self, env):
         with pytest.raises(TypeMismatch, match=f"^not an environment: {re.escape(repr(env))}$"):

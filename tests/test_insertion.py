@@ -655,20 +655,21 @@ class TestOrdered:
 
 
 class TestAliasBinding:
-    """A binder's aliases go to the semantics with it: run maps each to the
-    binder's name in its alias table and binds no alias key, show redirects
-    each to the binder's name."""
+    """A locus's aliases go to the semantics with its binders, in its block
+    of lets (`mk_lets`) or its letrec: run maps each to the binder's name in
+    its alias table and binds no alias key, show redirects each to the
+    binder's name."""
 
     def test_no_aliases_is_a_plain_let(self):
         n = Source("n")
         for sem, env, want in ((S(), EMPTY_ENV, Let(n, IntLit(7), Var(n))), (R(), {}, VInt(7))):
-            d = sem.mk_let(n, sem.mk_int(7), sem.mk_var(n), frozenset())
+            d = sem.mk_lets([(n, sem.mk_int(7), frozenset())], sem.mk_var(n))
             assert d(env) == sem.mk_let(n, sem.mk_int(7), sem.mk_var(n))(env) == want
 
     def test_alias_renders_as_representative(self):
         n, m = Source("n"), Source("m")
         s = S()
-        d = s.mk_let(n, s.mk_int(8), s.mk_request(m), {m})
+        d = s.mk_lets([(n, s.mk_int(8), {m})], s.mk_request(m))
         assert d(EMPTY_ENV) == Let(n, IntLit(8), Var(n))
         d = s.mk_letrec([(n, s.mk_request(m))], s.mk_request(m), [(m, n)])
         assert d(EMPTY_ENV) == LetRec(((n, Var(n)),), Var(n))
@@ -676,7 +677,7 @@ class TestAliasBinding:
     def test_alias_gets_representative_value(self):
         n, m, x = Source("n"), Source("m"), Source("x")
         r = R()
-        d = r.mk_let(n, r.mk_int(8), r.mk_request(m), {m})
+        d = r.mk_lets([(n, r.mk_int(8), {m})], r.mk_request(m))
         assert d({}) == VInt(8)
         ident = r.mk_lam(x, r.mk_var(x))
         d = r.mk_letrec([(n, ident)], r.mk_app(r.mk_request(m), r.mk_int(8)), [(m, n)])
@@ -697,7 +698,7 @@ class TestAliasBinding:
             # a new VInt on every evaluation, so `is` tells bindings apart
             return r.mk_binop(Add, r.mk_int(a), r.mk_int(b))
 
-        r.mk_let(n, sum_of(1, 2), body, [m, k])({})
+        r.mk_lets([(n, sum_of(1, 2), [m, k])], body)({})
         (env,) = seen
         assert set(env) == {n} and env[n] == VInt(3)
         assert r.mk_request(m)(env) is env[n] and r.mk_request(k)(env) is env[n]
@@ -711,9 +712,23 @@ class TestAliasBinding:
     def test_let_alias_is_not_bound_in_its_rhs(self):
         n, m = Source("n"), Source("m")
         r = R()
-        d = r.mk_let(n, r.mk_request(m), r.mk_int(0), [m])
+        d = r.mk_lets([(n, r.mk_request(m), [m])], r.mk_int(0))
         with pytest.raises(UnboundVariable, match="^unbound variable m$"):
             d({})
+
+    def test_a_block_binds_outermost_first_and_scopes_each_alias_below(self):
+        # let n = 1 in let k = m + 1 in m + k, where m is an alias of n: the
+        # second rhs and the body read it, the first rhs does not
+        n, m, k = Source("n"), Source("m"), Source("k")
+        s, r = S(), R()
+        tree = Let(n, IntLit(1), Let(k, Add(Var(n), IntLit(1)), Add(Var(n), Var(k))))
+        for sem, env, want in ((s, EMPTY_ENV, tree), (r, {}, VInt(3))):
+            block = [
+                (n, sem.mk_int(1), [m]),
+                (k, sem.mk_binop(Add, sem.mk_request(m), 1), ()),
+            ]
+            d = sem.mk_lets(block, sem.mk_binop(Add, sem.mk_request(m), sem.mk_var(k)))
+            assert d(env) == want
 
 
 class TestBind:
@@ -731,6 +746,12 @@ class TestBind:
         cls = BindingClass(Source("n"), Pending(lambda: None))
         with pytest.raises(PendingBinding):
             bind_lets([cls], S().mk_int(1), S())
+
+    def test_a_pending_block_names_its_innermost_pending_class(self):
+        code = with_locus(lambda l: cadd(genletrec(l, 1, cint(1)), genletrec(l, 2, cint(2))))
+        for meaning in (show, run):
+            with pytest.raises(PendingBinding, match="^binding v1_2 is still a code value;"):
+                meaning(code)
 
     def test_bind_letrec_empty(self):
         d = S().mk_int(1)

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import enum
+import gc
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -497,23 +499,29 @@ class TestRunEnvironment:
 
 
 class _LetBodies(RunSemantics):
-    """Run semantics that records every environment a let body is applied
-    to, and its size then."""
+    """Run semantics that records every environment a let body, or the body
+    of a locus's block of lets, is applied to, and its size then."""
 
     def __init__(self):
         super().__init__()
         self.envs = []
         self.sizes = []
 
-    def mk_let(self, name, d1, d2, aliases=()):
+    def _observed(self, d):
         envs, sizes = self.envs, self.sizes
 
         def body(env):
             envs.append(env)
             sizes.append(len(env))
-            return d2(env)
+            return d(env)
 
-        return super().mk_let(name, d1, body, aliases)
+        return body
+
+    def mk_let(self, name, d1, d2):
+        return super().mk_let(name, d1, self._observed(d2))
+
+    def mk_lets(self, bindings, body):
+        return super().mk_lets(bindings, self._observed(body))
 
 
 class _CountingTable(dict):
@@ -532,7 +540,6 @@ class _CountedRequests(RunSemantics):
     def __init__(self):
         super().__init__()
         self._reps = _CountingTable()
-        self.mk_request = semantics._run_request(self._reps)
 
 
 def _extruded_alias():
@@ -587,6 +594,34 @@ class TestRunAliasTable:
             assert apply_ints(value, (n,)) == VInt(ackermann(3, n))
         assert sem._reps.gets == gets
 
+    def test_an_alias_operand_probes_the_table_once(self):
+        # the second request folds into the first's class: an alias, read
+        # in place as an operand of `+`
+        sem = _CountedRequests()
+        code = clam(lambda x: with_locus(lambda l: cadd(genlet(l, 0, x), genlet(l, 0, x))))
+        d, _ = code(BuildContext(sem), ROOT)
+        value = d({})
+        assert len(sem._reps) == 1 and sem._reps.gets == 0
+        assert apply_ints(value, (4,)) == VInt(8)
+        assert sem._reps.gets == 1
+        assert apply_ints(value, (5,)) == VInt(10)
+        assert sem._reps.gets == 1
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            lambda: with_locus(lambda l: capp(genlet(l, 0, cint(3)), cint(1))),
+            lambda: with_locus_rec(lambda l: capp(genletrec(l, 0, cint(3)), cint(1))),
+            lambda: with_locus(
+                lambda l: cadd(genlet(l, 0, cint(3)), capp(genlet(l, 0, cint(3)), cint(1)))
+            ),
+        ],
+        ids=["let", "letrec cell", "alias"],
+    )
+    def test_a_request_applied_to_a_non_function_raises(self, code):
+        with pytest.raises(TypeMismatch, match=r"^cannot apply non-function VInt\(value=3\)$"):
+            run(code())
+
     def test_c07_extrusion_names_the_free_variable(self):
         code = lookup("clgib5-extruded").builder()
         (free,) = free_vars(show(code))
@@ -627,7 +662,7 @@ class TestRunAliasTable:
         m, k = Source("m"), Source("k")
         r1, r2 = R(), R()
         assert r1._reps is not r2._reps
-        r1.mk_let(n, r1.mk_int(1), r1.mk_int(0), [m])
+        r1.mk_lets([(n, r1.mk_int(1), [m])], r1.mk_int(0))
         r2.mk_letrec([(f, r2.mk_int(2))], r2.mk_int(0), [(k, f)])
         env = {n: VInt(1), f: VInt(2)}
         assert r1.mk_request(m)(env) == VInt(1)
@@ -636,6 +671,34 @@ class TestRunAliasTable:
             r2.mk_request(m)(env)
         with pytest.raises(UnboundVariable, match="^unbound variable k$"):
             r1.mk_request(k)(env)
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of `call()`, in bytes over what was traced
+    before it."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()  # noqa: F841  (held while the peak is read)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestShowMemory:
+    """Show keeps only the current alias map while it builds a locus's
+    lets, so its peak memory follows run's, not lets times aliases."""
+
+    def test_show_peaks_near_run_on_shared_fibonacci(self):
+        code = clgib(14)
+        show_peak = _traced_peak(lambda: show(code))
+        run_peak = _traced_peak(lambda: run(code))
+        assert show_peak <= 1.25 * run_peak, (show_peak, run_peak)
 
 
 def _agree_over(code, args):
@@ -927,7 +990,7 @@ class TestEnvironmentKeys:
         assert eval_ast(Var(plain), {acc: VInt(6)}) == VInt(6)
         r = R()
         alias = Fresh("_3", hint="alias")
-        d = r.mk_let(acc, r.mk_int(7), r.mk_request(Fresh("_3")), [alias])
+        d = r.mk_lets([(acc, r.mk_int(7), [alias])], r.mk_request(Fresh("_3")))
         assert d({}) == VInt(7)
 
     def test_a_user_name_is_its_own_key(self):
@@ -936,7 +999,7 @@ class TestEnvironmentKeys:
         assert _both(tree) == (VInt(7), VInt(7))
         assert eval_ast(Var(b), {a: VInt(2)}) == VInt(2)
         r = R()
-        d = r.mk_let(Fresh("_1"), r.mk_int(9), r.mk_request(TextName("m")), [TextName("m")])
+        d = r.mk_lets([(Fresh("_1"), r.mk_int(9), [TextName("m")])], r.mk_request(TextName("m")))
         assert d({}) == VInt(9)
 
     @pytest.mark.parametrize(
@@ -1492,7 +1555,8 @@ def _denotations(sem):
     yield "mk_app", "", sem.mk_app(one, one)
     yield "mk_redex", "", sem.mk_redex(x, one, one)
     yield "mk_unbound", "", sem.mk_unbound(x)
-    yield "mk_let", "", sem.mk_let(x, one, one, (y,))
+    yield "mk_let", "", sem.mk_let(x, one, one)
+    yield "mk_lets", "", sem.mk_lets(((x, one, (y,)),), one)
     yield "mk_letrec", "", sem.mk_letrec(((x, one),), one, ((y, x),))
 
 
@@ -1500,8 +1564,7 @@ class TestFlatDenotations:
     """Every denotation holds its parts as parameter defaults, not in
     closure cells: one defaults tuple, where a closure costs a tuple and a
     cell per part, each tracked by the cyclic collector. Run's request is
-    the one exception: it rewrites its name once, in its own cell, and
-    shares the alias table's cell with every request of its semantics."""
+    no function but a slotted leaf, which holds no cell either."""
 
     @pytest.mark.parametrize("sem_class", [RunSemantics, ShowSemantics])
     def test_every_maker_is_covered(self, sem_class):
@@ -1513,8 +1576,8 @@ class TestFlatDenotations:
     def test_no_denotation_closes_over_a_cell(self, sem_class):
         sem = sem_class()
         for maker, label, d in _denotations(sem):
-            if sem_class is RunSemantics and maker == "mk_request":
-                assert sorted(d.__code__.co_freevars) == ["name", "reps"]
+            if isinstance(d, semantics._Request):
+                assert not hasattr(d, "__dict__"), (maker, label)
                 continue
             assert d.__closure__ is None, (maker, label)
 

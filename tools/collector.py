@@ -9,7 +9,9 @@ For each instance and each of `show` and `run` it prints:
   holds its denotation);
 - `young`, `middle`, `full`: the collections of generations 0, 1 and 2
   that a fixed loop of calls triggers (`loops` calls, results dropped),
-  counted with a `gc.callbacks` hook from a freshly collected heap.
+  counted with a `gc.callbacks` hook from a freshly collected heap;
+- `peak kB`: the `tracemalloc` peak of one `show` or `run` call, from a
+  freshly collected heap, its result held.
 
 `build` and `call` are counted with `gc.get_objects()` around the work while
 the collector is paused, so garbage that only the collector could free
@@ -24,14 +26,16 @@ Run it from the repository's root as
 
     python3 tools/collector.py
 
-The tool pauses and starts the collector only in its own process and leaves its thresholds
-as they are. It prints only, and checks nothing but that each `run` and
-`show` returns.
+The tool pauses and starts the collector, and starts and stops
+`tracemalloc`, only in its own process, and leaves the collector's
+thresholds as they are. It prints only, and checks nothing but that each
+`run` and `show` returns.
 """
 
 import gc
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -83,19 +87,31 @@ def collections(call, loops):
     return counts
 
 
+def peak_kb(call):
+    """The tracemalloc peak of one `call()`, in kB, its result held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841  (held while the peak is read)
+        return tracemalloc.get_traced_memory()[1] / 1e3
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     print(
         f"{'instance':10} {'phase':5} {'build':>7} {'call':>7}"
-        f" {'loops':>6} {'young':>6} {'middle':>6} {'full':>5}"
+        f" {'loops':>6} {'young':>6} {'middle':>6} {'full':>5} {'peak kB':>8}"
     )
     for name, gen, loops in instances():
         for phase, meaning, sem in (("show", show, ShowSemantics), ("run", run, RunSemantics)):
             built = tracked(lambda: gen(BuildContext(sem()), ROOT))
             left = tracked(lambda: meaning(gen))
             young, middle, full = collections(lambda: meaning(gen), loops)
+            peak = peak_kb(lambda: meaning(gen))
             print(
                 f"{name:10} {phase:5} {built:>7} {left:>7}"
-                f" {loops:>6} {young:>6} {middle:>6} {full:>5}",
+                f" {loops:>6} {young:>6} {middle:>6} {full:>5} {peak:>8.1f}",
                 flush=True,
             )
 
