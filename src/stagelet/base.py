@@ -227,8 +227,9 @@ class Name:
         same cached hash. Keys are exact: two `Fresh` names are equal
         exactly when their location strings are, and a `Source` never
         equals a str; a user's name class keeps that as long as its names
-        never equal a str. `free_vars` and `alpha_eq` key by it too; Show's
-        `Env` and insertion key by names."""
+        never equal a str. `free_vars`, `alpha_eq`, Show's `Env`, run's
+        alias table, insertion's alias sets and `LetRec`'s distinct-name
+        check key by it too, so no table makes a `Fresh.__hash__` call."""
         return self
 
     def render(self) -> str:
@@ -279,8 +280,8 @@ class Fresh(Name):
     and hashing are on the location alone, so a hinted and an unhinted
     reference to the same binding site stay interchangeable. A name holds
     these two slots and nothing else: its hash is its path's, which the str
-    computes once and keeps. The `path` slot overrides `Name.path`, so an
-    evaluator's environment keys the name by its location string.
+    computes once and keeps. The `path` slot overrides `Name.path`, so every
+    name table keys the name by its location string.
     """
 
     __slots__ = ("path", "hint")
@@ -475,7 +476,7 @@ class LetRec(BaseAst):
         names = [n for n, _ in self.clauses]
         for n in names:
             _expect_name(n)
-        if len(set(names)) != len(names):
+        if len({n.path for n in names}) != len(names):
             raise ValueError("letrec clause names must be distinct")
 
 

@@ -120,16 +120,20 @@ class BindingClass(metaclass=_Record):
 
 
 def _requests(cls: BindingClass):
-    """The aliases of `cls` as the keys of a dict, in request order: a fold
-    node's earlier log, then its request name, then the incoming log. The
-    walk is iterative and visits each node once, so a log shared by two
-    folded classes is read once; it lists the names as it meets them and
-    drops repeats once, at the end (`dict.fromkeys`). A frozenset log is
+    """The aliases of `cls` in request order: a fold node's earlier log,
+    then its request name, then the incoming log. The walk is iterative and
+    visits each node once, so a log shared by two folded classes is read
+    once. It keys the names it meets by `name.path`, as every name table
+    does (see `base.Name.path`), so a repeat, in either spelling of a
+    hinted name, keeps the first occurrence and no Python-level
+    `Fresh.__hash__` is called; the representative is dropped by its key.
+    It returns the names, the values of that dict. A frozenset log is
     returned as it is."""
     node = cls.log
     if type(node) is frozenset:
         return node
-    names, seen, stack = [], set(), []
+    names, seen, stack = {}, set(), []
+    add = names.setdefault
     while True:
         # descend the earlier logs to the first request not yet read
         while type(node) is tuple and id(node) not in seen:
@@ -137,14 +141,14 @@ def _requests(cls: BindingClass):
             stack.append(node)
             node = node[2]
         if type(node) is frozenset:
-            names.extend(node)
+            for name in node:
+                add(name.path, name)
         if not stack:
             break
         name, node, _ = stack.pop()
-        names.append(name)
-    names = dict.fromkeys(names)
-    names.pop(cls.name, None)
-    return names
+        add(name.path, name)
+    names.pop(cls.name.path, None)
+    return names.values()
 
 
 # `BindingClass(name, rhs, log)` without the Python frame of its `__init__`

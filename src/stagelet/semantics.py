@@ -16,12 +16,14 @@ prints its name as `mk_var` does. A let locus hands its whole block of
 lets to one maker, `mk_lets`, as a letrec locus hands its clauses to
 `mk_letrec`, and each family makes one denotation of it. The
 aliases of a binding class go into a table per `RunSemantics`, keyed by
-names and filled while the code is built, and the variable a request
-returns (`mk_request`) resolves its name through that table once. Show's
-is an `Env` that holds only alias redirects, keyed by names, each entry the
-target name itself (ROADMAP item 2 removes it), and only a request's
-variable reads it. Binary operators evaluate the left operand first; final
-results must not depend on that order.
+each alias's key and filled while the code is built, and the variable a
+request returns (`mk_request`) resolves its key through that table once.
+Show's is an `Env` that holds only alias redirects, keyed by each alias's
+key, each entry the target name itself (ROADMAP item 2 removes it), and
+only a request's variable reads it. Every table here keys a name by
+`name.path`, so no table makes a Python-level `Fresh.__hash__` call.
+Binary operators evaluate the left operand first; final results must not
+depend on that order.
 
 Run's values are shared where that is exact (see `base.VInt`). Its booleans
 are the two values `TRUE` and `FALSE`, which `base` makes and this module
@@ -91,9 +93,14 @@ class Env:
     """Immutable finite map from names to semantic values; Show uses it as
     its alias map, Run not at all.
 
-    A redirect's entry is its target name itself, and `extend` boxes its
-    value in a one-element tuple. A target is always a `Name`, never a
-    tuple, so `lookup` tells the two apart by type.
+    It keys a name by `name.path` (see `Name.path`): a `Fresh` name's
+    location string, any other name itself, so a probe makes no
+    Python-level `Fresh.__hash__` call, and names that are equal (a hinted
+    and an unhinted `Fresh` at one location) share one entry. A redirect's
+    entry is its target name itself, and `extend` boxes its value in a
+    one-element tuple. A target is always a `Name`, never a tuple, so
+    `lookup` tells the two apart by type, and it follows a target to the
+    target's own key.
 
     Extension and redirection return new maps; the original is unchanged.
     `extend` copies the map once. `redirect` copies nothing: it returns a
@@ -128,14 +135,14 @@ class Env:
 
     def extend(self, name, value) -> "Env":
         env = Env()
-        env._entries = {**self._flat(), name: (value,)}
+        env._entries = {**self._flat(), name.path: (value,)}
         return env
 
     def redirect(self, alias, representative) -> "Env":
         env = object.__new__(Env)
         env._entries = None
         env._parent = self
-        env._key = alias
+        env._key = alias.path
         env._value = representative
         return env
 
@@ -148,7 +155,7 @@ class Env:
         if entries is None:
             entries = self._flat()
         while True:
-            v = entries.get(name, MISSING)
+            v = entries.get(name.path, MISSING)
             if v is MISSING:
                 return name, v
             if type(v) is tuple:
@@ -361,7 +368,7 @@ class _Request:
     makes a folded class: a build makes one per request.
 
     A request reads its own key first: a representative is bound under it.
-    On a miss it looks its name up in the table once and, if that finds a
+    On a miss it looks its key up in the table once and, if that finds a
     bound representative, keeps the representative's key in place of its
     own. A denotation sits at one place in one tree, so every environment
     it is applied to binds at least the names in scope there; the others
@@ -375,7 +382,7 @@ class _Request:
     def read(self, env):
         v = env.get(self.path)
         if v is None:
-            rep = self.reps.get(self.name)
+            rep = self.reps.get(self.path)
             if rep is None or (v := env.get(rep.path)) is None:
                 raise UnboundVariable(f"unbound variable {self.name.render()}")
             self.path = rep.path
@@ -449,8 +456,9 @@ class RunSemantics:
     is one denotation that binds its lets in turn, outermost first, so it
     spends one host frame where nested lets spent one each. An instance
     serves one build, as in `run`, which builds everything before it
-    evaluates anything, so the table is complete by then. The table is
-    keyed by names, so filling it hashes each alias once at build time; a
+    evaluates anything, so the table is complete by then. The table maps
+    each alias's key (`alias.path`) to its representative, so neither
+    filling it nor reading it makes a Python-level `Fresh.__hash__` call; a
     request's variable resolves through it on its first miss and then
     reads its representative's key (see `_Request`). That is exact: a
     build gives each location one name, each request name folds into
@@ -635,8 +643,8 @@ class RunSemantics:
         pairs = []
         for name, d, aliases in bindings:
             if aliases:
-                # a dict's or set's keys keep their hashes: no Python-level __hash__
-                self._reps.update(dict.fromkeys(aliases, name))
+                # by each alias's key: a location string keeps its hash
+                self._reps.update({alias.path: name for alias in aliases})
             pairs.append((name.path, d))
 
         def den(env, pairs=tuple(pairs), body=body):
@@ -653,7 +661,7 @@ class RunSemantics:
         alias reads the representative's cell. A cell's environment is the
         triple of the environment, its size once every cell is bound, and
         the clause's rhs, which `_clause` evaluates."""
-        self._reps.update(pairs)
+        self._reps.update({alias.path: rep for alias, rep in pairs})
 
         def den(env, clauses=tuple(clauses), body=body, budget=self._budget):
             size = len(env) + len(clauses)
@@ -679,8 +687,8 @@ def _redirected(env, pairs):
 
 
 class ShowSemantics:
-    """Denotation builders that build trees: Env maps each alias to the
-    name of its class, and holds nothing else.
+    """Denotation builders that build trees: Env maps each alias's key
+    (`alias.path`) to the name of its class, and holds nothing else.
 
     Only a request's variable (`mk_request`) reads the Env: it renders the
     representative its name redirects to, or its own name if none does. Show

@@ -1054,6 +1054,15 @@ class TestRecords:
         with pytest.raises(ValueError, match="distinct"):
             LetRec([(x, IntLit(1)), (x, IntLit(2))], Var(x))
 
+    def test_letrec_refuses_two_spellings_of_one_name(self):
+        # a hinted and an unhinted name at one location are one clause name
+        hinted, plain = Fresh("_1", hint="f"), Fresh("_1")
+        message = "^letrec clause names must be distinct$"
+        with pytest.raises(ValueError, match=message):
+            LetRec([(hinted, IntLit(1)), (plain, IntLit(2))], Var(plain))
+        t = LetRec([(hinted, IntLit(1)), (Fresh("_2", hint="f"), IntLit(2))], Var(plain))
+        assert [n.path for n, _ in t.clauses] == ["_1", "_2"]
+
     @pytest.mark.parametrize(
         "clause",
         [(x,), (x, IntLit(1), IntLit(2)), ()],

@@ -337,6 +337,30 @@ class TestFoldLog:
         assert cls.aliases == {b, c, d, e}
         assert cls.name == a
 
+    def test_an_alias_met_under_both_spellings_is_one_alias(self):
+        # a hinted and an unhinted name at one location are one key: the
+        # first spelling met is kept, and the representative is dropped
+        # under either spelling
+        a, b, c = (Fresh(f"_{i}") for i in range(3))
+        hinted_a, hinted_b = Fresh("_0", hint="a"), Fresh("_1", hint="b")
+
+        def folded(rhs):
+            store = EMPTY_PER_LOCUS
+            for name in (a, hinted_b, c, b, hinted_a):
+                store = addb(0, name, rhs, store)
+            return store[0]
+
+        cls = folded(canonical_int(0))
+        aliases = list(insertion._requests(cls))
+        assert aliases == [b, c] and aliases[0] is hinted_b
+        assert cls.aliases == {b, c}
+        for request in (b, hinted_b):
+            tree = bind_lets([cls], S().mk_request(request), S())(EMPTY_ENV)
+            assert tree == Let(a, IntLit(0), Var(a))
+            r = R()
+            d = bind_lets([folded(r.mk_int(0))], r.mk_request(request), r)
+            assert d({}) == VInt(0)
+
     @pytest.mark.parametrize("how", ["addb", "merge into", "merge from"])
     def test_a_hundred_thousand_folds_flatten(self, how):
         can = canonical_int(0)

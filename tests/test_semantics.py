@@ -63,8 +63,12 @@ from stagelet import base, codec, semantics
 from stagelet.codec import ROOT, BuildContext
 from stagelet.semantics import EMPTY_ENV, MISSING, RunSemantics, ShowSemantics
 
+from stagelet.examples import cdfa, dfa, random_dfa
+
 from helpers import (
+    LEFT_FIRST,
     ackermann,
+    build_code,
     build_den,
     cack,
     clet_sum_chain,
@@ -119,6 +123,23 @@ class TestEnv:
         for name in (x, y, f):
             assert e1.lookup(name) == e2.lookup(name)
 
+    def test_a_redirect_reads_through_either_spelling(self):
+        # a hinted and an unhinted name at one location are one key
+        rep, hinted, plain = Fresh("_2"), Fresh("_1", hint="a"), Fresh("_1")
+        e = EMPTY_ENV.extend(rep, VInt(4)).redirect(hinted, rep)
+        for name in (hinted, plain):
+            got_name, got = e.lookup(name)
+            assert got_name is rep and got == VInt(4)
+        assert EMPTY_ENV.redirect(plain, rep).lookup(hinted)[0] is rep
+        assert e.extend(plain, VInt(5)).lookup(hinted) == (hinted, VInt(5))
+
+    def test_a_source_alias_resolves(self):
+        rep = Fresh("_2")
+        e = EMPTY_ENV.redirect(x, rep).redirect(y, x)
+        assert e.lookup(y) == (rep, MISSING)
+        assert e.lookup(Source("x"))[0] is rep
+        assert EMPTY_ENV.extend(rep, VInt(1)).redirect(x, rep).lookup(x) == (rep, VInt(1))
+
 
 def _model_lookup(model, name):
     """Env.lookup on a plain dict whose redirects are ("to", target) pairs."""
@@ -132,37 +153,46 @@ def _model_lookup(model, name):
 
 class TestEnvModel:
     """Env against an eager dict model. Names are Source("n0").."n19"; an
-    alias only ever redirects to a lower-numbered name, so chains end."""
+    alias only ever redirects to a lower-numbered name, so chains end. The
+    random test also draws `Fresh` names at 20 more locations, each under
+    three spellings (unhinted, hinted "a", hinted "b"), which the model's
+    dict, keyed by the names themselves, holds as one key."""
 
     NAMES = [Source(f"n{i}") for i in range(20)]
+    SPELLINGS = [
+        [Source(f"n{i}")] if i < 20 else [Fresh(f"_{i}", hint) for hint in (None, "a", "b")]
+        for i in range(40)
+    ]
 
-    def agrees(self, env, model):
-        for name in self.NAMES:
+    def agrees(self, env, model, names=NAMES):
+        for name in names:
             want_name, want = _model_lookup(model, name)
             got_name, got = env.lookup(name)
-            assert got_name == want_name
+            # a redirect's target comes back as the object redirected to
+            assert got_name is want_name
             assert got == (want if want is not None else MISSING)
 
     def test_random_operations(self):
         rng = random.Random(2718)
+        spelled = lambda i: rng.choice(self.SPELLINGS[i])  # noqa: E731
+        every = [name for names in self.SPELLINGS for name in names]
         pool = [(EMPTY_ENV, {})]
         for step in range(3000):
             env, model = rng.choice(pool[-30:] if rng.random() < 0.8 else pool)
             op = rng.random()
             if op < 0.35:
-                i = rng.randrange(1, 20)
-                alias, target = self.NAMES[i], self.NAMES[rng.randrange(i)]
+                i = rng.randrange(1, 40)
+                alias, target = spelled(i), spelled(rng.randrange(i))
                 pool.append((env.redirect(alias, target), {**model, alias: ("to", target)}))
             elif op < 0.6:
-                name, value = rng.choice(self.NAMES), VInt(step)
+                name, value = spelled(rng.randrange(40)), VInt(step)
                 pool.append((env.extend(name, value), {**model, name: value}))
             else:
-                name = rng.choice(self.NAMES)
-                want_name, want = _model_lookup(model, name)
-                assert env.lookup(name) == (want_name, want if want is not None else MISSING)
-        # every env still reads as its model, children checked before parents
+                self.agrees(env, model, [spelled(rng.randrange(40))])
+        # every env still reads as its model under every spelling, children
+        # checked before parents
         for env, model in reversed(pool):
-            self.agrees(env, model)
+            self.agrees(env, model, every)
 
     def test_long_redirect_run(self):
         rep = Source("rep")
@@ -1024,44 +1054,80 @@ class TestEnvironmentKeys:
                 den({Fresh("_2").path: VInt(0)})
 
 
-class TestEvaluationHashesNoName:
-    """Evaluating generated code makes no `Fresh.__hash__` call: each
-    evaluator's environment is keyed by location strings, whose hashes
-    CPython keeps in the string."""
+def _no_hash_instances():
+    """The generator, arguments and answer (None: not computed) of each
+    instance of `TestNoNameHashes`: aliases under a let locus, a letrec
+    locus with aliases, one genlet per step, a random tree with no locus,
+    and a letrec locus with cycles."""
+    delta, accept = random_dfa(random.Random(5), 50)
+    coeffs = poly_coeffs(64)
+    plan = random_plan(random.Random(30), 8)
+    return [
+        pytest.param(clgib(14), (2, 3), gib(14, 2, 3), id="clgib(14)"),
+        pytest.param(cack(48), (), None, id="cack(48)"),
+        pytest.param(
+            cpoly(coeffs), (2,), sum(c * 2**i for i, c in enumerate(coeffs)), id="cpoly(64)"
+        ),
+        pytest.param(build_code(plan, LEFT_FIRST), (), None, id="plain"),
+        pytest.param(cdfa(delta, accept), (4071,), dfa(delta, accept, 4071), id="cdfa(50)"),
+    ]
+
+
+class TestNoNameHashes:
+    """Building, evaluating, checking and printing generated code make no
+    `Fresh.__hash__` and no `Fresh.__eq__` call: every name table keys a
+    name by `name.path`, a location string whose hash CPython keeps in the
+    string (see `base.Name.path`)."""
 
     @pytest.fixture
-    def hashes(self, monkeypatch):
+    def calls(self, monkeypatch):
         calls = []
-        fresh_hash = Fresh.__hash__
+        fresh_hash, fresh_eq = Fresh.__hash__, Fresh.__eq__
 
-        def counting(name):
-            calls.append(name)
+        def counting_hash(name):
+            calls.append(("hash", name))
             return fresh_hash(name)
 
-        monkeypatch.setattr(Fresh, "__hash__", counting)
+        def counting_eq(name, other):
+            calls.append(("eq", name))
+            return fresh_eq(name, other)
+
+        monkeypatch.setattr(Fresh, "__hash__", counting_hash)
+        monkeypatch.setattr(Fresh, "__eq__", counting_eq)
         return calls
 
-    def test_stage_once_run_many(self, hashes):
+    @pytest.mark.parametrize("gen, args, want", _no_hash_instances())
+    def test_no_phase_hashes_or_compares_a_name(self, calls, gen, args, want):
+        tree, value = show(gen), run(gen)
+        got = apply_ints(value, args)
+        checked = eval_ast(tree)
+        for a in args:
+            checked = checked.fn(VInt(a))
+        assert free_vars(tree) == set()
+        assert pretty(tree)
+        assert calls == []
+        if isinstance(got, VInt):
+            assert got == checked
+        if want is not None:
+            assert got == VInt(want)
+
+    def test_stage_once_run_many(self, calls):
         n = 32
         coeffs = poly_coeffs(n)
         code = cpoly(coeffs)
         value, tree = run(code), show(code)
-        assert hashes  # building does hash names
-        hashes.clear()
         for x in (-2, 0, 3):
             want = VInt(sum(c * x**i for i, c in enumerate(coeffs)))
             assert apply_ints(value, (x,)) == want
             assert eval_ast(App(tree, IntLit(x))) == want
-        assert hashes == []
+        assert calls == []
 
-    def test_a_request_resolves_its_alias_once(self, hashes):
+    def test_a_request_resolves_its_alias_once(self, calls):
+        # each alias request's first miss reads the table by its key
         value = run(cack(2))
-        hashes.clear()
-        assert apply_ints(value, (3,)) == VInt(ackermann(2, 3))
-        assert hashes  # each alias request's first miss reads the table
-        hashes.clear()
-        assert apply_ints(value, (3,)) == VInt(ackermann(2, 3))
-        assert hashes == []
+        for _ in range(2):
+            assert apply_ints(value, (3,)) == VInt(ackermann(2, 3))
+        assert calls == []
 
 
 def _binop_den(cls, a, b):
