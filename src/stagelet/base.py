@@ -10,6 +10,7 @@ import dataclasses
 import math
 import operator
 import re
+import reprlib
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
@@ -34,7 +35,7 @@ class _HostStack:
     """Context manager: host-stack overflow inside the block becomes
     StepLimitExceeded, so deep trees fail as staging errors. Every other
     error passes through as it is: a malformed name is refused where its
-    node is made (`_slot_init`), so no walk meets one."""
+    node is made (`_record_methods`), so no walk meets one."""
 
     __slots__ = ("what",)
 
@@ -85,7 +86,7 @@ def _expect_limit(limit):
 def _expect_name(x):
     """Raise TypeMismatch unless `x` is a `Name`: the one statement of the
     rule. `LetRec` and `eval_ast`'s environment call it; the `__init__` of
-    a node with a `Name` field (`_slot_init`) tests inline and calls this
+    a node with a `Name` field (`_record_methods`) tests inline and calls this
     only to raise."""
     if not isinstance(x, Name):
         raise TypeMismatch(f"not a name: {x!r}")
@@ -95,18 +96,34 @@ def _expect_name(x):
 # Records
 
 
+# The one dataclass made under `src/stagelet`: every record shares its
+# params (frozen, no `__init__`) and marks each field as its one field is
+# marked, so `dataclasses.fields`, `replace` and `asdict` read a record as
+# they read a dataclass on every Python version. Its docstring spares the
+# `inspect.signature` call by which dataclasses would write one, whose
+# first use compiles `tokenize`'s patterns: about 3 ms of a fresh import.
+_PROBE = dataclasses.make_dataclass("_Probe", ["field"], frozen=True, init=False,
+                                    namespace={"__doc__": "The records' probe."})
+_PARAMS, _FIELD = _PROBE.__dataclass_params__, dataclasses.fields(_PROBE)[0]._field_type
+
+
 class _Record(type):
     """Metaclass of the library's records: syntax nodes, values, names written
     in source, and the insertion and build records.
 
-    A record is a frozen dataclass of its annotated fields (`fields`,
-    `__match_args__`, field-wise `==`, `hash` and `repr`) whose fields live
-    in `__slots__`. Its `__init__` stores each argument through its slot's
-    descriptor, where a frozen dataclass's calls `object.__setattr__` per
-    field. A subclass of a record is a record, and may be decorated with
-    `@dataclass(frozen=True)` as a subclass of a frozen dataclass may; its
-    field defaults hold for it and for its subclasses. A default is a plain
-    value: a field written as `dataclasses.field(...)` is refused.
+    A record keeps the contract of a frozen dataclass of its annotated
+    fields, its bases' fields first: `dataclasses.fields`, `replace`,
+    `asdict`, `match`, field-wise `==`, `hash` and `repr`,
+    `FrozenInstanceError` on assignment. Its fields live in `__slots__`.
+    The metaclass writes that contract itself, and `dataclasses.dataclass`
+    never runs on a record: `__dataclass_fields__`, the shared
+    `__dataclass_params__`, and what `_record_methods` makes in one `exec`
+    per class, but for any method, `__match_args__` or docstring the class
+    body writes itself. A subclass of a record is a record, and may be
+    decorated with `@dataclass(frozen=True)` as a subclass of a frozen
+    dataclass may; its field defaults hold for it and for its subclasses. A
+    default is a plain value: a field written as `dataclasses.field(...)` is
+    refused.
 
     Slots can only be declared when a class is created. A class decorator
     gets a class that exists already and must build a second one; the first
@@ -115,41 +132,42 @@ class _Record(type):
     """
 
     def __new__(mcls, name, bases, ns):
-        fields = ns.get("__annotations__", {})
+        own = ns.get("__annotations__", {})
         # a slot and a class attribute cannot share a name, so the defaults
-        # are held back from the class body; `__setattr__` gives them to the
-        # fields
-        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        # are held back from the class body and given to the fields
+        defaults = {f: ns.pop(f) for f in own if f in ns}
         for f, default in defaults.items():
             if isinstance(default, dataclasses.Field):
                 raise TypeError(f"record field {name}.{f} may give only a plain default")
-        ns = {
+        for f in ns.keys() & {"__setattr__", "__delattr__"}:  # as dataclass refuses them
+            raise TypeError(f"Cannot overwrite attribute {f} in class {name}")
+        # the top record's frozen `__setattr__` and `__delattr__` refuse every
+        # field of every subclass
+        top = not any(isinstance(b, _Record) for b in bases)
+        cls = super().__new__(mcls, name, bases, {
             "__reduce__": _rebuild,
+            "__replace__": dataclasses.replace,  # `copy.replace`, from Python 3.13 on
             **ns,
-            "__slots__": tuple(fields),
-            "__record_defaults__": defaults,
-        }
-        cls = super().__new__(mcls, name, bases, ns)
-        # no dataclass `__init__`: `_slot_init` below makes the one kept
-        dataclasses.dataclass(frozen=True, init=False)(cls)
-        # `@dataclass(frozen=True)` refuses a class whose own body holds
-        # `__setattr__` or `__delattr__`, so a record below the top of its
-        # hierarchy keeps none and inherits the top one's, which refuses
-        # every field of every subclass
-        if any(isinstance(b, _Record) for b in bases):
-            del cls.__setattr__, cls.__delattr__
-        else:
-            cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-        cls.__init__ = _slot_init(cls)
+            "__slots__": tuple(own),
+            "__dataclass_params__": _PARAMS,
+            **({"__setattr__": _frozen_setattr, "__delattr__": _frozen_delattr} if top else {}),
+        })
+        # each inherited field is a slot, so the layout base `__base__` has it
+        fields = dict(getattr(cls.__base__, "__dataclass_fields__", {}))
+        for n, t in own.items():
+            f = fields[n] = dataclasses.field(default=defaults.get(n, dataclasses.MISSING))
+            f.name, f.type, f.kw_only, f._field_type = n, t, False, _FIELD
+        for k, v in _record_methods(cls, fields).items():
+            if k == "__init__" or k not in ns:
+                type.__setattr__(cls, k, v)
         return cls
 
     def __setattr__(cls, name, value):
-        # each dataclass call on a record, the one in `__new__` or a
-        # `@dataclass` decorator's, reads a field's default from the class
-        # and finds the slot there; give the fields the held-back defaults
+        # a `@dataclass` decorator on a record reads a field's default from
+        # the class and finds the slot there; give its fields the defaults
         if name == "__dataclass_fields__":
-            for f, default in cls.__dict__["__record_defaults__"].items():
-                value[f].default = default
+            for f, mine in cls.__dict__["__dataclass_fields__"].items():
+                value[f].default = mine.default
         super().__setattr__(name, value)
 
 
@@ -167,18 +185,27 @@ def _rebuild(self):
     return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-def _slot_init(cls):
-    """The `__init__` of record class `cls`: each argument, or its default,
-    set through its slot's descriptor, then `__post_init__` if any. A field
-    annotated `Name` (`Var.name`, `Lam.param`, `Let.name`) is tested inline
-    first, so a node is well named from the moment it is made, at no cost
-    of a frame; anything but a `Name` raises `_expect_name`'s error."""
-    ns, params, body = {"Name": Name, "_expect_name": _expect_name}, [], []
-    for f in dataclasses.fields(cls):
+def _record_methods(cls, fields):
+    """The dataclass contract of record class `cls`, whose `fields` map each
+    name to its `Field`: `__dataclass_fields__`, `__match_args__`, a
+    `__doc__` naming the fields, and four methods made by one `exec`.
+
+    `__init__` sets each argument, or its default, through its slot's
+    descriptor, then calls `__post_init__` if any. A field annotated `Name`
+    (`Var.name`, `Lam.param`, `Let.name`) is tested inline first, so a node
+    is well named from the moment it is made, at no cost of a frame;
+    anything but a `Name` raises `_expect_name`'s error. `__eq__` compares
+    the field tuples of two records of one class, and `__hash__` hashes that
+    tuple, as a frozen dataclass does on Python 3.10 to 3.12: a field equal
+    to itself only by identity (one NaN) leaves its record equal to itself
+    on every version. `__repr__` shows each field's `repr`, and `...` for a
+    record met again inside itself."""
+    g, params, body, made = {"Name": Name, "_expect_name": _expect_name}, [], [], {}
+    for f in fields.values():
         n = f.name
-        ns[f"set_{n}"] = getattr(cls, n).__set__
+        g[f"set_{n}"] = getattr(cls, n).__set__
         if f.default is not dataclasses.MISSING:
-            ns[f"default_{n}"] = f.default
+            g[f"default_{n}"] = f.default
             params.append(f"{n}=default_{n}")
         elif params and "=" in params[-1]:
             # the check a dataclass `__init__` would have made
@@ -190,15 +217,27 @@ def _slot_init(cls):
         body.append(f"    set_{n}(self, {n})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass"), ns)
-    init = ns["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    mine, theirs = ("(" + "".join(f"{o}.{n}," for n in fields) + ")" for o in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass") + "\n"
+        f"def __eq__(self, other): return {mine} == {theirs} "
+        "if other.__class__ is self.__class__ else NotImplemented\n"
+        f"def __hash__(self): return hash({mine})\n"
+        f'def __repr__(self): return f"{{self.__class__.__qualname__}}({shown})"',
+        g,
+        made,
+    )
+    for k, fn in made.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{k}"
+    return {"__dataclass_fields__": fields, "__match_args__": tuple(fields),
+            "__doc__": f"{cls.__name__}({', '.join(fields)})",
+            **made, "__repr__": reprlib.recursive_repr()(made["__repr__"])}
 
 
 def _slot_new(cls):
     """`object.__new__` and the slot setter of each field of record class
-    `cls`, in field order, with which a caller makes a `cls` as `_slot_init`
+    `cls`, in field order, with which a caller makes a `cls` as its `__init__`
     would, without its Python frame. It makes no test, so a caller sets a
     `Name` field only to a `Name`; a record with a `__post_init__` is
     refused."""

@@ -1139,8 +1139,8 @@ class TestRecords:
                 b: int
 
     def test_the_one_init_is_the_slot_init(self):
-        # dataclass makes no `__init__` for a record; for a decorated
-        # subclass it makes one but keeps the record's
+        # the metaclass writes a record's `__init__`; a decorated subclass's
+        # dataclass makes one too but keeps the record's
         decorated = {DecoratedMul, Neg, Scaled}
         for cls in (IntLit, Lam, LetRec, VInt, Source, Scaled3, *decorated):
             params = cls.__dataclass_params__

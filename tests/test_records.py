@@ -8,11 +8,13 @@ defaults stated in `DEFAULTS`; it takes from the record's class body only
 the comparison, hash and repr methods that body writes itself, and the
 properties they read. A record and its twin, holding the same field
 values, must agree on every `Field`, `__match_args__`, `repr`, `==`, `!=`,
-`hash`, `replace`, `asdict`, `astuple` and `is_dataclass`.
+`hash`, `replace` (and `copy.replace` where there is one), `asdict`,
+`astuple` and `is_dataclass`.
 """
 
+import copy
 import dataclasses
-import inspect
+import sys
 
 import pytest
 
@@ -32,9 +34,11 @@ from stagelet import (
     LetRec,
     Locus,
     Mul,
+    Name,
     Source,
     Sub,
     Succ,
+    TypeMismatch,
     Var,
     VBool,
     VInt,
@@ -47,7 +51,7 @@ from stagelet import (
 from stagelet.codec import BuildContext
 from stagelet.insertion import DEFAULT_CANON_LIMIT, BindingClass
 
-from helpers import records_of
+from helpers import check_record, records_of
 from test_base import DecoratedMul, Neg, Scaled, Scaled3
 
 x, y = Source("x"), Source("y")
@@ -97,12 +101,13 @@ FIELD_ATTRS = (
 
 def written(cls):
     """The names of the comparison, hash and repr methods that the class
-    body of `cls` writes itself, not generated ones (whose code has no
-    source file)."""
+    body of `cls` writes itself: those whose code is in the class's own
+    module, not generated ones, or their wrappers."""
+    home = sys.modules[cls.__module__].__file__
     return {
         k
         for k in ("__eq__", "__hash__", "__repr__")
-        if k in vars(cls) and inspect.unwrap(vars(cls)[k]).__code__.co_filename.endswith(".py")
+        if k in vars(cls) and vars(cls)[k].__code__.co_filename == home
     }
 
 
@@ -185,6 +190,61 @@ class TestAgainstATwin:
             got = dataclasses.replace(a, **change)
             assert type(got) is cls
             assert repr(got) == repr(dataclasses.replace(ta, **change))
+            if hasattr(copy, "replace"):  # Python 3.13 on
+                assert outcome(lambda: copy.replace(a, **change)) == outcome(lambda: got)
         for walk in (dataclasses.asdict, dataclasses.astuple):
             assert outcome(lambda: walk(a)) == outcome(lambda: walk(ta))
         assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(a)
+
+
+class TestWrittenByTheMetaclass:
+    """The contract is written by `base._Record` itself, with rules of its
+    own where dataclasses differ between Python versions."""
+
+    def test_a_new_record_needs_no_dataclass_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataclasses.dataclass ran")
+
+        monkeypatch.setattr(dataclasses, "dataclass", refuse)
+
+        class Tagged(BaseAst):
+            name: Name
+            tag: int = 7
+
+        # pickle finds a class by its module and qualified name
+        Tagged.__qualname__ = "Tagged"
+        monkeypatch.setitem(globals(), "Tagged", Tagged)
+        check_record(Tagged(x), ["name", "tag"])
+        check_record(Tagged(y, 3), ["name", "tag"])
+        assert Tagged(x).tag == dataclasses.fields(Tagged)[1].default == 7
+        with pytest.raises(TypeMismatch, match="^not a name: 5$"):
+            Tagged(5)
+
+    def test_a_field_equal_to_itself_only_by_identity(self):
+        # fields compare as one tuple, as on Python 3.10 to 3.12, and that
+        # tuple is what `hash` hashes; 3.13's dataclasses compare field by
+        # field, which would make this record unequal to its own copy
+        nan = float("nan")
+        a, b = IntLit(nan), IntLit(nan)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert Add(a, a) == Add(b, b)
+        assert IntLit(nan) != IntLit(float("nan"))
+
+    def test_a_record_met_inside_itself_shows_as_dots(self):
+        held = []
+        r = IntLit(held)
+        held.append(r)
+        assert repr(r) == "IntLit(value=[...])"
+        assert repr(Succ(r)) == "Succ(arg=IntLit(value=[...]))"
+
+    def test_an_undocumented_record_documents_its_fields(self):
+        assert Let.__doc__ == "Let(name, rhs, body)"
+        assert IntLit.__doc__ == "IntLit(value)"
+        assert Add.__doc__ == "Add(left, right)"
+        assert BinOp.__doc__.startswith("A binary operator on two integers.")
+
+    @pytest.mark.parametrize("hook", ["__setattr__", "__delattr__"])
+    def test_a_class_body_may_not_write_a_frozen_hook(self, hook):
+        # as `@dataclass(frozen=True)` refuses them, with its message
+        with pytest.raises(TypeError, match=f"^Cannot overwrite attribute {hook} in class R$"):
+            type(BaseAst)("R", (BaseAst,), {hook: lambda *args: None})

@@ -35,15 +35,16 @@ def _called(n):
 
 
 # ---------------------------------------------------------------------------
-# One record idea: every record is a frozen slotted dataclass made by one
-# metaclass, `base._Record`; its one dataclass call is the only use of
-# `dataclass` under src/stagelet, as a decorator or a call
+# One record idea: every record is made by one metaclass, `base._Record`,
+# which writes a frozen slotted dataclass's contract itself. At most one use
+# of `dataclass`, as a decorator or a call, is left under src/stagelet, in
+# base.py: the probe whose params and field marker every record shares
 
 
 def uses_dataclass(n):
     return (
         isinstance(n, ast.Call)
-        and _called(n) == "dataclass"
+        and _called(n) in ("dataclass", "make_dataclass")
         or isinstance(n, ast.ClassDef)
         and any(_called(d) == "dataclass" for d in n.decorator_list)
     )
@@ -98,7 +99,7 @@ def defines_a_family(n):
 class TestOneIdea:
     def test_one_record_idea(self):
         hits = _hits("src/stagelet", uses_dataclass)
-        assert len(hits) == 1 and hits[0].startswith("src/stagelet/base.py:"), hits
+        assert len(hits) <= 1 and all(h.startswith("src/stagelet/base.py:") for h in hits), hits
 
     def test_one_location_idea(self):
         found = (
@@ -130,6 +131,7 @@ class TestChecksRefuse:
             "@dataclasses.dataclass(frozen=True)\nclass C: pass",
             "C = dataclasses.dataclass(C)",
             "dataclass(frozen=True)(C)",
+            'dataclasses.make_dataclass("C", ["a"])',
         ],
     )
     def test_a_dataclass_use(self, source):
